@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from typing import Optional
 
@@ -135,8 +134,7 @@ def exit_code_for(verdict: Verdict) -> int:
     return EXIT_DISCREPANCY if verdict.discrepancy else EXIT_OK
 
 
-def run_check(path, cap: Optional[int] = None, emit_model=None, report=None,
-              threads: Optional[int] = None) -> int:
+def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> int:
     """validate -> choose_generators -> E -> good objects -> model ->
     capped quasi-isomorphism check -> verdict + certificate."""
     h, raw_obj, digest = load_algebra_file(path)
@@ -152,7 +150,7 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None,
         e = compute_E(h, gens)
         goods = good_objects(h, gens)
         model = build_model(h, gens, goods)
-        qreport = verify_quasi_iso(model, h, used_cap, threads=threads)
+        qreport = verify_quasi_iso(model, h, used_cap)
     verdict = render_verdict(h, gens, e, goods, qreport)
     code = exit_code_for(verdict)
 
@@ -225,18 +223,6 @@ def run_duality(path) -> int:
     return EXIT_OK if result["all_equal"] else EXIT_INPUT_ERROR
 
 
-def _threads_from_env() -> Optional[int]:
-    raw = os.environ.get("FORMACHECK_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        print(f"warning: ignoring invalid FORMACHECK_THREADS={raw!r}", file=sys.stderr)
-        return None
-    return max(n, 1)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="formacheck",
@@ -269,7 +255,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "check":
             return run_check(args.file, cap=args.cap, emit_model=args.emit_model,
-                             report=args.report, threads=_threads_from_env())
+                             report=args.report)
         if args.command == "corpus":
             return run_corpus(args.kind, args.params, args.output)
         return run_duality(args.file)
@@ -280,3 +266,7 @@ def main(argv=None) -> int:
 
 def entrypoint():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -7,13 +7,13 @@ verdict never claims anything beyond the configured degree cap.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import GradedAlgebra
-from .linalg import MatQ, RowSpace, Vec, kernel_basis, rref
-from .model import Model, differential_matrix, monomials_of_degree, phi_tilde
+from .linalg import ZERO, MatQ, RowSpace, Vec, kernel_basis, rref
+from .model import (Model, blocks_of_degree, differentiate, monomials_of_degree,
+                    phi_tilde)
 
 
 @dataclass(frozen=True)
@@ -41,27 +41,44 @@ class QuasiIsoReport:
 def cohomology_basis(model: Model, n: int) -> tuple[int, list[Vec]]:
     """Dimension and representatives of H^n of the model.
 
-    Representatives are kernel vectors of d_n reduced against the RREF of
-    the image of d_(n-1) (and against previously chosen representatives),
-    with leading coefficient 1: a deterministic basis of the quotient.
+    d preserves multidegree, so H^n is computed one block at a time: the
+    kernel of d on the block's degree-n monomials, reduced against the RREF
+    of the image of the block's degree-(n-1) monomials (and against the
+    representatives chosen before), with leading coefficient 1.  Blocks are
+    taken in ascending multidegree; each representative is returned in the
+    coordinates of monomials_of_degree(model, n) and is supported in one
+    block.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    d_out = differential_matrix(model, n)
-    cycles = kernel_basis(d_out)
-    span = RowSpace(d_out.cols)
-    image_rank = 0
-    if n > 0:
-        d_in = differential_matrix(model, n - 1)
-        for j in range(d_in.cols):
-            if span.add(tuple(d_in.entries[i][j] for i in range(d_in.rows))) is not None:
-                image_rank += 1
+    basis = monomials_of_degree(model, n)
+    below = monomials_of_degree(model, n - 1) if n > 0 else []
+    sources = blocks_of_degree(model, n - 1)
     reps = []
-    for v in cycles:
-        reduced = span.add(v)
-        if reduced is not None:
-            reps.append(reduced)
-    assert len(reps) == len(cycles) - image_rank
+    for alpha, cols in blocks_of_degree(model, n).items():
+        local = {basis[j]: k for k, j in enumerate(cols)}
+        d_out: dict = {}  # image monomial -> its row of d on the block
+        for k, j in enumerate(cols):
+            for sign, image in differentiate(model, basis[j]):
+                d_out.setdefault(image, [0] * len(cols))[k] = sign
+        cycles = kernel_basis(MatQ.from_rows(d_out.values(), cols=len(cols)))
+        if not cycles:
+            continue
+        span = RowSpace(len(cols))
+        image_rank = 0
+        for j in sources.get(alpha, ()):
+            column = [0] * len(cols)
+            for sign, image in differentiate(model, below[j]):
+                column[local[image]] = sign
+            if span.add(column) is not None:
+                image_rank += 1
+        found = [v for v in map(span.add, cycles) if v is not None]
+        assert len(found) == len(cycles) - image_rank
+        for v in found:
+            rep = [ZERO] * len(basis)
+            for j, c in zip(cols, v):
+                rep[j] = c
+            reps.append(tuple(rep))
     return len(reps), reps
 
 
@@ -70,7 +87,10 @@ def induced_map(model: Model, h: GradedAlgebra, n: int) -> DegreeReport:
 
     Well defined because phi~ is a cochain map into (H, 0); above the top
     degree of h the target is zero and the check degenerates to "model
-    cohomology vanishes".
+    cohomology vanishes".  phi~ kills every monomial with an odd factor, so
+    in block alpha it sees only v^alpha, the block's one monomial of top
+    degree: a representative maps to its v^alpha coefficient times
+    phi(v^alpha).
     """
     dim_model, reps = cohomology_basis(model, n)
     idx = h.degree_indices(n)
@@ -93,23 +113,16 @@ def induced_map(model: Model, h: GradedAlgebra, n: int) -> DegreeReport:
     )
 
 
-def verify_quasi_iso(model: Model, h: GradedAlgebra, cap: int,
-                     threads: Optional[int] = None) -> QuasiIsoReport:
+def verify_quasi_iso(model: Model, h: GradedAlgebra, cap: int) -> QuasiIsoReport:
     """Degreewise comparison of model cohomology with H, for 0 <= n <= cap.
 
-    Degrees are independent work units; `threads` > 1 fans them out over a
-    thread pool.  The report is explicitly capped: no claim is made beyond
-    the checked range.
+    The report is explicitly capped: no claim is made beyond the checked
+    range.
     """
     if cap < h.top_degree:
         raise ValueError(
             f"cap {cap} is below the top degree {h.top_degree}; the check would be vacuous")
-    degrees = range(cap + 1)
-    if threads is not None and threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = tuple(pool.map(lambda n: induced_map(model, h, n), degrees))
-    else:
-        reports = tuple(induced_map(model, h, n) for n in degrees)
+    reports = tuple(induced_map(model, h, n) for n in range(cap + 1))
     failing = [r.degree for r in reports if not r.bijective]
     return QuasiIsoReport(
         cap=cap,

@@ -49,6 +49,13 @@ def _require(obj, key, kind, where):
     return value
 
 
+def _optional_list(obj: dict, key, where):
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise InputError(f"{where}: field {key!r} must be a list")
+    return value
+
+
 def parse_algebra_json(obj, source: str = "input") -> GradedAlgebra:
     """Build and validate a GradedAlgebra from a parsed algebra file.
 
@@ -67,7 +74,7 @@ def parse_algebra_json(obj, source: str = "input") -> GradedAlgebra:
     index = {lab: i for i, (lab, _) in enumerate(basis)}
 
     products = {}
-    for k, item in enumerate(obj.get("products", [])):
+    for k, item in enumerate(_optional_list(obj, "products", source)):
         where = f"{source}: products[{k}]"
         left = _require(item, "left", str, where)
         right = _require(item, "right", str, where)
@@ -167,7 +174,7 @@ def parse_chain_complex_json(obj, source: str = "input") -> ChainComplexQ:
         dims.append(d)
     if not dims:
         raise InputError(f"{source}: dims must be nonempty")
-    boundaries_raw = obj.get("boundaries", [])
+    boundaries_raw = _optional_list(obj, "boundaries", source)
     if len(boundaries_raw) != len(dims) - 1:
         raise InputError(
             f"{source}: expected {len(dims) - 1} boundary matrices, got {len(boundaries_raw)}")

@@ -318,31 +318,68 @@ def build_model(h: GradedAlgebra, gens: GeneratorSet,
     return Model(generators=gens, odd_generators=odd)
 
 
-@lru_cache(maxsize=None)
-def differential_matrix(model: Model, n: int) -> MatQ:
-    """Matrix of d from the degree-n monomial basis to the degree-(n+1) one.
+def differentiate(model: Model, m: Monomial) -> list[tuple[int, Monomial]]:
+    """d of one canonical monomial, as (sign, canonical monomial) terms.
 
-    For a canonical monomial (even part) * w_{o_1} ... w_{o_k} the even part
-    is closed and contributes no sign, and moving d past the first t odd
-    factors costs (-1)^t, so
+    For (even part) * w_{o_1} ... w_{o_k} the even part is closed and
+    contributes no sign, and moving d past the first t odd factors costs
+    (-1)^t, so
 
         d(m) = sum_t (-1)^t (even part * target(o_t)) * (odd factors minus o_t).
 
-    The replaced target is pure even and commutes to the front freely.
+    The replaced target is pure even and commutes to the front freely.  The
+    terms are distinct, and each has the multidegree of m.
+    """
+    return [(-1 if t % 2 else 1,
+             Monomial(even=_merge_even(m.even, model.odd_generators[oi].target.even),
+                      odd=m.odd[:t] + m.odd[t + 1:],
+                      degree=m.degree + 1))
+            for t, oi in enumerate(m.odd)]
+
+
+def multidegree(model: Model, m: Monomial) -> tuple[int, ...]:
+    """Even exponents of m plus the exponents of the targets of its odd
+    factors, as a dense tuple over the even generators.
+
+    With v_i in multidegree e_i and each w in the multidegree of its target,
+    d preserves multidegree, so the model is a direct sum of finite blocks.
+    """
+    out = [0] * len(model.generators)
+    for i, e in m.even:
+        out[i] += e
+    for oi in m.odd:
+        for i, e in model.odd_generators[oi].target.even:
+            out[i] += e
+    return tuple(out)
+
+
+def blocks_of_degree(model: Model, n: int) -> dict[tuple[int, ...], list[int]]:
+    """Positions in monomials_of_degree(model, n), grouped by multidegree.
+
+    Blocks come in ascending multidegree and positions ascend within each.
+    """
+    out: dict[tuple[int, ...], list[int]] = {}
+    if n < 0:
+        return out
+    for j, m in enumerate(monomials_of_degree(model, n)):
+        out.setdefault(multidegree(model, m), []).append(j)
+    return dict(sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
+def differential_matrix(model: Model, n: int) -> MatQ:
+    """Dense matrix of d from the degree-n monomial basis to the degree-(n+1)
+    one, assembled from `differentiate`.
+
+    The reference form of d: the cohomology computation works block by
+    block instead, and the tests compare the two.
     """
     rows_basis = monomials_of_degree(model, n + 1)
     cols_basis = monomials_of_degree(model, n)
     row_index = {m: i for i, m in enumerate(rows_basis)}
     entries = [[Fraction(0)] * len(cols_basis) for _ in rows_basis]
     for j, m in enumerate(cols_basis):
-        for t, oi in enumerate(m.odd):
-            sign = Fraction(1) if t % 2 == 0 else Fraction(-1)
-            target = model.odd_generators[oi].target
-            image = Monomial(
-                even=_merge_even(m.even, target.even),
-                odd=m.odd[:t] + m.odd[t + 1:],
-                degree=m.degree + 1,
-            )
+        for sign, image in differentiate(model, m):
             entries[row_index[image]][j] += sign
     return MatQ.from_rows(entries, cols=len(cols_basis))
 

@@ -1,11 +1,15 @@
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 import formacheck as fc
 from formacheck.cli import main
-from formacheck.corpus import even_sphere, truncated_poly, wedge
+from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import (InputError, load_algebra_file,
                                 parse_algebra_json, serialize_algebra)
 
@@ -80,6 +84,15 @@ def test_parse_rejects_float_coeff(tmp_path):
     path = write_json(tmp_path / "bad.json", obj)
     with pytest.raises(InputError):
         load_algebra_file(path)
+
+
+@pytest.mark.parametrize("value", [5, None])
+def test_check_rejects_non_list_products(tmp_path, capsys, value):
+    obj = even_sphere(2)
+    obj["products"] = value
+    path = write_json(tmp_path / "bad.json", obj)
+    assert main(["check", path]) == 1
+    assert "field 'products' must be a list" in capsys.readouterr().err
 
 
 def test_roundtrip_identical_algebra():
@@ -196,17 +209,46 @@ def test_check_stdout_certificate(tmp_path, capsys):
     assert cert["input_sha256"]
 
 
-def test_threads_env_honored(tmp_path, monkeypatch, capsys):
+def test_python_dash_m(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     path = write_json(tmp_path / "s2.json", even_sphere(2))
-    monkeypatch.setenv("FORMACHECK_THREADS", "4")
-    r1 = tmp_path / "c1.json"
-    assert main(["check", path, "--report", str(r1)]) == 0
-    monkeypatch.setenv("FORMACHECK_THREADS", "bogus")
-    r2 = tmp_path / "c2.json"
-    assert main(["check", path, "--report", str(r2)]) == 0
-    assert "ignoring invalid FORMACHECK_THREADS" in capsys.readouterr().err
-    strip = lambda text: re.sub(r'"generated_at": "[^"]*"', "T", text)
-    assert strip(r1.read_text()) == strip(r2.read_text())
+
+    def run(module, *args):
+        return subprocess.run([sys.executable, "-m", module, "check", *args], env=env,
+                              capture_output=True, timeout=120).returncode
+
+    for module in ("formacheck", "formacheck.cli"):
+        report = tmp_path / f"{module}.json"
+        assert run(module, path, "--report", str(report)) == 0
+        assert json.loads(report.read_text())["exit_code"] == 0
+        assert run(module, str(tmp_path / "missing.json")) == 1
+
+
+# (exit code, sha256 of the certificate bytes without the generated_at line):
+# certificates are fixed byte for byte, so a faster path must not move these
+GOLDEN_CERTIFICATES = {
+    "S2": (0, "c26aff772ab9b57de1d73ec50f3c073cf7563daac96f7f0e0daef79379603c07"),
+    "CP2": (0, "ece466a73fa5f94c6a57c66e800ac315e9b0fc3e14135a349c076fa97c00cd3e"),
+    "S2xS2": (0, "1c931b55e0f92101174ceeb77be7f2bdc05ee224c3968f67dd7d3b9384db07cc"),
+    "CP2xS2": (0, "3ed2db51a577eb340bc2d9edcfc7e23f2d0c68097c6823261711d5e4e87098a2"),
+    "S2vS2": (4, "dc9ac219b1599274d2a85468a74097d4930c2639972148ee952beaf7e80a57aa"),
+    "S2xS2xS2": (0, "21769630682cb0fd78681bd5d1c144f05c6253add6a89d0456d9dc1dddcc38c4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CERTIFICATES))
+def test_certificate_golden_digest(tmp_path, name):
+    s2, cp2 = even_sphere(2), truncated_poly(2, 3)
+    obj = {"S2": s2, "CP2": cp2, "S2xS2": product(s2, s2), "CP2xS2": product(cp2, s2),
+           "S2vS2": wedge(s2, s2), "S2xS2xS2": product(product(s2, s2), s2)}[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    report = tmp_path / "cert.json"
+    code = main(["check", str(path), "--report", str(report)])
+    text = re.sub(rb'\n *"generated_at": "[^"]*",', b"", report.read_bytes())
+    assert (code, hashlib.sha256(text).hexdigest()) == GOLDEN_CERTIFICATES[name]
 
 
 # ---- corpus subcommand ----
@@ -264,3 +306,9 @@ def test_duality_bad_shape_rejected(tmp_path):
     obj = {"dims": [2, 1], "boundaries": [[["1"]]]}
     path = write_json(tmp_path / "c.json", obj)
     assert main(["duality", path]) == 1
+
+
+def test_duality_rejects_non_list_boundaries(tmp_path, capsys):
+    path = write_json(tmp_path / "c.json", {"dims": [1, 1], "boundaries": 5})
+    assert main(["duality", path]) == 1
+    assert "field 'boundaries' must be a list" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import formacheck as fc
 from formacheck.cohomology import (ChainComplexError, ChainComplexQ,
                                    duality_check, validate_square_zero)
 from formacheck.linalg import MatQ
+from formacheck.model import multidegree
 
 import oracles
 from util import (algebra, corpus_objects, cp2, frac_matrix, pipeline,
@@ -94,13 +96,6 @@ def test_cap_below_top_rejected():
         fc.verify_quasi_iso(model_of(h), h, 3)
 
 
-def test_threads_give_identical_report():
-    h = wedge_s2_s2()
-    model = model_of(h)
-    assert fc.verify_quasi_iso(model, h, 8) == \
-        fc.verify_quasi_iso(model, h, 8, threads=4)
-
-
 @pytest.mark.parametrize("obj_index", range(len(corpus_objects())))
 def test_model_dims_match_brute_force_oracle(obj_index):
     h = algebra(corpus_objects()[obj_index])
@@ -139,6 +134,30 @@ def test_euler_characteristic_consistency(obj_index):
     lhs = sum((-1) ** n * d for n, d in enumerate(chain_dims)) - (-1) ** cap * boundary
     rhs = sum((-1) ** n * d for n, d in enumerate(coh_dims))
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("obj_index", range(len(corpus_objects())))
+def test_euler_characteristic_per_block(obj_index):
+    # a block's top degree is that of v^alpha; blocks with it inside the cap
+    # are whole finite complexes, so their Euler characteristics agree
+    h = algebra(corpus_objects()[obj_index])
+    model = model_of(h)
+    cap = 2 * h.top_degree + 1
+    chain, coh = Counter(), Counter()
+    for n in range(cap + 1):
+        basis = fc.monomials_of_degree(model, n)
+        for m in basis:
+            chain[multidegree(model, m)] += (-1) ** n
+        for rep in fc.cohomology_basis(model, n)[1]:
+            support = {multidegree(model, basis[i]) for i, c in enumerate(rep) if c != 0}
+            assert len(support) == 1
+            coh[support.pop()] += (-1) ** n
+    whole = [alpha for alpha in chain
+             if sum(e * d for e, d in zip(alpha, model.even_degrees)) <= cap]
+    assert whole
+    assert set(coh) <= set(chain)
+    for alpha in whole:
+        assert chain[alpha] == coh[alpha]
 
 
 # ---- chain complex duality ----

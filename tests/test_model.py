@@ -4,7 +4,7 @@ import pytest
 
 import formacheck as fc
 from formacheck.algebra import GradedAlgebra
-from formacheck.model import Monomial, format_monomial
+from formacheck.model import Monomial, format_monomial, multidegree
 
 from util import corpus_objects, cp2, cp3, algebra, pipeline, s2, wedge_s2_s2
 
@@ -247,6 +247,26 @@ def test_d_squared_zero(obj_index):
         d_n = fc.differential_matrix(model, n)
         d_next = fc.differential_matrix(model, n + 1)
         assert d_next.matmul(d_n).is_zero()
+
+
+@pytest.mark.parametrize("obj_index", range(len(corpus_objects())))
+def test_differential_preserves_multidegree(obj_index):
+    h = algebra(corpus_objects()[obj_index])
+    model = model_of(h)
+    for n in range(2 * h.top_degree + 2):
+        d_n = fc.differential_matrix(model, n)
+        cols = [multidegree(model, m) for m in fc.monomials_of_degree(model, n)]
+        rows = [multidegree(model, m) for m in fc.monomials_of_degree(model, n + 1)]
+        for i, row in enumerate(d_n.entries):
+            for j, c in enumerate(row):
+                if c != 0:
+                    assert rows[i] == cols[j]
+
+
+def test_multidegree_counts_odd_targets():
+    model = model_of(wedge_s2_s2())  # w targets: v1*v2, v1^2, v2^2
+    m = Monomial(((1, 1),), (0, 1), 8)  # v2 * w1 * w2
+    assert multidegree(model, m) == (3, 2)
 
 
 @pytest.mark.parametrize("obj_index", range(len(corpus_objects())))

@@ -46,6 +46,9 @@ def corpus_objects():
         product(s2_obj, s2_obj),
         product(s2_obj, s4_obj),
         product(truncated_poly(2, 3), s2_obj),
+        # many multidegree blocks per degree
+        product(product(s2_obj, s2_obj), s2_obj),
+        wedge(wedge(s2_obj, s2_obj), s2_obj),
     ]
 
 

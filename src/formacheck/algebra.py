@@ -4,6 +4,10 @@ The input object is a basis with degrees plus a sparse multiplication table.
 Only the half with left index <= right index is supplied; the mirror entry
 is synthesized with the sign (-1)^(pq), which makes graded commutativity
 structural wherever it can be.
+
+The table is stored sparse: `mult[(i, j)]` is a `Row`, the nonzero terms
+(k, c) of e_i * e_j in increasing k, and pairs with a zero product are
+absent.  Elements passed to and returned by `GradedAlgebra.mul` stay dense.
 """
 
 from __future__ import annotations
@@ -11,10 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import (ONE, RowSpace, Vec, extend_to_complement, unit_vec,
                      vec_is_zero, zero_vec)
+
+Row = tuple[tuple[int, Fraction], ...]  # sparse vector: nonzero (k, c), k increasing
 
 
 class AlgebraStructureError(ValueError):
@@ -26,7 +32,7 @@ class GradedAlgebra:
     labels: tuple[str, ...]
     degrees: tuple[int, ...]
     unit_index: int
-    mult: dict  # (i, j) -> Vec, both orders present, zero products omitted
+    mult: dict  # (i, j) -> Row, both orders present, zero products omitted
 
     @property
     def dim(self) -> int:
@@ -61,29 +67,18 @@ class GradedAlgebra:
 
     def mul(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
         out = [Fraction(0)] * self.dim
+        b_terms = [(j, cb) for j, cb in enumerate(b) if cb != 0]
         for i, ca in enumerate(a):
             if ca == 0:
                 continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                entry = self.mult.get((i, j))
-                if entry is None:
+            for j, cb in b_terms:
+                row = self.mult.get((i, j))
+                if row is None:
                     continue
                 c = ca * cb
-                for k, ck in enumerate(entry):
-                    if ck != 0:
-                        out[k] += c * ck
+                for k, ck in row:
+                    out[k] += c * ck
         return tuple(out)
-
-    def homogeneous_degree(self, v: Sequence[Fraction]) -> Optional[int]:
-        """Degree of a homogeneous element; None for zero, error for mixed."""
-        degs = {self.degrees[i] for i, c in enumerate(v) if c != 0}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
 
     @classmethod
     def from_products(cls, basis: Sequence[tuple[str, int]], unit: str,
@@ -113,12 +108,11 @@ class GradedAlgebra:
             raise AlgebraStructureError("unit must have degree 0")
 
         dim = len(labels)
-        mult: dict[tuple[int, int], Vec] = {}
+        mult: dict[tuple[int, int], Row] = {}
         # unit law holds by default; explicit entries below may override it
         # (validate() will then flag the violation)
         for j in range(dim):
-            mult[(u, j)] = unit_vec(dim, j)
-            mult[(j, u)] = unit_vec(dim, j)
+            mult[(u, j)] = mult[(j, u)] = ((j, ONE),)
 
         for (left, right), value in products.items():
             if left not in index or right not in index:
@@ -127,17 +121,17 @@ class GradedAlgebra:
             if i > j:
                 raise AlgebraStructureError(
                     f"pair ({left!r}, {right!r}) is not in basis order; give left <= right only")
-            vec = [Fraction(0)] * dim
+            terms = {}
             for lab, coeff in value.items():
                 if lab not in index:
                     raise AlgebraStructureError(f"unknown label {lab!r} in product value")
                 if isinstance(coeff, float):
                     raise AlgebraStructureError("floating point coefficients are not allowed")
-                vec[index[lab]] = Fraction(coeff)
-            entry = tuple(vec)
-            sign = -ONE if (degrees[i] % 2 and degrees[j] % 2) else ONE
-            mirror = entry if sign == 1 else tuple(-x for x in entry)
-            if vec_is_zero(entry):
+                terms[index[lab]] = Fraction(coeff)
+            entry = tuple((k, c) for k, c in sorted(terms.items()) if c != 0)
+            odd_pair = degrees[i] % 2 and degrees[j] % 2
+            mirror = tuple((k, -c) for k, c in entry) if odd_pair else entry
+            if not entry:
                 mult.pop((i, j), None)
                 if i != j:
                     mult.pop((j, i), None)
@@ -172,83 +166,101 @@ def validate(h: GradedAlgebra) -> ValidationReport:
 
     Odd-degree classes are reported as a hypothesis flag, not a structural
     failure: such inputs load and validate so the pipeline can diagnose
-    them instead of crashing.
+    them instead of crashing.  Each law is checked on the sparse table, in
+    the order of the basis, so the first failure found is the first in
+    (i, j) or (i, j, k) order.
     """
     failures = []
+    deg, u, mult = h.degrees, h.unit_index, h.mult
 
-    degree_zero = [i for i, d in enumerate(h.degrees) if d == 0]
-    single_unit = degree_zero == [h.unit_index]
+    degree_zero = [i for i, d in enumerate(deg) if d == 0]
+    single_unit = degree_zero == [u]
     if not single_unit:
         failures.append(
             "degree 0 must contain exactly the unit; found "
             + ", ".join(h.labels[i] for i in degree_zero))
 
     graded = True
-    for (i, j), entry in sorted(h.mult.items()):
-        expected = h.degrees[i] + h.degrees[j]
-        bad = [k for k, c in enumerate(entry) if c != 0 and h.degrees[k] != expected]
+    for (i, j), row in sorted(mult.items()):
+        expected = deg[i] + deg[j]
+        bad = [k for k, _ in row if deg[k] != expected]
         if bad:
             graded = False
             failures.append(
                 f"product {h.labels[i]}*{h.labels[j]} has support in degree "
-                f"{h.degrees[bad[0]]}, expected {expected}")
+                f"{deg[bad[0]]}, expected {expected}")
             break
 
     unit_ok = True
-    u = h.unit()
     for j in range(h.dim):
-        e = h.basis_vector(j)
-        if h.mul(u, e) != e or h.mul(e, u) != e:
+        e = ((j, ONE),)
+        if mult.get((u, j)) != e or mult.get((j, u)) != e:
             unit_ok = False
             failures.append(f"unit law fails on {h.labels[j]}")
             break
 
+    # pairs absent in both orders multiply to 0 both ways
     commutative = True
-    for i in range(h.dim):
-        for j in range(i, h.dim):
-            a, b = h.basis_vector(i), h.basis_vector(j)
-            ab = h.mul(a, b)
-            ba = h.mul(b, a)
-            sign = -1 if (h.degrees[i] % 2 and h.degrees[j] % 2) else 1
-            if ab != tuple(sign * x for x in ba):
-                commutative = False
-                failures.append(
-                    f"graded commutativity fails on ({h.labels[i]}, {h.labels[j]})")
-                break
-        if not commutative:
+    for i, j in sorted({(min(p), max(p)) for p in mult}):
+        sign = -1 if (deg[i] % 2 and deg[j] % 2) else 1
+        if mult.get((i, j), ()) != tuple((k, sign * c) for k, c in mult.get((j, i), ())):
+            commutative = False
+            failures.append(
+                f"graded commutativity fails on ({h.labels[i]}, {h.labels[j]})")
             break
 
-    # O(dim^3) triple check; inputs are desk scale
-    associative = True
-    for i in range(h.dim):
-        a = h.basis_vector(i)
-        for j in range(h.dim):
-            b = h.basis_vector(j)
-            ab = h.mul(a, b)
-            for k in range(h.dim):
-                c = h.basis_vector(k)
-                if h.mul(ab, c) != h.mul(a, h.mul(b, c)):
-                    associative = False
-                    failures.append(
-                        f"associativity fails on ({h.labels[i]}, {h.labels[j]}, {h.labels[k]})")
-                    break
-            if not associative:
-                break
-        if not associative:
-            break
+    witness = _associativity_witness(h, exact_skip=unit_ok and graded)
+    if witness is not None:
+        failures.append("associativity fails on ({}, {}, {})".format(
+            *(h.labels[i] for i in witness)))
 
-    odd_vanish = all(d % 2 == 0 for d in h.degrees)
+    odd_vanish = all(d % 2 == 0 for d in deg)
 
     return ValidationReport(
         single_unit_in_degree_zero=single_unit,
         graded_multiplicativity=graded,
         unit_law=unit_ok,
-        associativity=associative,
+        associativity=witness is None,
         graded_commutativity=commutative,
         finite_dimensional=True,
         odd_degrees_vanish=odd_vanish,
         failures=tuple(failures),
     )
+
+
+def _combine(terms) -> dict:
+    """Sum of c * row over (c, row) pairs, as {k: nonzero coefficient}."""
+    out: dict[int, Fraction] = {}
+    for c, row in terms:
+        for k, ck in row:
+            out[k] = out.get(k, 0) + c * ck
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _associativity_witness(h: GradedAlgebra, exact_skip: bool):
+    """First (i, j, k) in lexicographic order with (e_i e_j) e_k != e_i (e_j e_k).
+
+    Both sides are 0 unless e_i e_j or e_j e_k is nonzero, so only those
+    triples are compared.  With `exact_skip` (the unit law and graded
+    multiplicativity hold) triples through the unit, where both sides equal
+    the product of the other two, and triples above the top degree, where
+    both sides lie in an empty degree, are skipped as well.
+    """
+    deg, u, top, mult = h.degrees, h.unit_index, h.top_degree, h.mult
+    right_of: list[list[int]] = [[] for _ in range(h.dim)]
+    for j, k in sorted(mult):
+        right_of[j].append(k)
+    for i in range(h.dim):
+        for j in range(h.dim):
+            ab = mult.get((i, j), ())
+            for k in (range(h.dim) if ab else right_of[j]):
+                if exact_skip and (u in (i, j, k) or deg[i] + deg[j] + deg[k] > top):
+                    continue
+                bc = mult.get((j, k), ())
+                if (_combine((c, mult.get((m, k), ())) for m, c in ab)
+                        != _combine((c, mult.get((i, m), ())) for m, c in bc)):
+                    return i, j, k
+    return None
 
 
 def decomposables(h: GradedAlgebra) -> dict[int, list[Vec]]:
@@ -259,6 +271,7 @@ def decomposables(h: GradedAlgebra) -> dict[int, list[Vec]]:
     coordinates and stops as soon as a degree is saturated.
     """
     spans = {n: RowSpace(h.dim_in_degree(n)) for n in range(1, h.top_degree + 1)}
+    position = {k: s for idx in h._by_degree.values() for s, k in enumerate(idx)}
     positive = [i for i in range(h.dim) if h.degrees[i] > 0]
     for i in positive:
         for j in positive:
@@ -270,7 +283,11 @@ def decomposables(h: GradedAlgebra) -> dict[int, list[Vec]]:
                 continue
             prod = h.mult.get((i, j))
             if prod is not None:
-                span.add(tuple(prod[k] for k in h.degree_indices(n)))
+                local = [Fraction(0)] * span.dim
+                for k, c in prod:
+                    if h.degrees[k] == n:
+                        local[position[k]] = c
+                span.add(local)
     out = {}
     for n in range(1, h.top_degree + 1):
         idx = h.degree_indices(n)

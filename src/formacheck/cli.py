@@ -19,7 +19,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .algebra import GeneratorSet, GradedAlgebra, choose_generators, validate
+from .algebra import GeneratorSet, GradedAlgebra, choose_generators
 from .cohomology import ChainComplexError, QuasiIsoReport, duality_check, verify_quasi_iso
 from .corpus import generate
 from .formality import (FORMAL_BY_THEOREM, HYPOTHESIS_VIOLATED, INCONCLUSIVE,
@@ -137,8 +137,7 @@ def exit_code_for(verdict: Verdict) -> int:
 def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> int:
     """validate -> choose_generators -> E -> good objects -> model ->
     capped quasi-isomorphism check -> verdict + certificate."""
-    h, raw_obj, digest = load_algebra_file(path)
-    vreport = validate(h)
+    h, vreport, raw_obj, digest = load_algebra_file(path)
     top = h.top_degree
     used_cap = cap if cap is not None else 2 * top + 1
     if used_cap < top:

@@ -59,12 +59,8 @@ def _product_table(a: GradedAlgebra, b: GradedAlgebra):
         if left is None or right is None:
             return out
         sign = Fraction(-1) if (b.degrees[j] % 2 and a.degrees[k] % 2) else Fraction(1)
-        for m, cm in enumerate(left):
-            if cm == 0:
-                continue
-            for n, cn in enumerate(right):
-                if cn == 0:
-                    continue
+        for m, cm in left:
+            for n, cn in right:
                 out[pos[(m, n)]] = out.get(pos[(m, n)], Fraction(0)) + sign * cm * cn
         return {k2: v for k2, v in out.items() if v != 0}
 
@@ -143,10 +139,9 @@ def wedge(a_obj: dict, b_obj: dict) -> dict:
             # positive-degree products stay in positive degrees, so the
             # whole support lies inside old_map
             value = [{"label": labels[old_map[k]], "coeff": format_rational(c)}
-                     for k, c in enumerate(entry) if c != 0]
-            if value:
-                products.append({"left": labels[old_map[i]],
-                                 "right": labels[old_map[j]], "value": value})
+                     for k, c in entry]
+            products.append({"left": labels[old_map[i]],
+                             "right": labels[old_map[j]], "value": value})
 
     emit(a, a_map)
     emit(b, b_map)

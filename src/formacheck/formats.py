@@ -15,7 +15,7 @@ from typing import Optional
 from .algebra import (AlgebraStructureError, GradedAlgebra, ValidationReport,
                       validate)
 from .cohomology import ChainComplexQ
-from .linalg import MatQ, unit_vec
+from .linalg import ONE, MatQ
 
 _RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 
@@ -57,7 +57,12 @@ def _optional_list(obj: dict, key, where):
 
 
 def parse_algebra_json(obj, source: str = "input") -> GradedAlgebra:
-    """Build and validate a GradedAlgebra from a parsed algebra file.
+    """Build and validate a GradedAlgebra from a parsed algebra file."""
+    return _parse_validated(obj, source)[0]
+
+
+def _parse_validated(obj, source: str) -> tuple[GradedAlgebra, ValidationReport]:
+    """Build a GradedAlgebra and validate it once; returns both.
 
     Semantic errors carry the position of the offending product entry.
     Validation failures other than the odd-degree hypothesis reject the
@@ -104,11 +109,12 @@ def parse_algebra_json(obj, source: str = "input") -> GradedAlgebra:
     report = validate(h)
     if not report.structure_ok:
         raise InputError(f"{source}: validation failure: " + "; ".join(report.failures))
-    return h
+    return h, report
 
 
-def load_algebra_file(path) -> tuple[GradedAlgebra, dict, str]:
-    """Parse one algebra file; returns (algebra, raw object, sha256 hex)."""
+def load_algebra_file(path) -> tuple[GradedAlgebra, ValidationReport, dict, str]:
+    """Parse one algebra file; returns (algebra, its validation report, raw
+    object, sha256 hex)."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -119,7 +125,8 @@ def load_algebra_file(path) -> tuple[GradedAlgebra, dict, str]:
         obj = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
-    return parse_algebra_json(obj, source=str(path)), obj, digest
+    h, report = _parse_validated(obj, str(path))
+    return h, report, obj, digest
 
 
 def parse_algebra(path) -> GradedAlgebra:
@@ -130,19 +137,14 @@ def serialize_algebra(h: GradedAlgebra, name: str = "") -> dict:
     """Emit the half table (left <= right), omitting zero products and the
     implicit unit rows."""
     products = []
-    for i in range(h.dim):
-        for j in range(i, h.dim):
-            if i == h.unit_index or j == h.unit_index:
-                entry = h.mult.get((i, j))
-                implicit = unit_vec(h.dim, j if i == h.unit_index else i)
-                if entry is None or entry == implicit:
-                    continue
-            entry = h.mult.get((i, j))
-            if entry is None:
-                continue
-            value = [{"label": h.labels[k], "coeff": format_rational(c)}
-                     for k, c in enumerate(entry) if c != 0]
-            products.append({"left": h.labels[i], "right": h.labels[j], "value": value})
+    u = h.unit_index
+    for (i, j), entry in sorted(h.mult.items()):
+        if i > j:
+            continue
+        if u in (i, j) and entry == ((j if i == u else i, ONE),):
+            continue  # implicit unit row
+        value = [{"label": h.labels[k], "coeff": format_rational(c)} for k, c in entry]
+        products.append({"left": h.labels[i], "right": h.labels[j], "value": value})
     return {
         "name": name,
         "basis": [{"label": lab, "degree": deg}

@@ -42,9 +42,6 @@ class Monomial:
     def even_length(self) -> int:
         return sum(e for _, e in self.even)
 
-    def is_pure_even(self) -> bool:
-        return not self.odd
-
     def even_indices(self) -> list[int]:
         """Generator indices with repetition."""
         out = []

@@ -4,13 +4,16 @@ Everything here deliberately avoids the library's enumeration, matrix, and
 rank code: bases come from itertools-style search over raw exponent data,
 and ranks come from sympy.  Only the raw model data (generator degrees and
 the exponent tuples of the differentials) is shared with the code under
-test.
+test.  The reference validator reads the multiplication table only through
+`GradedAlgebra.mul` on dense basis vectors.
 """
 
 import itertools
 from fractions import Fraction
 
 import sympy
+
+from formacheck.algebra import ValidationReport
 
 
 def raw_model(model):
@@ -67,3 +70,81 @@ def brute_cohomology_dim(even_degs, odd, n):
 def brute_model_dims(model, cap):
     even_degs, odd = raw_model(model)
     return [brute_cohomology_dim(even_degs, odd, n) for n in range(cap + 1)]
+
+
+def brute_validate(h):
+    """Dense reference for `formacheck.validate`: every law on every basis
+    pair and triple, with the same failure messages in the same order."""
+    failures = []
+
+    degree_zero = [i for i, d in enumerate(h.degrees) if d == 0]
+    single_unit = degree_zero == [h.unit_index]
+    if not single_unit:
+        failures.append(
+            "degree 0 must contain exactly the unit; found "
+            + ", ".join(h.labels[i] for i in degree_zero))
+
+    graded = True
+    for i, j in itertools.product(range(h.dim), repeat=2):
+        entry = h.mul(h.basis_vector(i), h.basis_vector(j))
+        expected = h.degrees[i] + h.degrees[j]
+        bad = [k for k, c in enumerate(entry) if c != 0 and h.degrees[k] != expected]
+        if bad:
+            graded = False
+            failures.append(
+                f"product {h.labels[i]}*{h.labels[j]} has support in degree "
+                f"{h.degrees[bad[0]]}, expected {expected}")
+            break
+
+    unit_ok = True
+    u = h.unit()
+    for j in range(h.dim):
+        e = h.basis_vector(j)
+        if h.mul(u, e) != e or h.mul(e, u) != e:
+            unit_ok = False
+            failures.append(f"unit law fails on {h.labels[j]}")
+            break
+
+    commutative = True
+    for i in range(h.dim):
+        for j in range(i, h.dim):
+            a, b = h.basis_vector(i), h.basis_vector(j)
+            ab = h.mul(a, b)
+            ba = h.mul(b, a)
+            sign = -1 if (h.degrees[i] % 2 and h.degrees[j] % 2) else 1
+            if ab != tuple(sign * x for x in ba):
+                commutative = False
+                failures.append(
+                    f"graded commutativity fails on ({h.labels[i]}, {h.labels[j]})")
+                break
+        if not commutative:
+            break
+
+    associative = True
+    for i in range(h.dim):
+        a = h.basis_vector(i)
+        for j in range(h.dim):
+            b = h.basis_vector(j)
+            ab = h.mul(a, b)
+            for k in range(h.dim):
+                c = h.basis_vector(k)
+                if h.mul(ab, c) != h.mul(a, h.mul(b, c)):
+                    associative = False
+                    failures.append(
+                        f"associativity fails on ({h.labels[i]}, {h.labels[j]}, {h.labels[k]})")
+                    break
+            if not associative:
+                break
+        if not associative:
+            break
+
+    return ValidationReport(
+        single_unit_in_degree_zero=single_unit,
+        graded_multiplicativity=graded,
+        unit_law=unit_ok,
+        associativity=associative,
+        graded_commutativity=commutative,
+        finite_dimensional=True,
+        odd_degrees_vanish=all(d % 2 == 0 for d in h.degrees),
+        failures=tuple(failures),
+    )

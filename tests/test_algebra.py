@@ -1,11 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import formacheck as fc
 from formacheck.algebra import AlgebraStructureError, GradedAlgebra
+from formacheck.corpus import even_sphere, product, truncated_poly, wedge
+from formacheck.formats import parse_algebra_json
 
-from util import cp2, cp3, s2, wedge_s2_s2
+from oracles import brute_validate
+from util import corpus_objects, cp2, cp3, s2, wedge_s2_s2
 
 
 def q_basis(h, label):
@@ -48,6 +55,16 @@ def test_validate_catches_nonassociative_table():
     assert any("associativity fails on (a, b, c)" in f for f in report.failures)
 
 
+def test_validate_nonassociative_where_left_product_vanishes():
+    # a*b = 0 but a*(b*c) = a*d = t, so the first failure is (a, b, c)
+    h = GradedAlgebra.from_products(
+        [("1", 0), ("a", 2), ("b", 2), ("c", 2), ("d", 4), ("t", 6)],
+        "1", {("b", "c"): {"d": 1}, ("a", "d"): {"t": 1}})
+    report = fc.validate(h)
+    assert report == brute_validate(h)
+    assert report.failures == ("associativity fails on (a, b, c)",)
+
+
 def test_validate_degree_support():
     h = GradedAlgebra.from_products(
         [("1", 0), ("x", 2), ("t", 6)], "1", {("x", "x"): {"t": 1}})
@@ -60,6 +77,158 @@ def test_validate_odd_square_must_vanish():
         [("1", 0), ("z", 3), ("t", 6)], "1", {("z", "z"): {"t": 1}})
     report = fc.validate(h)
     assert not report.graded_commutativity
+
+
+# ---- sparse validate against the dense reference ----
+
+def odd_sphere(n):
+    return {"name": f"odd_sphere({n})",
+            "basis": [{"label": "1", "degree": 0}, {"label": "z", "degree": n}],
+            "unit": "1", "products": []}
+
+
+# corpus_objects() plus exterior classes, whose products carry signs, and a
+# degree (4) that holds decomposables and a generator
+BASES = corpus_objects() + [
+    product(odd_sphere(3), odd_sphere(3)),
+    product(product(odd_sphere(1), odd_sphere(3)), even_sphere(2)),
+    wedge(truncated_poly(2, 3), even_sphere(4)),
+]
+FAULTS = ("none", "coefficient", "one_sided", "unit_row", "wrong_degree",
+          "odd_square", "second_unit", "nonassociative")
+
+
+@pytest.mark.parametrize("k", range(len(BASES)))
+def test_validate_matches_brute_on_corpus(k):
+    h = parse_algebra_json(BASES[k])
+    report = fc.validate(h)
+    assert report == brute_validate(h)
+    assert report.structure_ok
+
+
+def _embed(h, idx, local):
+    vec = [Fraction(0)] * h.dim
+    for slot, k in enumerate(idx):
+        vec[k] = local[slot]
+    return tuple(vec)
+
+
+def rebased(h, rng):
+    """h in a random basis of each positive degree: still a valid table, but
+    with rows of several terms whose products can cancel."""
+    new = [h.basis_vector(i) for i in range(h.dim)]  # new basis, old coordinates
+    old = list(new)  # old basis, new coordinates
+    for n in set(h.degrees) - {0}:
+        idx = h.degree_indices(n)
+        t = sympy.zeros(len(idx))
+        while t.det() == 0:
+            t = sympy.Matrix(len(idx), len(idx), lambda *_: rng.randint(-2, 2))
+        t_inv = t.inv()
+        for a, i in enumerate(idx):
+            new[i] = _embed(h, idx, [Fraction(str(x)) for x in t.row(a)])
+            old[i] = _embed(h, idx, [Fraction(str(x)) for x in t_inv.row(a)])
+    table = {}
+    for i in range(h.dim):
+        for j in range(i, h.dim):
+            prod = h.mul(new[i], new[j])
+            coords = [sum((c * old[k][m] for k, c in enumerate(prod)), Fraction(0))
+                      for m in range(h.dim)]
+            table[(h.labels[i], h.labels[j])] = {
+                h.labels[m]: c for m, c in enumerate(coords) if c != 0}
+    return GradedAlgebra.from_products(
+        list(zip(h.labels, h.degrees)), h.labels[h.unit_index], table)
+
+
+def broken_table(h, fault, rng):
+    """h's table with one seeded fault of the given kind."""
+    coeff = Fraction(rng.choice((-2, -1, 3)), rng.choice((1, 2)))  # never 0 or 1
+    if fault == "one_sided":
+        # e_i e_j changed but not e_j e_i: only a GradedAlgebra built
+        # directly, not through from_products, can hold this
+        i, j = rng.choice(sorted(p for p in h.mult if p[0] != p[1]))
+        row = dict(h.mult[(i, j)])
+        k = rng.choice(sorted(row))
+        row[k] += coeff
+        mult = dict(h.mult)
+        mult[(i, j)] = tuple((k, c) for k, c in sorted(row.items()) if c != 0)
+        if not mult[(i, j)]:
+            del mult[(i, j)]
+        return GradedAlgebra(h.labels, h.degrees, h.unit_index, mult)
+
+    basis = list(zip(h.labels, h.degrees))
+    degree = dict(basis)
+    unit = h.labels[h.unit_index]
+    table = {(h.labels[i], h.labels[j]): {h.labels[k]: c for k, c in row}
+             for (i, j), row in h.mult.items() if i <= j}
+    positive = [lab for lab, _ in basis if lab != unit]
+    products = sorted(p for p in table if unit not in p)
+
+    def pair(a, b):
+        return (a, b) if h.labels.index(a) <= h.labels.index(b) else (b, a)
+
+    if fault == "coefficient":
+        assume(products)
+        p = rng.choice(products)
+        table[p][rng.choice(sorted(table[p]))] += coeff  # may cancel the term
+    elif fault == "unit_row":
+        target = rng.choice(h.labels)
+        table[pair(unit, rng.choice(positive))] = {target: coeff}
+    elif fault == "wrong_degree":
+        p = rng.choice(products) if products and rng.random() < 0.5 else \
+            pair(rng.choice(positive), rng.choice(positive))
+        wrong = [lab for lab, d in basis if d != degree[p[0]] + degree[p[1]]]
+        table.setdefault(p, {})[rng.choice(wrong)] = coeff
+    elif fault == "odd_square":
+        d = rng.choice((1, 3, 5))
+        basis += [("q", d), ("q2", 2 * d)]
+        table[("q", "q")] = {"q2": coeff}
+    elif fault == "second_unit":
+        basis.insert(rng.randrange(1, len(basis) + 1), ("e", 0))
+        if rng.random() < 0.5:
+            table[("e", "e")] = {"e": 1}
+    elif fault == "nonassociative":  # the table of test_validate_catches_nonassociative_table
+        basis = [("1", 0), ("a", 2), ("b", 2), ("c", 2), ("d", 4), ("e", 4), ("t", 6)]
+        unit = "1"
+        table = {("a", "b"): {"d": 1}, ("b", "c"): {"e": 1},
+                 ("c", "d"): {"t": 1}, ("a", "e"): {"t": coeff}}
+    return GradedAlgebra.from_products(basis, unit, table)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(0, len(BASES) - 1), rebase=st.booleans(),
+       fault=st.sampled_from(FAULTS), seed=st.integers(0, 2 ** 32 - 1))
+def test_validate_matches_brute_on_broken_tables(k, rebase, fault, seed):
+    rng = random.Random(seed)
+    h = parse_algebra_json(BASES[k])
+    h = broken_table(rebased(h, rng) if rebase else h, fault, rng)
+    report = fc.validate(h)
+    assert report == brute_validate(h)
+    if fault == "none":
+        assert report.structure_ok
+    elif fault != "coefficient":  # a changed coefficient can keep the laws
+        assert not report.structure_ok
+
+
+def test_validate_wrong_degree_term_after_a_right_one():
+    h = GradedAlgebra.from_products(
+        [("1", 0), ("x", 2), ("x^2", 4), ("x^3", 6)], "1",
+        {("x", "x"): {"x^2": 1, "x^3": 1}, ("x", "x^2"): {"x^3": 1}})
+    report = fc.validate(h)
+    assert report == brute_validate(h)
+    assert report.failures[0] == "product x*x has support in degree 6, expected 4"
+
+
+@pytest.mark.parametrize("k", range(len(BASES)))
+def test_decomposables_span_products_in_any_basis(k):
+    h = rebased(parse_algebra_json(BASES[k]), random.Random(k))
+    dec = fc.decomposables(h)
+    positive = [i for i in range(h.dim) if h.degrees[i] > 0]
+    for n in range(1, h.top_degree + 1):
+        products = [h.mul(h.basis_vector(i), h.basis_vector(j))
+                    for i in positive for j in positive
+                    if h.degrees[i] + h.degrees[j] == n]
+        rank = sympy.Matrix(dec[n] + products or [[0]]).rank()
+        assert sympy.Matrix(dec[n] or [[0]]).rank() == len(dec[n]) == rank
 
 
 def test_structural_rejection():

@@ -25,7 +25,8 @@ def write_json(path, obj):
 
 def test_parse_sphere_file(tmp_path):
     path = write_json(tmp_path / "s2.json", even_sphere(2))
-    h, raw, digest = load_algebra_file(path)
+    h, report, raw, digest = load_algebra_file(path)
+    assert report.structure_ok
     assert h.top_degree == 2
     assert len(digest) == 64
     assert fc.parse_algebra(path) == h

@@ -12,10 +12,9 @@ absent.  Elements passed to and returned by `GradedAlgebra.mul` stay dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import (ONE, RowSpace, Vec, extend_to_complement, unit_vec,
                      vec_is_zero, zero_vec)
@@ -27,12 +26,15 @@ class AlgebraStructureError(ValueError):
     """Structurally malformed input: bad indices, degrees, or table shape."""
 
 
-@dataclass(frozen=True)
-class GradedAlgebra:
+class _GradedAlgebra(NamedTuple):
     labels: tuple[str, ...]
     degrees: tuple[int, ...]
     unit_index: int
     mult: dict  # (i, j) -> Row, both orders present, zero products omitted
+
+
+class GradedAlgebra(_GradedAlgebra):
+    # no __slots__ = (): the cached properties live in the instance __dict__
 
     @property
     def dim(self) -> int:
@@ -142,8 +144,7 @@ class GradedAlgebra:
         return cls(labels, degrees, u, mult)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     single_unit_in_degree_zero: bool
     graded_multiplicativity: bool
     unit_law: bool
@@ -301,15 +302,13 @@ def decomposables(h: GradedAlgebra) -> dict[int, list[Vec]]:
     return out
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     label: str
     degree: int
     class_vector: Vec
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """Chosen degreewise complement of the decomposables inside H^+.
 
     Ordered by (degree, basis index); the greedy standard-basis rule in
@@ -327,6 +326,10 @@ class GeneratorSet:
 
     def __getitem__(self, k: int) -> Generator:
         return self.generators[k]
+
+    def __reduce__(self):
+        # pickle and copy by field; iteration yields the generators instead
+        return GeneratorSet, (self.generators,)
 
     @property
     def degrees(self) -> tuple[int, ...]:

@@ -7,8 +7,7 @@ verdict never claims anything beyond the configured degree cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import GradedAlgebra
 from .linalg import ZERO, MatQ, RowSpace, Vec, kernel_basis, rref
@@ -16,8 +15,7 @@ from .model import (Model, blocks_of_degree, differentiate, monomials_of_degree,
                     phi_tilde)
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     degree: int
     model_cohomology_dim: int
     target_dim: int
@@ -30,8 +28,7 @@ class DegreeReport:
         return self.injective and self.surjective
 
 
-@dataclass(frozen=True)
-class QuasiIsoReport:
+class QuasiIsoReport(NamedTuple):
     cap: int
     reports: tuple[DegreeReport, ...]
     overall: bool
@@ -95,9 +92,10 @@ def induced_map(model: Model, h: GradedAlgebra, n: int) -> DegreeReport:
     dim_model, reps = cohomology_basis(model, n)
     idx = h.degree_indices(n)
     basis_n = monomials_of_degree(model, n)
+    pure_even = [i for i, m in enumerate(basis_n) if not m.odd]
     columns = []
     for rep in reps:
-        combo = {basis_n[i]: c for i, c in enumerate(rep) if c != 0}
+        combo = {basis_n[i]: rep[i] for i in pure_even if rep[i] != 0}
         image = phi_tilde(model, h, combo)
         columns.append(tuple(image[k] for k in idx))
     matrix = MatQ.from_rows(
@@ -140,22 +138,26 @@ class ChainComplexError(ValueError):
         self.degree = degree
 
 
-@dataclass(frozen=True)
-class ChainComplexQ:
-    """Finite chain complex over Q: dims for C_0..C_N and boundaries
-    boundaries[k] = d_(k+1): C_(k+1) -> C_k."""
-
+class _ChainComplexQ(NamedTuple):
     dims: tuple[int, ...]
     boundaries: tuple[MatQ, ...]
 
-    def __post_init__(self):
-        if len(self.boundaries) != max(len(self.dims) - 1, 0):
+
+class ChainComplexQ(_ChainComplexQ):
+    """Finite chain complex over Q: dims for C_0..C_N and boundaries
+    boundaries[k] = d_(k+1): C_(k+1) -> C_k."""
+
+    __slots__ = ()
+
+    def __new__(cls, dims: tuple[int, ...], boundaries: tuple[MatQ, ...]):
+        if len(boundaries) != max(len(dims) - 1, 0):
             raise ValueError("need exactly one boundary matrix per adjacent pair")
-        for k, b in enumerate(self.boundaries):
-            if (b.rows, b.cols) != (self.dims[k], self.dims[k + 1]):
+        for k, b in enumerate(boundaries):
+            if (b.rows, b.cols) != (dims[k], dims[k + 1]):
                 raise ValueError(
                     f"boundary {k + 1} has shape {b.rows}x{b.cols}, "
-                    f"expected {self.dims[k]}x{self.dims[k + 1]}")
+                    f"expected {dims[k]}x{dims[k + 1]}")
+        return super().__new__(cls, dims, boundaries)
 
     @property
     def top(self) -> int:
@@ -177,8 +179,7 @@ def validate_square_zero(c: ChainComplexQ):
                 n, f"boundary squared is nonzero: d_{n - 1} o d_{n} != 0")
 
 
-@dataclass(frozen=True)
-class DualityRow:
+class DualityRow(NamedTuple):
     degree: int
     homology_dim: int
     dual_cohomology_dim: int

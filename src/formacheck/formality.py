@@ -9,8 +9,7 @@ quasi-isomorphism check fails is surfaced as a discrepancy, not reconciled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import GeneratorSet, GradedAlgebra
 from .cohomology import QuasiIsoReport
@@ -22,17 +21,21 @@ INCONCLUSIVE = "INCONCLUSIVE"
 HYPOTHESIS_VIOLATED = "HYPOTHESIS_VIOLATED"
 
 
-@dataclass(frozen=True)
-class DegreeSet:
-    """Strictly increasing positive degrees carrying nonzero cohomology."""
-
+class _DegreeSet(NamedTuple):
     degrees: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(n <= 0 for n in self.degrees):
+
+class DegreeSet(_DegreeSet):
+    """Strictly increasing positive degrees carrying nonzero cohomology."""
+
+    __slots__ = ()
+
+    def __new__(cls, degrees: tuple[int, ...]):
+        if any(n <= 0 for n in degrees):
             raise ValueError("degrees must be positive")
-        if list(self.degrees) != sorted(set(self.degrees)):
+        if list(degrees) != sorted(set(degrees)):
             raise ValueError("degrees must be strictly increasing")
+        return super().__new__(cls, degrees)
 
     @classmethod
     def from_algebra(cls, h: GradedAlgebra) -> "DegreeSet":
@@ -92,8 +95,7 @@ def corollary_nonnegative_check(f: DegreeSet) -> tuple[bool, ...]:
     return tuple(flags)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     hypothesis_ok: bool
     odd_degrees_vanish: bool
     finite_dimensional: bool

@@ -32,7 +32,11 @@ def parse_rational(value, where: str = "value") -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL.match(value):
             raise InputError(f"{where}: malformed rational {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"{where}: rational with too many digits "
+                             f"({len(value)} characters)") from exc
     raise InputError(f"{where}: expected a rational string, got {type(value).__name__}")
 
 
@@ -112,21 +116,33 @@ def _parse_validated(obj, source: str) -> tuple[GradedAlgebra, ValidationReport]
     return h, report
 
 
-def load_algebra_file(path) -> tuple[GradedAlgebra, ValidationReport, dict, str]:
-    """Parse one algebra file; returns (algebra, its validation report, raw
-    object, sha256 hex)."""
+def _read_json(path) -> tuple[bytes, object]:
+    """Read a file and decode it as UTF-8 JSON; returns (raw bytes, object).
+
+    Every way the read or the decode can fail becomes an InputError:
+    JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an integer
+    with more digits than int() converts, and deep nesting exhausts the
+    decoder's recursion limit.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
     try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return raw, json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
         raise InputError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
+
+
+def load_algebra_file(path) -> tuple[GradedAlgebra, ValidationReport, dict, str]:
+    """Parse one algebra file; returns (algebra, its validation report, raw
+    object, sha256 hex)."""
+    raw, obj = _read_json(path)
     h, report = _parse_validated(obj, str(path))
-    return h, report, obj, digest
+    return h, report, obj, hashlib.sha256(raw).hexdigest()
 
 
 def parse_algebra(path) -> GradedAlgebra:
@@ -196,14 +212,6 @@ def parse_chain_complex_json(obj, source: str = "input") -> ChainComplexQ:
 
 
 def load_chain_complex_file(path) -> tuple[ChainComplexQ, Optional[str]]:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
+    obj = _read_json(path)[1]
     name = obj.get("name") if isinstance(obj, dict) else None
     return parse_chain_complex_json(obj, source=str(path)), name

@@ -8,7 +8,6 @@ representatives) is reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -41,22 +40,26 @@ def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-@dataclass(frozen=True)
-class MatQ:
-    """Dense matrix over Q, row-major, immutable after construction."""
-
+class _MatQ(NamedTuple):
     rows: int
     cols: int
     entries: tuple[Vec, ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+
+class MatQ(_MatQ):
+    """Dense matrix over Q, row-major, immutable after construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries: tuple[Vec, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged matrix rows")
+        return super().__new__(cls, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], cols: Optional[int] = None) -> "MatQ":

@@ -9,10 +9,9 @@ sign +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .algebra import GeneratorSet, GradedAlgebra, evaluate_phi
 from .linalg import MatQ, Vec, vec_is_zero
@@ -20,19 +19,23 @@ from .linalg import MatQ, Vec, vec_is_zero
 EvenPart = tuple[tuple[int, int], ...]  # (generator index, exponent > 0), ascending
 
 
-@dataclass(frozen=True)
-class Monomial:
+class _Monomial(NamedTuple):
     even: EvenPart
     odd: tuple[int, ...]  # strictly increasing odd-generator indices
     degree: int
 
-    def __post_init__(self):
-        if any(e <= 0 for _, e in self.even):
+
+class Monomial(_Monomial):
+    __slots__ = ()
+
+    def __new__(cls, even: EvenPart, odd: tuple[int, ...], degree: int):
+        if any(e <= 0 for _, e in even):
             raise ValueError("even exponents must be positive")
-        if list(self.even) != sorted(self.even, key=lambda t: t[0]):
+        if list(even) != sorted(even, key=lambda t: t[0]):
             raise ValueError("even factors must be sorted by generator index")
-        if list(self.odd) != sorted(set(self.odd)):
+        if list(odd) != sorted(set(odd)):
             raise ValueError("odd factors must be strictly increasing")
+        return super().__new__(cls, even, odd, degree)
 
     @property
     def length(self) -> int:
@@ -74,15 +77,13 @@ def _merge_even(a: EvenPart, b: EvenPart) -> EvenPart:
     return tuple(sorted(acc.items()))
 
 
-@dataclass(frozen=True)
-class EEntry:
+class EEntry(NamedTuple):
     monomial: Monomial
     class_vector: Vec
     degree: int
 
 
-@dataclass(frozen=True)
-class EFamily:
+class EFamily(NamedTuple):
     """Nonzero products of >= 2 generators, indexed by distinct monomials."""
 
     entries: tuple[EEntry, ...]
@@ -93,31 +94,31 @@ class EFamily:
     def __iter__(self):
         return iter(self.entries)
 
+    def __reduce__(self):
+        # pickle and copy by field; iteration yields the entries instead
+        return EFamily, (self.entries,)
+
     def is_empty(self) -> bool:
         return not self.entries
 
 
-@dataclass(frozen=True)
-class DivisorWitness:
+class DivisorWitness(NamedTuple):
     monomial: Monomial
     class_vector: Vec  # nonzero by definition of a good object
 
 
-@dataclass(frozen=True)
-class GoodObject:
+class GoodObject(NamedTuple):
     monomial: Monomial  # pure even, length >= 2, zero image
     divisor_witnesses: tuple[DivisorWitness, ...]
 
 
-@dataclass(frozen=True)
-class OddGenerator:
+class OddGenerator(NamedTuple):
     label: str
     degree: int  # target degree - 1, always odd
     target: Monomial  # pure even monomial, the value of d
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     """The free CDGA on the even generators plus one w per good object.
 
     d vanishes on even generators, sends each w to its good object, and is
@@ -162,9 +163,9 @@ def multiply(model: Model, a: Monomial, b: Monomial):
 
 
 @lru_cache(maxsize=None)
-def _monomials_cached(model: Model, n: int) -> tuple[Monomial, ...]:
-    even_degs = model.even_degrees
-    odd_degs = model.odd_degrees
+def _monomials_cached(even_degs: tuple[int, ...], odd_degs: tuple[int, ...],
+                      n: int) -> tuple[Monomial, ...]:
+    # keyed on the degrees alone: hashing a whole Model hashes every class vector
     found: list[Monomial] = []
 
     def fill_even(i: int, remaining: int, acc: list[int], odd: tuple[int, ...]):
@@ -191,7 +192,7 @@ def monomials_of_degree(model: Model, n: int) -> list[Monomial]:
     """All canonical monomials of the given degree, duplicate free, sorted."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return list(_monomials_cached(model, n))
+    return list(_monomials_cached(model.even_degrees, model.odd_degrees, n))
 
 
 class _PhiTable:

@@ -167,12 +167,30 @@ def test_check_hypothesis_violated_exit(tmp_path):
     assert cert["generators"]  # the odd generator is still listed
 
 
-def test_check_input_error_exit(tmp_path):
+# inputs the decoder or int() cannot take: each must exit 1 with a message
+LONG_RATIONAL = "1/" + "1" * 5000
+LONG_INTEGER = "1" * 5000
+DEEP_NESTING = "[" * 100000 + "]" * 100000
+
+
+def test_check_input_error_exit(tmp_path, capsys):
     path = tmp_path / "nope.json"
     assert main(["check", str(path)]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["check", str(bad)]) == 1
+
+    obj = even_sphere(2)
+    obj["products"] = [{"left": "x", "right": "x",
+                        "value": [{"label": "1", "coeff": LONG_RATIONAL}]}]
+    texts = [json.dumps(obj)]
+    for value in (LONG_INTEGER, DEEP_NESTING):
+        texts.append(json.dumps(even_sphere(2))[:-1] + ', "extra": ' + value + "}")
+    capsys.readouterr()
+    for text in texts:
+        bad.write_text(text, encoding="utf-8")
+        assert main(["check", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_check_cap_below_top_rejected(tmp_path):
@@ -307,6 +325,17 @@ def test_duality_bad_shape_rejected(tmp_path):
     obj = {"dims": [2, 1], "boundaries": [[["1"]]]}
     path = write_json(tmp_path / "c.json", obj)
     assert main(["duality", path]) == 1
+
+
+def test_duality_input_error_exit(tmp_path, capsys):
+    texts = [json.dumps({"dims": [1, 1], "boundaries": [[[LONG_RATIONAL]]]}),
+             '{"dims": [1, 1], "boundaries": [[[' + LONG_INTEGER + ']]]}',
+             '{"dims": [1], "extra": ' + DEEP_NESTING + "}"]
+    path = tmp_path / "c.json"
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        assert main(["duality", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_duality_rejects_non_list_boundaries(tmp_path, capsys):

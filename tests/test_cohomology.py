@@ -181,6 +181,13 @@ def test_duality_acyclic_pair():
     assert all(r.equal for r in rows)
 
 
+def test_chain_complex_rejects_bad_shape():
+    with pytest.raises(ValueError, match="one boundary matrix per adjacent pair"):
+        ChainComplexQ((1, 1), ())
+    with pytest.raises(ValueError, match="boundary 1 has shape 1x1, expected 2x1"):
+        ChainComplexQ(dims=(2, 1), boundaries=(MatQ.identity(1),))
+
+
 def test_square_nonzero_rejected_with_degree():
     d2 = frac_matrix([[1]])
     d1 = frac_matrix([[1]])

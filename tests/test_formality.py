@@ -94,10 +94,12 @@ def test_corollary_gcd_agrees_with_search(degrees):
 
 
 def test_degree_set_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degrees must be positive"):
         DegreeSet((0, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         DegreeSet((4, 2))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DegreeSet(degrees=(2, 2))
 
 
 # ---- verdict assembly ----

@@ -74,6 +74,17 @@ def test_solve_dimension_mismatch():
         solve(MatQ.identity(2), [1, 2, 3])
 
 
+def test_matq_rejects_bad_shape():
+    row = (Fraction(1), Fraction(0))
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        MatQ(-1, 2, ())
+    with pytest.raises(ValueError, match="row count does not match entries"):
+        MatQ(2, 2, (row,))
+    with pytest.raises(ValueError, match="ragged matrix rows"):
+        MatQ(rows=2, cols=2, entries=(row, row[:1]))
+    assert MatQ(rows=1, cols=2, entries=(row,)) == MatQ(1, 2, (row,))
+
+
 def test_extend_empty_subspace():
     assert extend_to_complement([], 2) == [unit_vec(2, 0), unit_vec(2, 1)]
 

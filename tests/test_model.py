@@ -50,6 +50,18 @@ def test_no_repeated_odd_factor():
 
 # ---- products and signs ----
 
+def test_monomial_rejects_noncanonical_form():
+    with pytest.raises(ValueError, match="even exponents must be positive"):
+        Monomial(((0, 0),), (), 0)
+    with pytest.raises(ValueError, match="sorted by generator index"):
+        Monomial(((1, 1), (0, 1)), (), 4)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Monomial((), (1, 0), 6)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Monomial(even=(), odd=(0, 0), degree=6)
+    assert Monomial(even=((0, 1),), odd=(0,), degree=5) == Monomial(((0, 1),), (0,), 5)
+
+
 def test_multiply_even_commutes():
     model = model_of(s2())
     v = Monomial(((0, 1),), (), 2)

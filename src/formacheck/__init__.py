@@ -16,7 +16,7 @@ from .cohomology import (ChainComplexError, ChainComplexQ, DegreeReport,
                          DualityRow, QuasiIsoReport, cohomology_basis,
                          duality_check, induced_map, verify_quasi_iso)
 from .formality import (FORMAL_BY_THEOREM, HYPOTHESIS_VIOLATED, INCONCLUSIVE,
-                        DegreeSet, Verdict, check_condition_i,
+                        Certificate, DegreeSet, Verdict, certify, check_condition_i,
                         check_condition_ii, corollary_integer_check,
                         corollary_nonnegative_check, render_verdict)
 from .formats import (InputError, format_rational, parse_algebra,
@@ -37,6 +37,7 @@ __all__ = [
     "duality_check",
     "DegreeSet", "Verdict", "check_condition_i", "check_condition_ii",
     "corollary_integer_check", "corollary_nonnegative_check", "render_verdict",
+    "Certificate", "certify",
     "FORMAL_BY_THEOREM", "INCONCLUSIVE", "HYPOTHESIS_VIOLATED",
     "InputError", "parse_algebra", "serialize_algebra", "parse_rational",
     "format_rational",

@@ -359,20 +359,49 @@ def choose_generators(h: GradedAlgebra) -> GeneratorSet:
     return GeneratorSet(generators)
 
 
+class _PhiTable:
+    """Memoized products of generator classes, keyed by full exponent tuples
+    over the generators; the generators must have even degree, so the order
+    of the factors does not matter."""
+
+    def __init__(self, h: GradedAlgebra, gens: GeneratorSet):
+        self.h = h
+        self.gens = gens
+        n = len(gens)
+        self.cache: dict[tuple[int, ...], Vec] = {(0,) * n: h.unit()}
+        for i, g in enumerate(gens):
+            self.cache[(0,) * i + (1,) + (0,) * (n - i - 1)] = g.class_vector
+
+    def value(self, exps: tuple[int, ...]) -> Vec:
+        # a loop, not recursion: an exponent may exceed the recursion limit
+        pending = []  # (exponent tuple, index of the generator it takes off)
+        while exps not in self.cache:
+            i = next(k for k, e in enumerate(exps) if e)
+            pending.append((exps, i))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        out = self.cache[exps]
+        for key, i in reversed(pending):
+            out = out if vec_is_zero(out) else self.h.mul(self.gens[i].class_vector, out)
+            self.cache[key] = out
+        return out
+
+
 def evaluate_phi(h: GradedAlgebra, gens: GeneratorSet,
                  exponents: Iterable[int]) -> Vec:
     """Product in h of the generator classes named by `exponents`.
 
     `exponents` lists generator indices with repetition (a multiset); it
-    must be nonempty.  The result is zero whenever the product vanishes or
-    its degree exceeds the top degree of h.
+    must be nonempty and name generators of even degree only, since a
+    product of odd classes depends on the order of its factors.  The result
+    is zero whenever the product vanishes or its degree exceeds the top
+    degree of h.
     """
     indices = list(exponents)
     if not indices:
         raise ValueError("evaluate_phi needs at least one generator index")
-    out = gens[indices[0]].class_vector
-    for k in indices[1:]:
-        if vec_is_zero(out):
-            return h.zero()
-        out = h.mul(out, gens[k].class_vector)
-    return out
+    if any(gens[k].degree % 2 for k in indices):
+        raise ValueError("evaluate_phi needs generators of even degree")
+    exps = [0] * len(gens)
+    for k in indices:
+        exps[k] += 1
+    return _PhiTable(h, gens).value(tuple(exps))

@@ -1,4 +1,4 @@
-"""Command line pipeline and certificate emission.
+"""Command line front end: reads input files, writes certificates.
 
 Subcommands:
     check <file> [--cap N] [--report out.json] [--emit-model model.json]
@@ -19,154 +19,23 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .algebra import GeneratorSet, GradedAlgebra, choose_generators
-from .cohomology import ChainComplexError, QuasiIsoReport, duality_check, verify_quasi_iso
+from .cohomology import ChainComplexError, duality_check
 from .corpus import generate
-from .formality import (FORMAL_BY_THEOREM, HYPOTHESIS_VIOLATED, INCONCLUSIVE,
-                        DegreeSet, Verdict, render_verdict)
-from .formats import (InputError, format_rational, load_algebra_file,
-                      load_chain_complex_file, validation_report_json)
-from .linalg import Vec
-from .model import (EFamily, GoodObject, Model, Monomial, build_model,
-                    compute_E, format_monomial, good_objects)
-
-EXIT_OK = 0
-EXIT_INPUT_ERROR = 1
-EXIT_INCONCLUSIVE = 2
-EXIT_HYPOTHESIS_VIOLATED = 3
-EXIT_DISCREPANCY = 4
-
-
-def _sparse(h: GradedAlgebra, v: Vec) -> dict:
-    return {h.labels[k]: format_rational(c) for k, c in enumerate(v) if c != 0}
-
-
-def _monomial_json(m: Monomial, even_labels, odd_labels) -> dict:
-    return {
-        "text": format_monomial(m, even_labels, odd_labels),
-        "even": [[even_labels[i], e] for i, e in m.even],
-        "odd": [odd_labels[i] for i in m.odd],
-        "degree": m.degree,
-    }
-
-
-def _generators_json(h: GradedAlgebra, gens: GeneratorSet) -> list:
-    return [{"label": g.label, "degree": g.degree, "class": _sparse(h, g.class_vector)}
-            for g in gens]
-
-
-def _e_family_json(h: GradedAlgebra, gens: GeneratorSet, e: EFamily) -> list:
-    labels = tuple(g.label for g in gens)
-    return [{
-        "monomial": _monomial_json(entry.monomial, labels, ()),
-        "class": _sparse(h, entry.class_vector),
-        "degree": entry.degree,
-    } for entry in e]
-
-
-def _good_objects_json(h: GradedAlgebra, gens: GeneratorSet,
-                       goods: list[GoodObject]) -> list:
-    labels = tuple(g.label for g in gens)
-    return [{
-        "monomial": _monomial_json(g.monomial, labels, ()),
-        "phi_image": {},  # zero by definition of a good object
-        "divisors": [{
-            "monomial": _monomial_json(w.monomial, labels, ()),
-            "class": _sparse(h, w.class_vector),
-        } for w in g.divisor_witnesses],
-    } for g in goods]
-
-
-def _model_json(model: Model) -> dict:
-    even_labels = model.even_labels()
-    return {
-        "even_generators": [{"label": g.label, "degree": g.degree}
-                            for g in model.generators],
-        "odd_generators": [{
-            "label": w.label,
-            "degree": w.degree,
-            "differential": {
-                "coefficient": "1",
-                "monomial": _monomial_json(w.target, even_labels, ()),
-            },
-        } for w in model.odd_generators],
-    }
-
-
-def _quasi_json(report: QuasiIsoReport) -> dict:
-    return {
-        "cap": report.cap,
-        "verified_up_to_cap_only": True,
-        "overall": report.overall,
-        "first_failure": report.first_failure,
-        "degrees": [{
-            "degree": r.degree,
-            "model_cohomology_dim": r.model_cohomology_dim,
-            "target_dim": r.target_dim,
-            "induced_map_rank": r.induced_map_rank,
-            "injective": r.injective,
-            "surjective": r.surjective,
-            "bijective": r.bijective,
-        } for r in report.reports],
-    }
-
-
-def _verdict_json(verdict: Verdict, degree_set: DegreeSet) -> dict:
-    return {
-        "classification": verdict.classification,
-        "discrepancy": verdict.discrepancy,
-        "hypothesis_ok": verdict.hypothesis_ok,
-        "odd_degrees_vanish": verdict.odd_degrees_vanish,
-        "finite_dimensional": verdict.finite_dimensional,
-        "condition_i_trivial_products": verdict.condition_i,
-        "condition_ii_independent_family": verdict.condition_ii,
-        "degrees_with_cohomology": list(degree_set.degrees),
-        "corollary_integer": list(verdict.corollary_integer),
-        "corollary_nonnegative": list(verdict.corollary_nonnegative),
-    }
-
-
-def exit_code_for(verdict: Verdict) -> int:
-    if verdict.classification == HYPOTHESIS_VIOLATED:
-        return EXIT_HYPOTHESIS_VIOLATED
-    if verdict.classification == INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_DISCREPANCY if verdict.discrepancy else EXIT_OK
+from .formality import EXIT_INPUT_ERROR, EXIT_OK, certify
+from .formats import (InputError, certificate_json, load_algebra_file,
+                      load_chain_complex_file)
 
 
 def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> int:
-    """validate -> choose_generators -> E -> good objects -> model ->
-    capped quasi-isomorphism check -> verdict + certificate."""
+    """Load an algebra file, certify it, and write the certificate."""
     h, vreport, raw_obj, digest = load_algebra_file(path)
-    top = h.top_degree
-    used_cap = cap if cap is not None else 2 * top + 1
-    if used_cap < top:
-        raise InputError(f"cap {used_cap} is below the top degree {top}")
-
-    gens = choose_generators(h)
-    e = goods = model = qreport = None
-    if vreport.odd_degrees_vanish:
-        e = compute_E(h, gens)
-        goods = good_objects(h, gens)
-        model = build_model(h, gens, goods)
-        qreport = verify_quasi_iso(model, h, used_cap)
-    verdict = render_verdict(h, gens, e, goods, qreport)
-    code = exit_code_for(verdict)
-
+    if cap is not None and cap < h.top_degree:
+        raise InputError(f"cap {cap} is below the top degree {h.top_degree}")
+    cert = certify(h, vreport, cap)
     certificate = {
         "tool": {"name": "formacheck", "version": __version__},
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "input": raw_obj,
-        "input_sha256": digest,
-        "cap": used_cap,
-        "validation": validation_report_json(vreport),
-        "generators": _generators_json(h, gens),
-        "e_family": _e_family_json(h, gens, e) if e is not None else None,
-        "good_objects": _good_objects_json(h, gens, goods) if goods is not None else None,
-        "model": _model_json(model) if model is not None else None,
-        "quasi_isomorphism": _quasi_json(qreport) if qreport is not None else None,
-        "verdict": _verdict_json(verdict, DegreeSet.from_algebra(h)),
-        "exit_code": code,
+        **certificate_json(cert, raw_obj, digest),
     }
     text = json.dumps(certificate, indent=2, sort_keys=True) + "\n"
     if report is not None:
@@ -174,10 +43,11 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if emit_model is not None and model is not None:
+    if emit_model is not None and cert.model is not None:
         with open(emit_model, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_model_json(model), indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps(certificate["model"], indent=2, sort_keys=True) + "\n")
 
+    verdict, qreport = cert.verdict, cert.quasi_isomorphism
     summary = [f"classification: {verdict.classification}"]
     if verdict.condition_i is not None:
         summary.append(f"condition (i) trivial products: {verdict.condition_i}")
@@ -191,7 +61,7 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
         summary.append("DISCREPANCY: theorem-level verdict is formal, but the "
                        "capped quasi-isomorphism check failed")
     print("\n".join(summary), file=sys.stderr)
-    return code
+    return cert.exit_code
 
 
 def run_corpus(kind: str, params: list, out) -> int:
@@ -210,12 +80,7 @@ def run_duality(path) -> int:
         raise InputError(f"{path}: {exc}") from exc
     result = {
         "name": name,
-        "degrees": [{
-            "degree": r.degree,
-            "homology_dim": r.homology_dim,
-            "dual_cohomology_dim": r.dual_cohomology_dim,
-            "equal": r.equal,
-        } for r in rows],
+        "degrees": [r._asdict() for r in rows],
         "all_equal": all(r.equal for r in rows),
     }
     print(json.dumps(result, indent=2, sort_keys=True))

@@ -7,11 +7,10 @@ regular parser before returning it.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .algebra import GradedAlgebra
-from .formats import InputError, format_rational, parse_algebra_json, serialize_algebra
+from .formats import InputError, _read_json, format_rational, parse_algebra_json
 
 
 def even_sphere(n: int) -> dict:
@@ -176,15 +175,7 @@ def generate(kind: str, params: list) -> dict:
     if kind in ("product", "wedge"):
         if len(params) != 2:
             raise InputError(f"corpus {kind} needs two algebra file paths")
-        objs = []
-        for path in params:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    objs.append(json.load(fh))
-            except OSError as exc:
-                raise InputError(f"{path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}: not valid JSON: {exc}") from exc
-        return product(objs[0], objs[1]) if kind == "product" else wedge(objs[0], objs[1])
+        a_obj, b_obj = (_read_json(path)[1] for path in params)
+        return product(a_obj, b_obj) if kind == "product" else wedge(a_obj, b_obj)
     raise InputError(f"unknown corpus kind {kind!r}; "
                      "expected even_sphere, truncated_poly, product, or wedge")

@@ -1,5 +1,5 @@
-"""Decision layer: the two formality conditions, the degree-set arithmetic,
-and the final verdict.
+"""Decision layer: the formality conditions, the degree-set arithmetic, the
+verdict, and `certify`, the one pipeline from a validated algebra onwards.
 
 The conditions are sufficient only; when both fail the verdict is
 INCONCLUSIVE, never "not formal".  A theorem-level verdict whose capped
@@ -11,14 +11,20 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .algebra import GeneratorSet, GradedAlgebra
-from .cohomology import QuasiIsoReport
+from .algebra import GeneratorSet, GradedAlgebra, ValidationReport, choose_generators
+from .cohomology import QuasiIsoReport, verify_quasi_iso
 from .linalg import MatQ, rref
-from .model import EFamily, GoodObject
+from .model import EFamily, GoodObject, Model, build_model, compute_E, good_objects
 
 FORMAL_BY_THEOREM = "FORMAL_BY_THEOREM"
 INCONCLUSIVE = "INCONCLUSIVE"
 HYPOTHESIS_VIOLATED = "HYPOTHESIS_VIOLATED"
+
+EXIT_OK = 0
+EXIT_INPUT_ERROR = 1
+EXIT_INCONCLUSIVE = 2
+EXIT_HYPOTHESIS_VIOLATED = 3
+EXIT_DISCREPANCY = 4
 
 
 class _DegreeSet(NamedTuple):
@@ -150,3 +156,50 @@ def render_verdict(h: GradedAlgebra, gens: GeneratorSet,
         classification=classification,
         discrepancy=discrepancy,
     )
+
+
+class Certificate(NamedTuple):
+    """One pipeline run; a stage that did not run is None."""
+
+    algebra: GradedAlgebra
+    validation: ValidationReport
+    cap: int
+    generators: GeneratorSet
+    e_family: Optional[EFamily]
+    good_objects: Optional[list[GoodObject]]
+    model: Optional[Model]
+    quasi_isomorphism: Optional[QuasiIsoReport]
+    verdict: Verdict
+
+    @property
+    def exit_code(self) -> int:
+        """0 formal and clean, 2 inconclusive, 3 hypothesis violated, 4 discrepancy."""
+        if self.verdict.classification == HYPOTHESIS_VIOLATED:
+            return EXIT_HYPOTHESIS_VIOLATED
+        if self.verdict.classification == INCONCLUSIVE:
+            return EXIT_INCONCLUSIVE
+        return EXIT_DISCREPANCY if self.verdict.discrepancy else EXIT_OK
+
+
+def certify(h: GradedAlgebra, report: ValidationReport,
+            cap: Optional[int] = None) -> Certificate:
+    """choose_generators -> E -> good objects -> model -> capped
+    quasi-isomorphism check -> verdict, for h and its `validate` report.
+
+    The cap defaults to 2 * top degree + 1 and may not be below the top
+    degree.  When some class has odd degree the hypothesis fails and only
+    the generators are computed.
+    """
+    cap = 2 * h.top_degree + 1 if cap is None else cap
+    if cap < h.top_degree:
+        raise ValueError(
+            f"cap {cap} is below the top degree {h.top_degree}; the check would be vacuous")
+    gens = choose_generators(h)
+    e = goods = model = quasi = None
+    if report.odd_degrees_vanish:
+        e = compute_E(h, gens)
+        goods = good_objects(h, gens)
+        model = build_model(h, gens, goods)
+        quasi = verify_quasi_iso(model, h, cap)
+    verdict = render_verdict(h, gens, e, goods, quasi)
+    return Certificate(h, report, cap, gens, e, goods, model, quasi, verdict)

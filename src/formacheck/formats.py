@@ -1,4 +1,5 @@
-"""File formats: algebra files, chain complex files, rational string codec.
+"""File formats: algebra files, chain complex files, certificates, rational
+string codec.
 
 All files are UTF-8 JSON.  Rationals travel as strings "p/q" (or "p") so
 the formats stay exact and language neutral; floats are rejected outright.
@@ -9,13 +10,16 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
 from .algebra import (AlgebraStructureError, GradedAlgebra, ValidationReport,
                       validate)
 from .cohomology import ChainComplexQ
-from .linalg import ONE, MatQ
+from .formality import Certificate, DegreeSet
+from .linalg import ONE, MatQ, Vec
+from .model import Monomial, format_monomial
 
 _RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 
@@ -41,7 +45,12 @@ def parse_rational(value, where: str = "value") -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # more digits than str() converts; Decimal() has no limit
+        digits = Decimal(max(abs(x.numerator), x.denominator)).adjusted() + 1
+        raise InputError(f"a rational in the result has {digits} digits, "
+                         "too many to write out") from exc
 
 
 def _require(obj, key, kind, where):
@@ -170,16 +179,71 @@ def serialize_algebra(h: GradedAlgebra, name: str = "") -> dict:
     }
 
 
-def validation_report_json(report: ValidationReport) -> dict:
+def _monomial_json(m: Monomial, even_labels) -> dict:
     return {
-        "single_unit_in_degree_zero": report.single_unit_in_degree_zero,
-        "graded_multiplicativity": report.graded_multiplicativity,
-        "unit_law": report.unit_law,
-        "associativity": report.associativity,
-        "graded_commutativity": report.graded_commutativity,
-        "finite_dimensional": report.finite_dimensional,
-        "odd_degrees_vanish": report.odd_degrees_vanish,
-        "failures": list(report.failures),
+        "text": format_monomial(m, even_labels, ()),
+        "even": [[even_labels[i], e] for i, e in m.even],
+        "odd": [],
+        "degree": m.degree,
+    }
+
+
+def certificate_json(cert: Certificate, raw_obj, digest: str) -> dict:
+    """The certificate of one `certify` run on the input `raw_obj` with the
+    given sha256, as a JSON object; stages that did not run are null."""
+    h, gens, verdict, quasi = cert.algebra, cert.generators, cert.verdict, cert.quasi_isomorphism
+    labels = tuple(g.label for g in gens)
+
+    def sparse(v: Vec) -> dict:
+        return {h.labels[k]: format_rational(c) for k, c in enumerate(v) if c != 0}
+
+    return {
+        "input": raw_obj,
+        "input_sha256": digest,
+        "cap": cert.cap,
+        "validation": cert.validation._asdict(),
+        "generators": [{"label": g.label, "degree": g.degree, "class": sparse(g.class_vector)}
+                       for g in gens],
+        "e_family": None if cert.e_family is None else [{
+            "monomial": _monomial_json(entry.monomial, labels),
+            "class": sparse(entry.class_vector),
+            "degree": entry.degree,
+        } for entry in cert.e_family],
+        "good_objects": None if cert.good_objects is None else [{
+            "monomial": _monomial_json(g.monomial, labels),
+            "phi_image": {},  # zero by definition of a good object
+            "divisors": [{"monomial": _monomial_json(w.monomial, labels),
+                          "class": sparse(w.class_vector)} for w in g.divisor_witnesses],
+        } for g in cert.good_objects],
+        "model": None if cert.model is None else {
+            "even_generators": [{"label": g.label, "degree": g.degree} for g in gens],
+            "odd_generators": [{
+                "label": w.label,
+                "degree": w.degree,
+                "differential": {"coefficient": "1",
+                                 "monomial": _monomial_json(w.target, labels)},
+            } for w in cert.model.odd_generators],
+        },
+        "quasi_isomorphism": None if quasi is None else {
+            "cap": quasi.cap,
+            "verified_up_to_cap_only": True,
+            "overall": quasi.overall,
+            "first_failure": quasi.first_failure,
+            "degrees": [{**r._asdict(), "bijective": r.bijective} for r in quasi.reports],
+        },
+        "verdict": {
+            "classification": verdict.classification,
+            "discrepancy": verdict.discrepancy,
+            "hypothesis_ok": verdict.hypothesis_ok,
+            "odd_degrees_vanish": verdict.odd_degrees_vanish,
+            "finite_dimensional": verdict.finite_dimensional,
+            "condition_i_trivial_products": verdict.condition_i,
+            "condition_ii_independent_family": verdict.condition_ii,
+            "degrees_with_cohomology": list(DegreeSet.from_algebra(h).degrees),
+            "corollary_integer": list(verdict.corollary_integer),
+            "corollary_nonnegative": list(verdict.corollary_nonnegative),
+        },
+        "exit_code": cert.exit_code,
     }
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .algebra import GeneratorSet, GradedAlgebra, evaluate_phi
+from .algebra import GeneratorSet, GradedAlgebra, _PhiTable
 from .linalg import MatQ, Vec, vec_is_zero
 
 EvenPart = tuple[tuple[int, int], ...]  # (generator index, exponent > 0), ascending
@@ -44,13 +44,6 @@ class Monomial(_Monomial):
     @property
     def even_length(self) -> int:
         return sum(e for _, e in self.even)
-
-    def even_indices(self) -> list[int]:
-        """Generator indices with repetition."""
-        out = []
-        for i, e in self.even:
-            out.extend([i] * e)
-        return out
 
     def sort_key(self):
         return (self.degree, self.even, self.odd)
@@ -162,25 +155,32 @@ def multiply(model: Model, a: Monomial, b: Monomial):
     return sign, product
 
 
-@lru_cache(maxsize=None)
+def _exponents(degrees: tuple[int, ...], n: int):
+    """Exponent tuples over positive `degrees` of weighted degree exactly n,
+    in lexicographic order."""
+    if not degrees:
+        if n == 0:
+            yield ()
+        return
+    for e in range(n // degrees[0] + 1):
+        for rest in _exponents(degrees[1:], n - e * degrees[0]):
+            yield (e,) + rest
+
+
+# verify_quasi_iso asks for degrees n and n - 1 only, so two entries suffice
+@lru_cache(maxsize=2)
 def _monomials_cached(even_degs: tuple[int, ...], odd_degs: tuple[int, ...],
                       n: int) -> tuple[Monomial, ...]:
     # keyed on the degrees alone: hashing a whole Model hashes every class vector
+    evens: list = [None] * (n + 1)  # even parts by degree, shared by all odd parts
     found: list[Monomial] = []
-
-    def fill_even(i: int, remaining: int, acc: list[int], odd: tuple[int, ...]):
-        if i == len(even_degs):
-            if remaining == 0:
-                found.append(Monomial(_pack(acc), odd, n))
-            return
-        # generator degrees are >= 2, so the exponent range is finite
-        for e in range(remaining // even_degs[i] + 1):
-            fill_even(i + 1, remaining - e * even_degs[i], acc + [e], odd)
 
     def pick_odd(i: int, remaining: int, acc: tuple[int, ...]):
         if remaining < 0:
             return
-        fill_even(0, remaining, [], acc)
+        if evens[remaining] is None:
+            evens[remaining] = [_pack(exps) for exps in _exponents(even_degs, remaining)]
+        found.extend(Monomial(even, acc, n) for even in evens[remaining])
         for j in range(i, len(odd_degs)):
             pick_odd(j + 1, remaining - odd_degs[j], acc + (j,))
 
@@ -195,46 +195,15 @@ def monomials_of_degree(model: Model, n: int) -> list[Monomial]:
     return list(_monomials_cached(model.even_degrees, model.odd_degrees, n))
 
 
-class _PhiTable:
-    """Memoized phi values keyed by full exponent tuples over the generators."""
-
-    def __init__(self, h: GradedAlgebra, gens: GeneratorSet):
-        self.h = h
-        self.gens = gens
-        unit = h.unit()
-        self.cache: dict[tuple[int, ...], Vec] = {(0,) * len(gens): unit}
-
-    def value(self, exps: tuple[int, ...]) -> Vec:
-        hit = self.cache.get(exps)
-        if hit is not None:
-            return hit
-        i = next(k for k, e in enumerate(exps) if e)
-        sub = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-        out = self.h.mul(self.gens[i].class_vector, self.value(sub))
-        self.cache[exps] = out
-        return out
-
-
 def _require_even(gens: GeneratorSet):
     if not gens.all_even():
         raise ValueError("construction requires all generators in even degrees")
 
 
-def _exponent_tuples(degrees: tuple[int, ...], max_degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples with 2 <= total factors and weighted degree <= max_degree."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, budget: int, acc: list[int]):
-        if i == len(degrees):
-            if sum(acc) >= 2:
-                out.append(tuple(acc))
-            return
-        for e in range(budget // degrees[i] + 1):
-            rec(i + 1, budget - e * degrees[i], acc + [e])
-
-    if degrees:
-        rec(0, max_degree, [])
-    return sorted(out, key=lambda t: (sum(e * d for e, d in zip(t, degrees)), t))
+def _exponent_tuples(degrees: tuple[int, ...], max_degree: int):
+    """(weighted degree, exponent tuple) for the tuples with 2 <= total factors
+    and weighted degree <= max_degree, by degree and then lexicographically."""
+    return [(n, t) for n in range(max_degree + 1) for t in _exponents(degrees, n) if sum(t) >= 2]
 
 
 def compute_E(h: GradedAlgebra, gens: GeneratorSet) -> EFamily:
@@ -246,10 +215,9 @@ def compute_E(h: GradedAlgebra, gens: GeneratorSet) -> EFamily:
     _require_even(gens)
     phi = _PhiTable(h, gens)
     entries = []
-    for exps in _exponent_tuples(gens.degrees, h.top_degree):
+    for degree, exps in _exponent_tuples(gens.degrees, h.top_degree):
         value = phi.value(exps)
         if not vec_is_zero(value):
-            degree = sum(e * d for e, d in zip(exps, gens.degrees))
             entries.append(EEntry(Monomial(_pack(exps), (), degree), value, degree))
     return EFamily(tuple(entries))
 
@@ -282,23 +250,19 @@ def good_objects(h: GradedAlgebra, gens: GeneratorSet) -> list[GoodObject]:
     phi = _PhiTable(h, gens)
     bound = h.top_degree + max(gens.degrees)
     goods = []
-    for exps in _exponent_tuples(gens.degrees, bound):
+    for degree, exps in _exponent_tuples(gens.degrees, bound):
         if not vec_is_zero(phi.value(exps)):
             continue
         witnesses = []
-        good = True
         for div in _proper_divisors(exps):
             value = phi.value(div)
             if vec_is_zero(value):
-                good = False
-                break
-            degree = sum(e * d for e, d in zip(div, gens.degrees))
-            witnesses.append(DivisorWitness(Monomial(_pack(div), (), degree), value))
-        if not good:
-            continue
-        degree = sum(e * d for e, d in zip(exps, gens.degrees))
-        witnesses.sort(key=lambda w: w.monomial.sort_key())
-        goods.append(GoodObject(Monomial(_pack(exps), (), degree), tuple(witnesses)))
+                break  # not good
+            div_degree = sum(e * d for e, d in zip(div, gens.degrees))
+            witnesses.append(DivisorWitness(Monomial(_pack(div), (), div_degree), value))
+        else:
+            witnesses.sort(key=lambda w: w.monomial.sort_key())
+            goods.append(GoodObject(Monomial(_pack(exps), (), degree), tuple(witnesses)))
     goods.sort(key=lambda g: g.monomial.sort_key())
     return goods
 
@@ -364,7 +328,7 @@ def blocks_of_degree(model: Model, n: int) -> dict[tuple[int, ...], list[int]]:
     return dict(sorted(out.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def differential_matrix(model: Model, n: int) -> MatQ:
     """Dense matrix of d from the degree-n monomial basis to the degree-(n+1)
     one, assembled from `differentiate`.
@@ -394,15 +358,13 @@ def phi_tilde(model: Model, h: GradedAlgebra,
     degrees = {m.degree for m in element}
     if len(degrees) > 1:
         raise ValueError("phi_tilde needs a homogeneous element")
+    phi = _PhiTable(h, model.generators)
     out = [Fraction(0)] * h.dim
     for m, coeff in sorted(element.items(), key=lambda kv: kv[0].sort_key()):
         if coeff == 0 or m.odd:
             continue
-        if not m.even:
-            image = h.unit()
-        else:
-            image = evaluate_phi(h, model.generators, m.even_indices())
-        for k, c in enumerate(image):
+        # a pure even monomial's multidegree is its dense exponent tuple
+        for k, c in enumerate(phi.value(multidegree(model, m))):
             if c != 0:
                 out[k] += coeff * c
     return tuple(out)

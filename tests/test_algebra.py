@@ -301,6 +301,7 @@ def test_evaluate_phi_truncates():
     h = s2()
     gens = fc.choose_generators(h)
     assert fc.evaluate_phi(h, gens, [0, 0]) == h.zero()
+    assert fc.evaluate_phi(h, gens, [0] * 5000) == h.zero()  # deeper than the recursion limit
 
 
 def test_evaluate_phi_multiplicative():
@@ -317,3 +318,10 @@ def test_evaluate_phi_empty_rejected():
     gens = fc.choose_generators(h)
     with pytest.raises(ValueError):
         fc.evaluate_phi(h, gens, [])
+    # odd classes anticommute, so a multiset of them names no single product
+    h = GradedAlgebra.from_products([("1", 0), ("a", 3), ("b", 3), ("ab", 6)], "1",
+                                    {("a", "b"): {"ab": 1}})
+    gens = fc.choose_generators(h)
+    for indices in ([0, 1], [1, 0], [0]):
+        with pytest.raises(ValueError, match="even degree"):
+            fc.evaluate_phi(h, gens, indices)

@@ -193,9 +193,26 @@ def test_check_input_error_exit(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_check_cap_below_top_rejected(tmp_path):
+def test_check_cap_below_top_rejected(tmp_path, capsys):
     path = write_json(tmp_path / "cp2.json", truncated_poly(2, 3))
     assert main(["check", path, "--cap", "2"]) == 1
+    assert capsys.readouterr().err == "error: cap 2 is below the top degree 4\n"
+
+
+def test_check_result_too_long_to_print(tmp_path, capsys):
+    # valid input whose E-family entry x^3 = c^2 z has 7999 digits
+    c = "1" + "0" * 3999
+    obj = {"name": "big", "unit": "1",
+           "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 2},
+                     {"label": "y", "degree": 4}, {"label": "z", "degree": 6}],
+           "products": [{"left": "x", "right": "x", "value": [{"label": "y", "coeff": c}]},
+                        {"left": "x", "right": "y", "value": [{"label": "z", "coeff": c}]}]}
+    path = write_json(tmp_path / "big.json", obj)
+    report = tmp_path / "cert.json"
+    capsys.readouterr()
+    assert main(["check", path, "--report", str(report)]) == 1
+    assert capsys.readouterr().err.startswith("error: a rational in the result has 7999 digits")
+    assert not report.exists()
 
 
 def test_check_deterministic_modulo_timestamp(tmp_path):
@@ -286,6 +303,18 @@ def test_corpus_product_subcommand(tmp_path):
     assert main(["corpus", "product", a, b, "-o", str(out)]) == 0
     h = algebra(json.loads(out.read_text()))
     assert sorted(h.degrees) == [0, 2, 4, 6]
+
+
+def test_corpus_product_input_error_exit(tmp_path, capsys):
+    good = write_json(tmp_path / "a.json", even_sphere(2))
+    bad = tmp_path / "bad.json"
+    capsys.readouterr()
+    for data in (DEEP_NESTING.encode(), ('{"n": ' + LONG_INTEGER + "}").encode(),
+                 b"\xff\xfe" + json.dumps(even_sphere(2)).encode("utf-16-le")):
+        bad.write_bytes(data)
+        for kind in ("product", "wedge"):
+            assert main(["corpus", kind, good, str(bad), "-o", str(tmp_path / "o.json")]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_corpus_bad_params(tmp_path):

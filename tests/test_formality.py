@@ -7,6 +7,7 @@ import formacheck as fc
 from formacheck.algebra import GradedAlgebra
 from formacheck.formality import (FORMAL_BY_THEOREM, HYPOTHESIS_VIOLATED,
                                   INCONCLUSIVE, DegreeSet)
+from formacheck.model import _monomials_cached
 
 from util import algebra, corpus_objects, cp2, cp3, pipeline, s2, wedge_s2_s2
 
@@ -148,6 +149,34 @@ def test_verdict_hypothesis_violated():
     assert v.classification == HYPOTHESIS_VIOLATED
     assert v.condition_i is None and v.condition_ii is None
     assert not v.hypothesis_ok
+
+
+def test_certify_odd_degree_runs_no_stage():
+    h = GradedAlgebra.from_products([("1", 0), ("x", 2), ("z", 3)], "1", {})
+    cert = fc.certify(h, fc.validate(h))
+    assert cert.cap == 2 * 3 + 1
+    assert len(cert.generators) == 2
+    assert (cert.e_family, cert.good_objects, cert.model, cert.quasi_isomorphism) == \
+        (None, None, None, None)
+    assert cert.verdict.classification == HYPOTHESIS_VIOLATED
+    assert cert.exit_code == 3
+
+
+def test_certify_cap_below_top_rejected():
+    odd = GradedAlgebra.from_products([("1", 0), ("x", 2), ("z", 3)], "1", {})
+    for h in (cp2(), odd):
+        with pytest.raises(ValueError, match="below the top degree"):
+            fc.certify(h, fc.validate(h), cap=h.top_degree - 1)
+    assert fc.certify(cp2(), fc.validate(cp2()), cap=4).cap == 4
+
+
+def test_certify_caches_stay_bounded():
+    for h in (cp3(), wedge_s2_s2()):
+        cert = fc.certify(h, fc.validate(h))
+        for n in range(cert.cap):
+            fc.differential_matrix(cert.model, n)
+    assert _monomials_cached.cache_info().currsize <= 2
+    assert fc.differential_matrix.cache_info().currsize <= 2
 
 
 def test_verdict_deterministic():

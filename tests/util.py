@@ -53,14 +53,9 @@ def corpus_objects():
 
 
 def pipeline(h, cap=None):
-    """Run the whole pipeline; returns (gens, e, goods, model, report)."""
-    gens = fc.choose_generators(h)
-    e = fc.compute_E(h, gens)
-    goods = fc.good_objects(h, gens)
-    model = fc.build_model(h, gens, goods)
-    used_cap = cap if cap is not None else 2 * h.top_degree + 1
-    report = fc.verify_quasi_iso(model, h, used_cap)
-    return gens, e, goods, model, report
+    """Run `certify`; returns (gens, e, goods, model, quasi-isomorphism report)."""
+    cert = fc.certify(h, fc.validate(h), cap)
+    return cert.generators, cert.e_family, cert.good_objects, cert.model, cert.quasi_isomorphism
 
 
 def frac_matrix(rows):

@@ -3,15 +3,14 @@ commutative algebras over Q."""
 
 __version__ = "0.1.0"
 
-from .linalg import (MatQ, RowSpace, Vec, extend_to_complement, kernel_basis,
-                     rref, solve)
+from .linalg import MatQ, RowSpace, Vec, extend_to_complement, kernel_basis, rref
 from .algebra import (AlgebraStructureError, GeneratorSet, Generator,
                       GradedAlgebra, ValidationReport, choose_generators,
                       decomposables, evaluate_phi, validate)
 from .model import (EFamily, GoodObject, Model, Monomial, OddGenerator,
                     build_model, compute_E, differential_matrix,
                     format_monomial, good_objects, monomials_of_degree,
-                    multiply, phi_tilde)
+                    phi_tilde)
 from .cohomology import (ChainComplexError, ChainComplexQ, DegreeReport,
                          DualityRow, QuasiIsoReport, cohomology_basis,
                          duality_check, induced_map, verify_quasi_iso)
@@ -24,13 +23,13 @@ from .formats import (InputError, format_rational, parse_algebra,
 
 __all__ = [
     "__version__",
-    "MatQ", "RowSpace", "Vec", "rref", "kernel_basis", "solve",
+    "MatQ", "RowSpace", "Vec", "rref", "kernel_basis",
     "extend_to_complement",
     "GradedAlgebra", "GeneratorSet", "Generator", "ValidationReport",
     "AlgebraStructureError", "validate", "decomposables", "choose_generators",
     "evaluate_phi",
     "Monomial", "Model", "OddGenerator", "EFamily", "GoodObject",
-    "monomials_of_degree", "multiply", "compute_E", "good_objects",
+    "monomials_of_degree", "compute_E", "good_objects",
     "build_model", "differential_matrix", "phi_tilde", "format_monomial",
     "DegreeReport", "QuasiIsoReport", "cohomology_basis", "induced_map",
     "verify_quasi_iso", "ChainComplexQ", "ChainComplexError", "DualityRow",

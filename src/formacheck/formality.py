@@ -101,6 +101,11 @@ def corollary_nonnegative_check(f: DegreeSet) -> tuple[bool, ...]:
     return tuple(flags)
 
 
+def _odd_degrees_vanish(h: GradedAlgebra) -> bool:
+    """The theorem's hypothesis: no basis element of h has odd degree."""
+    return all(d % 2 == 0 for d in h.degrees)
+
+
 class Verdict(NamedTuple):
     hypothesis_ok: bool
     odd_degrees_vanish: bool
@@ -124,7 +129,7 @@ def render_verdict(h: GradedAlgebra, gens: GeneratorSet,
     quasi-isomorphism check failed is flagged as a discrepancy and surfaced,
     never silently reconciled.
     """
-    odd_vanish = all(d % 2 == 0 for d in h.degrees)
+    odd_vanish = _odd_degrees_vanish(h)
     hypothesis_ok = odd_vanish  # finite dimension holds for any table input
     degree_set = DegreeSet.from_algebra(h)
 
@@ -187,8 +192,9 @@ def certify(h: GradedAlgebra, report: ValidationReport,
     quasi-isomorphism check -> verdict, for h and its `validate` report.
 
     The cap defaults to 2 * top degree + 1 and may not be below the top
-    degree.  When some class has odd degree the hypothesis fails and only
-    the generators are computed.
+    degree.  When some class of h has odd degree the hypothesis fails and
+    only the generators are computed; this is read from h, not from the
+    report, so the stages never run on an algebra they do not apply to.
     """
     cap = 2 * h.top_degree + 1 if cap is None else cap
     if cap < h.top_degree:
@@ -196,7 +202,7 @@ def certify(h: GradedAlgebra, report: ValidationReport,
             f"cap {cap} is below the top degree {h.top_degree}; the check would be vacuous")
     gens = choose_generators(h)
     e = goods = model = quasi = None
-    if report.odd_degrees_vanish:
+    if _odd_degrees_vanish(h):
         e = compute_E(h, gens)
         goods = good_objects(h, gens)
         model = build_model(h, gens, goods)

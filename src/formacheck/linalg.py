@@ -102,13 +102,6 @@ class MatQ(_MatQ):
             rows.append(tuple(row))
         return MatQ(self.rows, other.cols, tuple(rows))
 
-    def matvec(self, v: Sequence) -> Vec:
-        x = as_vec(v)
-        if len(x) != self.cols:
-            raise ValueError("dimension mismatch in matvec")
-        return tuple(sum((row[j] * x[j] for j in range(self.cols)), ZERO)
-                     for row in self.entries)
-
     def is_zero(self) -> bool:
         return all(vec_is_zero(row) for row in self.entries)
 
@@ -169,26 +162,6 @@ def kernel_basis(m: MatQ) -> list[Vec]:
         basis.append(tuple(v))
     assert len(basis) == m.cols - rank
     return basis
-
-
-def solve(m: MatQ, b: Sequence) -> Optional[Vec]:
-    """One solution of m.x = b, or None if inconsistent.
-
-    Free variables are set to zero, so the returned solution is unique for
-    a given input.
-    """
-    rhs = as_vec(b)
-    if len(rhs) != m.rows:
-        raise ValueError("right-hand side length does not match row count")
-    aug = MatQ(m.rows, m.cols + 1,
-               tuple(row + (rhs[i],) for i, row in enumerate(m.entries)))
-    red, pivots, _ = rref(aug)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [ZERO] * m.cols
-    for j, p in enumerate(pivots):
-        x[p] = red.entries[j][m.cols]
-    return tuple(x)
 
 
 class RowSpace:

@@ -137,24 +137,6 @@ class Model(NamedTuple):
         return tuple(w.label for w in self.odd_generators)
 
 
-def multiply(model: Model, a: Monomial, b: Monomial):
-    """Product of canonical monomials: (sign, monomial) or (0, None).
-
-    The sign is the Koszul sign of interleaving b's odd factors past a's;
-    a repeated odd factor squares to zero.
-    """
-    if set(a.odd) & set(b.odd):
-        return 0, None
-    inversions = sum(1 for x in a.odd for y in b.odd if y < x)
-    sign = -1 if inversions % 2 else 1
-    product = Monomial(
-        even=_merge_even(a.even, b.even),
-        odd=tuple(sorted(a.odd + b.odd)),
-        degree=a.degree + b.degree,
-    )
-    return sign, product
-
-
 def _exponents(degrees: tuple[int, ...], n: int):
     """Exponent tuples over positive `degrees` of weighted degree exactly n,
     in lexicographic order."""
@@ -167,7 +149,7 @@ def _exponents(degrees: tuple[int, ...], n: int):
             yield (e,) + rest
 
 
-# verify_quasi_iso asks for degrees n and n - 1 only, so two entries suffice
+# cohomology_basis asks for degrees n and n - 1 only, so two entries suffice
 @lru_cache(maxsize=2)
 def _monomials_cached(even_degs: tuple[int, ...], odd_degs: tuple[int, ...],
                       n: int) -> tuple[Monomial, ...]:
@@ -189,7 +171,11 @@ def _monomials_cached(even_degs: tuple[int, ...], odd_degs: tuple[int, ...],
 
 
 def monomials_of_degree(model: Model, n: int) -> list[Monomial]:
-    """All canonical monomials of the given degree, duplicate free, sorted."""
+    """All canonical monomials of the given degree, duplicate free, sorted.
+
+    Used by the degree-by-degree reference (`cohomology_basis`,
+    `differential_matrix`); `verify_quasi_iso` enumerates no monomials.
+    """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     return list(_monomials_cached(model.even_degrees, model.odd_degrees, n))
@@ -333,8 +319,8 @@ def differential_matrix(model: Model, n: int) -> MatQ:
     """Dense matrix of d from the degree-n monomial basis to the degree-(n+1)
     one, assembled from `differentiate`.
 
-    The reference form of d: the cohomology computation works block by
-    block instead, and the tests compare the two.
+    Reference only: `verify_quasi_iso` works on the complexes Δ_α instead.
+    The tests check d^2 = 0 and phi~ o d = 0 on this matrix.
     """
     rows_basis = monomials_of_degree(model, n + 1)
     cols_basis = monomials_of_degree(model, n)
@@ -354,6 +340,9 @@ def phi_tilde(model: Model, h: GradedAlgebra,
     homogeneous.  Monomials containing any odd factor die; pure even ones
     evaluate through the generator classes, and the empty monomial is the
     unit.
+
+    Reference only, for the tests and `induced_map`; it builds a new
+    product table on every call, where `verify_quasi_iso` keeps one per run.
     """
     degrees = {m.degree for m in element}
     if len(degrees) > 1:

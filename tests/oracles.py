@@ -6,14 +6,20 @@ and ranks come from sympy.  Only the raw model data (generator degrees and
 the exponent tuples of the differentials) is shared with the code under
 test.  The reference validator reads the multiplication table only through
 `GradedAlgebra.mul` on dense basis vectors.
+
+The last section keeps small helpers that only the tests use: the product
+of model monomials, a linear solver and a matrix-vector product.
 """
 
 import itertools
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import sympy
 
 from formacheck.algebra import ValidationReport
+from formacheck.linalg import ZERO, MatQ, Vec, as_vec, rref
+from formacheck.model import Monomial, _merge_even
 
 
 def raw_model(model):
@@ -148,3 +154,51 @@ def brute_validate(h):
         odd_degrees_vanish=all(d % 2 == 0 for d in h.degrees),
         failures=tuple(failures),
     )
+
+
+# ---- helpers used only by the tests ----
+
+def multiply(model, a: Monomial, b: Monomial):
+    """Product of canonical monomials: (sign, monomial) or (0, None).
+
+    The sign is the Koszul sign of interleaving b's odd factors past a's;
+    a repeated odd factor squares to zero.
+    """
+    if set(a.odd) & set(b.odd):
+        return 0, None
+    inversions = sum(1 for x in a.odd for y in b.odd if y < x)
+    sign = -1 if inversions % 2 else 1
+    product = Monomial(
+        even=_merge_even(a.even, b.even),
+        odd=tuple(sorted(a.odd + b.odd)),
+        degree=a.degree + b.degree,
+    )
+    return sign, product
+
+
+def matvec(m: MatQ, v: Sequence) -> Vec:
+    x = as_vec(v)
+    if len(x) != m.cols:
+        raise ValueError("dimension mismatch in matvec")
+    return tuple(sum((row[j] * x[j] for j in range(m.cols)), ZERO)
+                 for row in m.entries)
+
+
+def solve(m: MatQ, b: Sequence) -> Optional[Vec]:
+    """One solution of m.x = b, or None if inconsistent.
+
+    Free variables are set to zero, so the returned solution is unique for
+    a given input.
+    """
+    rhs = as_vec(b)
+    if len(rhs) != m.rows:
+        raise ValueError("right-hand side length does not match row count")
+    aug = MatQ(m.rows, m.cols + 1,
+               tuple(row + (rhs[i],) for i, row in enumerate(m.entries)))
+    red, pivots, _ = rref(aug)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [ZERO] * m.cols
+    for j, p in enumerate(pivots):
+        x[p] = red.entries[j][m.cols]
+    return tuple(x)

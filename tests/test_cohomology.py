@@ -1,22 +1,37 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import formacheck as fc
-from formacheck.cohomology import (ChainComplexError, ChainComplexQ,
+from formacheck.cohomology import (ChainComplexError, ChainComplexQ, Truncations,
                                    duality_check, validate_square_zero)
+from formacheck.corpus import even_sphere, wedge
 from formacheck.linalg import MatQ
 from formacheck.model import multidegree
 
 import oracles
-from util import (algebra, corpus_objects, cp2, frac_matrix, pipeline,
-                  random_chain_complex, s2, wedge_s2_s2)
+from util import (algebra, corpus_objects, cp2, dependent_family, frac_matrix,
+                  pipeline, random_chain_complex, random_even_monomial_algebra,
+                  s2, s2_power_4, wedge_s2_s2)
 
 
 def model_of(h):
     return fc.build_model(h, fc.choose_generators(h))
+
+
+def block_reference(model, h, cap):
+    """The per-degree table from the monomial blocks, one degree at a time."""
+    return tuple(fc.induced_map(model, h, n) for n in range(cap + 1))
+
+
+def sphere_wedge_8():
+    w2 = wedge(even_sphere(2), even_sphere(2))
+    w4 = wedge(w2, w2)
+    return algebra(wedge(w4, w4))
 
 
 # ---- model cohomology ----
@@ -104,6 +119,102 @@ def test_model_dims_match_brute_force_oracle(obj_index):
     report = fc.verify_quasi_iso(model, h, cap)
     assert [r.model_cohomology_dim for r in report.reports] == \
         oracles.brute_model_dims(model, cap)
+    assert report.reports == block_reference(model, h, cap)
+
+
+@pytest.mark.parametrize("extra", [1, 4])
+@pytest.mark.parametrize("obj_index", range(len(corpus_objects())))
+def test_table_matches_references_past_the_top(obj_index, extra):
+    h = algebra(corpus_objects()[obj_index])
+    model = model_of(h)
+    cap = h.top_degree + extra
+    report = fc.verify_quasi_iso(model, h, cap)
+    assert report.reports == block_reference(model, h, cap)
+    assert [r.model_cohomology_dim for r in report.reports] == \
+        oracles.brute_model_dims(model, cap)
+
+
+def test_table_matches_references_on_larger_inputs():
+    # (S^2)^4 is formal with Poincare polynomial (1 + t^2)^4; the 8-fold
+    # wedge has 8*C(9,2) - C(10,3) classes x_i*w_jk in degree 5 (harness
+    # closed form); the dependent family is inconclusive and small enough
+    # for the sympy oracle
+    h = s2_power_4()
+    model = model_of(h)
+    report = fc.verify_quasi_iso(model, h, 17)
+    assert report.reports == block_reference(model, h, 17)
+    poincare = [comb(4, n // 2) if n % 2 == 0 else 0 for n in range(18)]
+    assert [r.model_cohomology_dim for r in report.reports] == poincare
+    assert report.overall
+
+    h = sphere_wedge_8()
+    model = model_of(h)
+    report = fc.verify_quasi_iso(model, h, 5)
+    assert report.reports == block_reference(model, h, 5)
+    assert [r.model_cohomology_dim for r in report.reports] == \
+        [1, 0, 8, 0, 0, 8 * comb(9, 2) - comb(10, 3)]
+    assert report.first_failure == 5
+
+    h = dependent_family()
+    model = model_of(h)
+    cert = fc.certify(h, fc.validate(h))
+    assert cert.verdict.classification == "INCONCLUSIVE"
+    assert cert.quasi_isomorphism.reports == block_reference(model, h, cert.cap)
+    assert [r.model_cohomology_dim for r in cert.quasi_isomorphism.reports] == \
+        oracles.brute_model_dims(model, cert.cap)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_table_matches_block_reference_on_random_algebras(seed):
+    h = random_even_monomial_algebra(random.Random(9100 + seed))
+    model = model_of(h)
+    cap = 2 * h.top_degree + 1
+    assert fc.verify_quasi_iso(model, h, cap).reports == block_reference(model, h, cap)
+
+
+@pytest.mark.parametrize("obj_index", range(len(corpus_objects())))
+def test_truncations_faces_and_euler(obj_index):
+    # each block's faces are the subsets S with sum of targets <= alpha, read
+    # off the memo at beta = min(alpha, T); their alternating count is the
+    # alternating sum of the reduced Betti numbers (Euler-Poincare)
+    h = algebra(corpus_objects()[obj_index])
+    complexes = Truncations(model_of(h), 2 * h.top_degree + 1)
+    targets = complexes.targets
+    for _, alpha, beta in complexes.blocks():
+        faces = complexes.faces(beta)
+        brute = [[S for S in itertools.combinations(range(len(targets)), s)
+                  if all(sum(targets[j][i] for j in S) <= a for i, a in enumerate(alpha))]
+                 for s in range(len(targets) + 1)]
+        assert faces == [level for level in brute if level]
+        assert sum((-1) ** s * len(level) for s, level in enumerate(faces)) == \
+            sum((-1) ** s * complexes.reduced_betti(beta, s) for s in range(len(faces)))
+
+
+def chain_dims_series(model, cap):
+    """Coefficients up to t^cap of prod_v (1 - t^|v|)^-1 * prod_w (1 + t^|w|)."""
+    series = [1] + [0] * cap
+    for d in model.even_degrees:
+        for n in range(d, cap + 1):
+            series[n] += series[n - d]
+    for d in model.odd_degrees:
+        for n in range(cap, d - 1, -1):
+            series[n] += series[n - d]
+    return series
+
+
+@pytest.mark.parametrize("obj_index", range(len(corpus_objects())))
+def test_truncations_count_every_monomial_once(obj_index):
+    h = algebra(corpus_objects()[obj_index])
+    model = model_of(h)
+    cap = 2 * h.top_degree + 1
+    complexes = Truncations(model, cap)
+    counts = [0] * (cap + 1)
+    for n, _, beta in complexes.blocks():
+        for s, level in enumerate(complexes.faces(beta)):
+            if n - s <= cap:
+                counts[n - s] += len(level)
+    assert counts == chain_dims_series(model, cap)
+    assert counts == [len(fc.monomials_of_degree(model, n)) for n in range(cap + 1)]
 
 
 @pytest.mark.parametrize("obj_index", range(len(corpus_objects())))

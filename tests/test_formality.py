@@ -9,7 +9,8 @@ from formacheck.formality import (FORMAL_BY_THEOREM, HYPOTHESIS_VIOLATED,
                                   INCONCLUSIVE, DegreeSet)
 from formacheck.model import _monomials_cached
 
-from util import algebra, corpus_objects, cp2, cp3, pipeline, s2, wedge_s2_s2
+from util import (algebra, corpus_objects, cp2, cp3, dependent_family, pipeline,
+                  s2, s2_power_4, wedge_s2_s2)
 
 
 def e_family_of(h):
@@ -32,15 +33,8 @@ def test_condition_ii_empty_vacuous():
     assert fc.check_condition_ii(e_family_of(s2()))
 
 
-def dependent_family_algebra():
-    # a^2 = b^2 = c with ab = 0: two distinct monomials share one class
-    return GradedAlgebra.from_products(
-        [("1", 0), ("a", 2), ("b", 2), ("c", 4)], "1",
-        {("a", "a"): {"c": 1}, ("b", "b"): {"c": 1}})
-
-
 def test_condition_ii_dependent_family():
-    h = dependent_family_algebra()
+    h = dependent_family()
     assert fc.validate(h).structure_ok
     e = e_family_of(h)
     assert len(e) == 2
@@ -135,7 +129,7 @@ def test_verdict_wedge_discrepancy():
 
 
 def test_verdict_inconclusive():
-    h = dependent_family_algebra()
+    h = dependent_family()
     gens, e, goods, model, report = pipeline(h)
     v = fc.render_verdict(h, gens, e, goods, report)
     assert v.classification == INCONCLUSIVE
@@ -152,14 +146,16 @@ def test_verdict_hypothesis_violated():
 
 
 def test_certify_odd_degree_runs_no_stage():
+    # the gate reads h, so the report of another algebra runs no stage either
     h = GradedAlgebra.from_products([("1", 0), ("x", 2), ("z", 3)], "1", {})
-    cert = fc.certify(h, fc.validate(h))
-    assert cert.cap == 2 * 3 + 1
-    assert len(cert.generators) == 2
-    assert (cert.e_family, cert.good_objects, cert.model, cert.quasi_isomorphism) == \
-        (None, None, None, None)
-    assert cert.verdict.classification == HYPOTHESIS_VIOLATED
-    assert cert.exit_code == 3
+    for report in (fc.validate(h), fc.validate(s2())):
+        cert = fc.certify(h, report)
+        assert cert.cap == 2 * 3 + 1
+        assert len(cert.generators) == 2
+        assert (cert.e_family, cert.good_objects, cert.model, cert.quasi_isomorphism) == \
+            (None, None, None, None)
+        assert cert.verdict.classification == HYPOTHESIS_VIOLATED
+        assert cert.exit_code == 3
 
 
 def test_certify_cap_below_top_rejected():
@@ -177,6 +173,13 @@ def test_certify_caches_stay_bounded():
             fc.differential_matrix(cert.model, n)
     assert _monomials_cached.cache_info().currsize <= 2
     assert fc.differential_matrix.cache_info().currsize <= 2
+    # certify itself enumerates no monomials and assembles no matrix of d
+    _monomials_cached.cache_clear()
+    fc.differential_matrix.cache_clear()
+    h = s2_power_4()
+    assert fc.certify(h, fc.validate(h)).exit_code == 0
+    assert _monomials_cached.cache_info().misses == 0
+    assert fc.differential_matrix.cache_info().misses == 0
 
 
 def test_verdict_deterministic():

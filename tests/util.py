@@ -27,6 +27,19 @@ def wedge_s2_s2():
     return algebra(wedge(even_sphere(2), even_sphere(2)))
 
 
+def s2_power_4():
+    s2x2 = product(even_sphere(2), even_sphere(2))
+    return algebra(product(s2x2, s2x2))
+
+
+def dependent_family():
+    """a^2 = b^2 = c with ab = 0: two distinct monomials share one class,
+    so conditions (i) and (ii) both fail and the verdict is inconclusive."""
+    return fc.GradedAlgebra.from_products(
+        [("1", 0), ("a", 2), ("b", 2), ("c", 4)], "1",
+        {("a", "a"): {"c": 1}, ("b", "b"): {"c": 1}})
+
+
 def corpus_objects():
     """A spread of small valid inputs used by the property suites."""
     s2_obj = even_sphere(2)

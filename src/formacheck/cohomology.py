@@ -16,7 +16,7 @@ verdict never claims anything beyond the configured degree cap.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .algebra import GradedAlgebra, _PhiTable
@@ -147,9 +147,7 @@ class Truncations:
         # degrees, so no face of a degree <= cap is larger than s_max, and
         # every block meeting those degrees has |α| <= cap + s_max
         self.s_max = sum(1 for low in accumulate(sorted(model.odd_degrees)) if low <= cap)
-        self.by_support: dict[tuple[int, ...], list[int]] = {}
-        for j, t in enumerate(self.targets):
-            self.by_support.setdefault(tuple(i for i, e in enumerate(t) if e), []).append(j)
+        self.supports = [_mask(t) for t in self.targets]
         self._faces: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
         self._ranks: dict[tuple[tuple[int, ...], int], int] = {}
 
@@ -161,15 +159,11 @@ class Truncations:
                 yield n, alpha, tuple(map(min, alpha, self.total))
 
     def _vertices(self, beta: tuple[int, ...]) -> list[int]:
-        support = tuple(i for i, b in enumerate(beta) if b)
-        if 2 ** len(support) > len(self.targets):
-            candidates = range(len(self.targets))
-        else:  # a wedge: few targets fit inside a small support
-            candidates = sorted(j for k in range(1, len(support) + 1)
-                                for sub in combinations(support, k)
-                                for j in self.by_support.get(sub, ()))
-        return [j for j in candidates
-                if all(e <= b for e, b in zip(self.targets[j], beta))]
+        # the support test is one integer operation and rejects most of a
+        # wedge's targets before their exponents are compared
+        outside = ~_mask(beta)
+        return [j for j, (t, support) in enumerate(zip(self.targets, self.supports))
+                if not support & outside and all(e <= b for e, b in zip(t, beta))]
 
     def faces(self, beta: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
         """Faces of Δ_β by size, each an ascending tuple of odd-generator
@@ -215,6 +209,11 @@ class Truncations:
         if s >= len(faces):
             return 0
         return len(faces[s]) - self._rank(beta, s) - self._rank(beta, s + 1)
+
+
+def _mask(exponents: tuple[int, ...]) -> int:
+    """The support of an exponent vector as a bit mask."""
+    return sum(1 << i for i, e in enumerate(exponents) if e)
 
 
 def verify_quasi_iso(model: Model, h: GradedAlgebra, cap: int) -> QuasiIsoReport:

@@ -26,6 +26,15 @@ from .formats import (InputError, certificate_json, load_algebra_file,
                       load_chain_complex_file)
 
 
+def _write(path, text: str):
+    """Write an output file; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> int:
     """Load an algebra file, certify it, and write the certificate."""
     h, vreport, raw_obj, digest = load_algebra_file(path)
@@ -39,13 +48,11 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
     }
     text = json.dumps(certificate, indent=2, sort_keys=True) + "\n"
     if report is not None:
-        with open(report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(report, text)
     else:
         sys.stdout.write(text)
     if emit_model is not None and cert.model is not None:
-        with open(emit_model, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(certificate["model"], indent=2, sort_keys=True) + "\n")
+        _write(emit_model, json.dumps(certificate["model"], indent=2, sort_keys=True) + "\n")
 
     verdict, qreport = cert.verdict, cert.quasi_isomorphism
     summary = [f"classification: {verdict.classification}"]
@@ -66,8 +73,7 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
 
 def run_corpus(kind: str, params: list, out) -> int:
     obj = generate(kind, params)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write(out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
     print(f"wrote {obj['name']} to {out}", file=sys.stderr)
     return EXIT_OK
 

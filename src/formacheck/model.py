@@ -186,14 +186,9 @@ def _require_even(gens: GeneratorSet):
         raise ValueError("construction requires all generators in even degrees")
 
 
-def _exponent_tuples(degrees: tuple[int, ...], max_degree: int):
-    """(weighted degree, exponent tuple) for the tuples with 2 <= total factors
-    and weighted degree <= max_degree, by degree and then lexicographically."""
-    return [(n, t) for n in range(max_degree + 1) for t in _exponents(degrees, n) if sum(t) >= 2]
-
-
 def compute_E(h: GradedAlgebra, gens: GeneratorSet) -> EFamily:
-    """All nonzero products of >= 2 generators, up to the top degree of h.
+    """All nonzero products of >= 2 generators, up to the top degree of h,
+    by degree and then lexicographically in the exponents.
 
     Products of degree beyond top_degree(h) are zero by grading, so the
     enumeration bound loses nothing.
@@ -201,53 +196,47 @@ def compute_E(h: GradedAlgebra, gens: GeneratorSet) -> EFamily:
     _require_even(gens)
     phi = _PhiTable(h, gens)
     entries = []
-    for degree, exps in _exponent_tuples(gens.degrees, h.top_degree):
-        value = phi.value(exps)
-        if not vec_is_zero(value):
-            entries.append(EEntry(Monomial(_pack(exps), (), degree), value, degree))
+    for degree in range(h.top_degree + 1):
+        for exps in _exponents(gens.degrees, degree):
+            if sum(exps) < 2:
+                continue
+            value = phi.value(exps)
+            if not vec_is_zero(value):
+                entries.append(EEntry(Monomial(_pack(exps), (), degree), value, degree))
     return EFamily(tuple(entries))
-
-
-def _proper_divisors(exps: tuple[int, ...]):
-    """Proper sub-multisets with at least 2 factors, in lexicographic order."""
-    def rec(i: int, acc: list[int]):
-        if i == len(exps):
-            t = tuple(acc)
-            if t != exps and sum(t) >= 2:
-                yield t
-            return
-        for e in range(exps[i] + 1):
-            yield from rec(i + 1, acc + [e])
-
-    yield from rec(0, [])
 
 
 def good_objects(h: GradedAlgebra, gens: GeneratorSet) -> list[GoodObject]:
     """Monomials with zero image whose proper divisors (>= 2 factors) all
-    have nonzero image.
+    have nonzero image, read off `compute_E`.
 
-    The enumeration stops at degree top_degree(h) + max generator degree:
-    any longer candidate has a proper divisor of degree above top_degree(h),
-    whose image is already zero, so nothing good lives beyond the bound.
+    The nonzero monomials N = E plus the single generators are closed under
+    division, so the good objects are the minimal monomials outside N (the
+    minimal generators of the complementary monomial ideal): one factor more
+    than a member of N, not in N, and in N whenever any one factor is
+    removed.  The divisor witnesses of a good object are the entries of E
+    that divide it.
     """
-    _require_even(gens)
-    if len(gens) == 0:
-        return []
-    phi = _PhiTable(h, gens)
-    bound = h.top_degree + max(gens.degrees)
+    n = len(gens)
+    entries = {}  # dense exponent tuple -> entry of E
+    for entry in compute_E(h, gens):
+        exps = [0] * n
+        for i, e in entry.monomial.even:
+            exps[i] = e
+        entries[tuple(exps)] = entry
+    nonzero = set(entries).union(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    def shifted(exps, i, by):
+        return exps[:i] + (exps[i] + by,) + exps[i + 1:]
+
     goods = []
-    for degree, exps in _exponent_tuples(gens.degrees, bound):
-        if not vec_is_zero(phi.value(exps)):
-            continue
-        witnesses = []
-        for div in _proper_divisors(exps):
-            value = phi.value(div)
-            if vec_is_zero(value):
-                break  # not good
-            div_degree = sum(e * d for e, d in zip(div, gens.degrees))
-            witnesses.append(DivisorWitness(Monomial(_pack(div), (), div_degree), value))
-        else:
-            witnesses.sort(key=lambda w: w.monomial.sort_key())
+    for exps in {shifted(m, i, 1) for m in nonzero for i in range(n)} - nonzero:
+        if all(not e or shifted(exps, i, -1) in nonzero for i, e in enumerate(exps)):
+            witnesses = sorted((DivisorWitness(entry.monomial, entry.class_vector)
+                                for div, entry in entries.items()
+                                if all(a <= b for a, b in zip(div, exps))),
+                               key=lambda w: w.monomial.sort_key())
+            degree = sum(e * d for e, d in zip(exps, gens.degrees))
             goods.append(GoodObject(Monomial(_pack(exps), (), degree), tuple(witnesses)))
     goods.sort(key=lambda g: g.monomial.sort_key())
     return goods

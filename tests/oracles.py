@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's enumeration, matrix, and
 rank code: bases come from itertools-style search over raw exponent data,
 and ranks come from sympy.  Only the raw model data (generator degrees and
 the exponent tuples of the differentials) is shared with the code under
-test.  The reference validator reads the multiplication table only through
-`GradedAlgebra.mul` on dense basis vectors.
+test.  The reference validator and the good-object walk read the
+multiplication table only through `GradedAlgebra.mul` on dense vectors.
 
 The last section keeps small helpers that only the tests use: the product
 of model monomials, a linear solver and a matrix-vector product.
@@ -19,7 +19,7 @@ import sympy
 
 from formacheck.algebra import ValidationReport
 from formacheck.linalg import ZERO, MatQ, Vec, as_vec, rref
-from formacheck.model import Monomial, _merge_even
+from formacheck.model import DivisorWitness, GoodObject, Monomial, _merge_even
 
 
 def raw_model(model):
@@ -154,6 +154,47 @@ def brute_validate(h):
         odd_degrees_vanish=all(d % 2 == 0 for d in h.degrees),
         failures=tuple(failures),
     )
+
+
+def _image(h, gens, exps):
+    """Product in h of the generator classes with these exponents, one
+    factor at a time."""
+    out = h.unit()
+    for g, e in zip(gens, exps):
+        for _ in range(e):
+            out = h.mul(out, g.class_vector)
+    return out
+
+
+def brute_good_objects(h, gens):
+    """Reference for `formacheck.good_objects`: walk every exponent tuple up
+    to degree top + max generator degree and keep those with zero image
+    whose proper divisors with >= 2 factors all have nonzero image, with
+    those divisors as witnesses.  A longer candidate would have a proper
+    divisor above the top degree, so nothing good lies past the bound."""
+    degs = gens.degrees
+    bound = h.top_degree + max(degs, default=0)
+
+    def monomial(exps):
+        return Monomial(tuple((i, e) for i, e in enumerate(exps) if e), (),
+                        sum(e * d for e, d in zip(exps, degs)))
+
+    goods = []
+    for exps in itertools.product(*(range(bound // d + 1) for d in degs)):
+        if sum(exps) < 2 or monomial(exps).degree > bound or any(_image(h, gens, exps)):
+            continue
+        witnesses = []
+        for div in itertools.product(*(range(e + 1) for e in exps)):
+            if div == exps or sum(div) < 2:
+                continue
+            value = _image(h, gens, div)
+            if not any(value):
+                break
+            witnesses.append(DivisorWitness(monomial(div), value))
+        else:
+            witnesses.sort(key=lambda w: w.monomial.sort_key())
+            goods.append(GoodObject(monomial(exps), tuple(witnesses)))
+    return sorted(goods, key=lambda g: g.monomial.sort_key())
 
 
 # ---- helpers used only by the tests ----

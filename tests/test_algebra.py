@@ -12,7 +12,7 @@ from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import parse_algebra_json
 
 from oracles import brute_validate
-from util import corpus_objects, cp2, cp3, s2, wedge_s2_s2
+from util import corpus_objects, cp2, cp3, embed, in_basis, s2, wedge_s2_s2
 
 
 def q_basis(h, label):
@@ -106,13 +106,6 @@ def test_validate_matches_brute_on_corpus(k):
     assert report.structure_ok
 
 
-def _embed(h, idx, local):
-    vec = [Fraction(0)] * h.dim
-    for slot, k in enumerate(idx):
-        vec[k] = local[slot]
-    return tuple(vec)
-
-
 def rebased(h, rng):
     """h in a random basis of each positive degree: still a valid table, but
     with rows of several terms whose products can cancel."""
@@ -125,18 +118,9 @@ def rebased(h, rng):
             t = sympy.Matrix(len(idx), len(idx), lambda *_: rng.randint(-2, 2))
         t_inv = t.inv()
         for a, i in enumerate(idx):
-            new[i] = _embed(h, idx, [Fraction(str(x)) for x in t.row(a)])
-            old[i] = _embed(h, idx, [Fraction(str(x)) for x in t_inv.row(a)])
-    table = {}
-    for i in range(h.dim):
-        for j in range(i, h.dim):
-            prod = h.mul(new[i], new[j])
-            coords = [sum((c * old[k][m] for k, c in enumerate(prod)), Fraction(0))
-                      for m in range(h.dim)]
-            table[(h.labels[i], h.labels[j])] = {
-                h.labels[m]: c for m, c in enumerate(coords) if c != 0}
-    return GradedAlgebra.from_products(
-        list(zip(h.labels, h.degrees)), h.labels[h.unit_index], table)
+            new[i] = embed(h, idx, [Fraction(str(x)) for x in t.row(a)])
+            old[i] = embed(h, idx, [Fraction(str(x)) for x in t_inv.row(a)])
+    return in_basis(h, new, old)
 
 
 def broken_table(h, fault, rng):

@@ -215,6 +215,20 @@ def test_check_result_too_long_to_print(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_unwritable_output_path_exits_1(tmp_path, capsys):
+    path = write_json(tmp_path / "s2.json", even_sphere(2))
+    missing = str(tmp_path / "missing" / "out.json")
+    commands = [["check", path, "--report", missing],
+                ["check", path, "--report", str(tmp_path / "c.json"),
+                 "--emit-model", str(tmp_path)],
+                ["corpus", "even_sphere", "2", "-o", missing]]
+    capsys.readouterr()
+    for argv in commands:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
 def test_check_deterministic_modulo_timestamp(tmp_path):
     path = write_json(tmp_path / "cp3.json", truncated_poly(2, 4))
     r1, r2 = tmp_path / "c1.json", tmp_path / "c2.json"

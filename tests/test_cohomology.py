@@ -9,14 +9,13 @@ import pytest
 import formacheck as fc
 from formacheck.cohomology import (ChainComplexError, ChainComplexQ, Truncations,
                                    duality_check, validate_square_zero)
-from formacheck.corpus import even_sphere, wedge
 from formacheck.linalg import MatQ
 from formacheck.model import multidegree
 
 import oracles
 from util import (algebra, corpus_objects, cp2, dependent_family, frac_matrix,
                   pipeline, random_chain_complex, random_even_monomial_algebra,
-                  s2, s2_power_4, wedge_s2_s2)
+                  s2, s2_power_4, sphere_wedge_8, wedge_s2_s2)
 
 
 def model_of(h):
@@ -26,12 +25,6 @@ def model_of(h):
 def block_reference(model, h, cap):
     """The per-degree table from the monomial blocks, one degree at a time."""
     return tuple(fc.induced_map(model, h, n) for n in range(cap + 1))
-
-
-def sphere_wedge_8():
-    w2 = wedge(even_sphere(2), even_sphere(2))
-    w4 = wedge(w2, w2)
-    return algebra(wedge(w4, w4))
 
 
 # ---- model cohomology ----

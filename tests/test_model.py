@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,10 @@ import formacheck as fc
 from formacheck.algebra import GradedAlgebra
 from formacheck.model import Monomial, format_monomial, multidegree
 
-from oracles import multiply
-from util import corpus_objects, cp2, cp3, algebra, pipeline, s2, wedge_s2_s2
+from oracles import brute_good_objects, multiply
+from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,
+                  dependent_family, pipeline, random_even_monomial_algebra, s2,
+                  s2_power_4, sphere_wedge_8, wedge_s2_s2)
 
 
 def model_of(h):
@@ -179,6 +182,45 @@ def test_good_object_degree_bound_and_divisors_in_E(obj_index):
                     assert Monomial(even, (), degree) in e_monos
     # disjointness of E and the good objects
     assert not ({g.monomial for g in goods} & e_monos)
+
+
+NAMED_INPUTS = {
+    **{f"corpus{k}": (lambda obj=obj: algebra(obj)) for k, obj in enumerate(corpus_objects())},
+    "dependent_family": dependent_family,
+    "s2_power_4": s2_power_4,
+    "cp2_power_3": cp2_power_3,
+    "sphere_wedge_8": sphere_wedge_8,
+}
+
+
+def assert_goods_match_oracle(h):
+    gens = fc.choose_generators(h)
+    goods = fc.good_objects(h, gens)
+    assert goods == brute_good_objects(h, gens)
+    return goods
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_INPUTS))
+def test_good_objects_match_brute_oracle(name):
+    assert_goods_match_oracle(NAMED_INPUTS[name]())
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_good_objects_match_brute_oracle_on_random_algebras(seed):
+    assert_goods_match_oracle(random_even_monomial_algebra(random.Random(seed)))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_INPUTS))
+def test_good_objects_match_brute_oracle_in_random_bases(name):
+    h = NAMED_INPUTS[name]()
+    changed = False
+    for seed in range(4):
+        rebased = change_basis(h, random.Random(seed))
+        changed |= rebased.mult != h.mult
+        assert_goods_match_oracle(rebased)
+    # the table changes unless every degree is a line or every product is trivial
+    mixes = any(h.dim_in_degree(n) > 1 for n in set(h.degrees))
+    assert changed == (mixes and any(h.unit_index not in pair for pair in h.mult))
 
 
 def test_empty_E_forces_length_two_goods():

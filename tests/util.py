@@ -32,6 +32,17 @@ def s2_power_4():
     return algebra(product(s2x2, s2x2))
 
 
+def cp2_power_3():
+    cp2_obj = truncated_poly(2, 3)
+    return algebra(product(product(cp2_obj, cp2_obj), cp2_obj))
+
+
+def sphere_wedge_8():
+    w2 = wedge(even_sphere(2), even_sphere(2))
+    w4 = wedge(w2, w2)
+    return algebra(wedge(w4, w4))
+
+
 def dependent_family():
     """a^2 = b^2 = c with ab = 0: two distinct monomials share one class,
     so conditions (i) and (ii) both fail and the verdict is inconclusive."""
@@ -97,6 +108,44 @@ def random_invertible(rng, n):
     right = fc.MatQ.from_rows(tinv, cols=n)
     assert left.matmul(right) == fc.MatQ.identity(n)
     return left, right
+
+
+def embed(h, idx, local):
+    """The vector of h with coordinates `local` on the positions `idx`."""
+    vec = [Fraction(0)] * h.dim
+    for k, c in zip(idx, local):
+        vec[k] = c
+    return tuple(vec)
+
+
+def in_basis(h, new, old):
+    """h's table in the basis `new` (vectors in the old basis), where `old`
+    holds the old basis vectors in the new basis."""
+    table = {}
+    for i in range(h.dim):
+        for j in range(i, h.dim):
+            terms = [(k, c) for k, c in enumerate(h.mul(new[i], new[j])) if c]
+            coords = [sum((c * old[k][m] for k, c in terms), Fraction(0))
+                      for m in range(h.dim)]
+            table[(h.labels[i], h.labels[j])] = {
+                h.labels[m]: c for m, c in enumerate(coords) if c != 0}
+    return fc.GradedAlgebra.from_products(
+        list(zip(h.labels, h.degrees)), h.labels[h.unit_index], table)
+
+
+def change_basis(h, rng):
+    """h in a random basis of each positive degree, built with
+    `random_invertible`: the same ring, but a product of basis elements may
+    be a sum of several, so its relations need not be monomial."""
+    new = [h.basis_vector(i) for i in range(h.dim)]
+    old = list(new)
+    for n in sorted(set(h.degrees) - {0}):
+        idx = h.degree_indices(n)
+        t, t_inv = random_invertible(rng, len(idx))
+        for a, i in enumerate(idx):
+            new[i] = embed(h, idx, t.entries[a])
+            old[i] = embed(h, idx, t_inv.entries[a])
+    return in_basis(h, new, old)
 
 
 def random_chain_complex(rng, max_dim=5, max_deg=6):

@@ -12,6 +12,8 @@ absent.  Elements passed to and returned by `GradedAlgebra.mul` stay dense.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -69,9 +71,9 @@ class GradedAlgebra(_GradedAlgebra):
 
     def mul(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
         out = [Fraction(0)] * self.dim
-        b_terms = [(j, cb) for j, cb in enumerate(b) if cb != 0]
+        b_terms = [(j, cb) for j, cb in enumerate(b) if cb]
         for i, ca in enumerate(a):
-            if ca == 0:
+            if not ca:
                 continue
             for j, cb in b_terms:
                 row = self.mult.get((i, j))
@@ -210,7 +212,8 @@ def validate(h: GradedAlgebra) -> ValidationReport:
                 f"graded commutativity fails on ({h.labels[i]}, {h.labels[j]})")
             break
 
-    witness = _associativity_witness(h, exact_skip=unit_ok and graded)
+    witness = _associativity_witness(h, exact_skip=unit_ok and graded,
+                                     half=graded and commutative)
     if witness is not None:
         failures.append("associativity fails on ({}, {}, {})".format(
             *(h.labels[i] for i in witness)))
@@ -231,32 +234,48 @@ def validate(h: GradedAlgebra) -> ValidationReport:
 
 def _combine(terms) -> dict:
     """Sum of c * row over (c, row) pairs, as {k: nonzero coefficient}."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for c, row in terms:
         for k, ck in row:
             out[k] = out.get(k, 0) + c * ck
-    return {k: c for k, c in out.items() if c != 0}
+    return {k: c for k, c in out.items() if c}
 
 
-def _associativity_witness(h: GradedAlgebra, exact_skip: bool):
+def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool):
     """First (i, j, k) in lexicographic order with (e_i e_j) e_k != e_i (e_j e_k).
 
+    The table is scaled once by the lcm D of its denominators; both sides of
+    every triple then carry 1/D^2, so comparing the integer sums is exact.
     Both sides are 0 unless e_i e_j or e_j e_k is nonzero, so only those
     triples are compared.  With `exact_skip` (the unit law and graded
     multiplicativity hold) triples through the unit, where both sides equal
     the product of the other two, and triples above the top degree, where
-    both sides lie in an empty degree, are skipped as well.
+    both sides lie in an empty degree, are not visited either.  With `half`
+    (graded multiplicativity and graded commutativity hold) the associator
+    satisfies A(k, j, i) = ±A(i, j, k), so the first failing triple has
+    i <= k and only those triples are visited.
     """
-    deg, u, top, mult = h.degrees, h.unit_index, h.top_degree, h.mult
-    right_of: list[list[int]] = [[] for _ in range(h.dim)]
+    deg, u, top, dim = h.degrees, h.unit_index, h.top_degree, h.dim
+    scale = math.lcm(*{c.denominator for row in h.mult.values() for _, c in row})
+    mult = {pair: tuple((k, c.numerator * (scale // c.denominator)) for k, c in row)
+            for pair, row in h.mult.items()}
+    right_of: list[list[int]] = [[] for _ in range(dim)]
     for j, k in sorted(mult):
         right_of[j].append(k)
-    for i in range(h.dim):
-        for j in range(h.dim):
+    outer = [i for i in range(dim) if not (exact_skip and i == u)]
+    fits: dict[int, list[int]] = {}  # degree budget -> the k of `outer` within it
+    for i in outer:
+        for j in outer:
             ab = mult.get((i, j), ())
-            for k in (range(h.dim) if ab else right_of[j]):
-                if exact_skip and (u in (i, j, k) or deg[i] + deg[j] + deg[k] > top):
-                    continue
+            if exact_skip:
+                budget = top - deg[i] - deg[j]
+                if budget not in fits:
+                    fits[budget] = [k for k in outer if deg[k] <= budget]
+                ks = fits[budget] if ab else [k for k in right_of[j]
+                                              if k != u and deg[k] <= budget]
+            else:
+                ks = range(dim) if ab else right_of[j]
+            for k in ks[bisect_left(ks, i):] if half else ks:
                 bc = mult.get((j, k), ())
                 if (_combine((c, mult.get((m, k), ())) for m, c in ab)
                         != _combine((c, mult.get((i, m), ())) for m, c in bc)):

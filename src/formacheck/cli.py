@@ -46,13 +46,14 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         **certificate_json(cert, raw_obj, digest),
     }
+    # the model first: a run that fails to write it leaves no certificate
+    if emit_model is not None and cert.model is not None:
+        _write(emit_model, json.dumps(certificate["model"], indent=2, sort_keys=True) + "\n")
     text = json.dumps(certificate, indent=2, sort_keys=True) + "\n"
     if report is not None:
         _write(report, text)
     else:
         sys.stdout.write(text)
-    if emit_model is not None and cert.model is not None:
-        _write(emit_model, json.dumps(certificate["model"], indent=2, sort_keys=True) + "\n")
 
     verdict, qreport = cert.verdict, cert.quasi_isomorphism
     summary = [f"classification: {verdict.classification}"]

@@ -9,9 +9,11 @@ and the induced map off the blocks where Δ_α is only the empty set.
 degree from the monomial basis; they are the reference the tests compare
 against.
 
-All ranks are computed with exact rational elimination; a degree is
-"bijective" only when the induced map has full rank on both sides.  The
-verdict never claims anything beyond the configured degree cap.
+The ±1 boundaries of the Δ_α are ranked by fraction-free integer
+elimination (`linalg.integer_rank`), every other rank by exact rational
+elimination; no float is involved anywhere.  A degree is "bijective" only
+when the induced map has full rank on both sides.  The verdict never
+claims anything beyond the configured degree cap.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .algebra import GradedAlgebra, _PhiTable
-from .linalg import ZERO, MatQ, RowSpace, Vec, kernel_basis, rref
+from .linalg import ZERO, MatQ, RowSpace, Vec, integer_rank, kernel_basis, rref
 from .model import (Model, _exponents, blocks_of_degree, differentiate,
                     monomials_of_degree, multidegree, phi_tilde)
 
@@ -199,7 +201,7 @@ class Truncations:
                     for p in range(s):
                         row[row_of[face[:p] + face[p + 1:]]] = -1 if p % 2 else 1
                     rows.append(row)
-                rank = rref(MatQ.from_rows(rows)).rank
+                rank = integer_rank(rows)
             self._ranks[key] = rank
         return self._ranks[key]
 

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import GeneratorSet, GradedAlgebra, ValidationReport, choose_generators
 from .cohomology import QuasiIsoReport, verify_quasi_iso
-from .linalg import MatQ, rref
+from .linalg import Vec, integer_rank
 from .model import EFamily, GoodObject, Model, build_model, compute_E, good_objects
 
 FORMAL_BY_THEOREM = "FORMAL_BY_THEOREM"
@@ -57,13 +57,34 @@ def check_condition_ii(e: EFamily) -> bool:
     """Linear independence of the family indexed by distinct monomials.
 
     Two monomials mapping to dependent classes (in particular to the same
-    class) make the indexed family dependent, so the check stacks one row
-    per entry rather than deduplicating values.  Vacuously true when empty.
+    class) make the indexed family dependent, so the check keeps one row
+    per entry rather than deduplicating values.  An entry's class lies in
+    H^degree, so entries of different degrees are independent: each
+    degree's rows are ranked on their own, over the basis positions they
+    use, each row scaled to integers.  A degree with more rows than
+    positions is dependent without elimination.  Vacuously true when empty.
     """
-    if e.is_empty():
-        return True
-    matrix = MatQ.from_rows([entry.class_vector for entry in e.entries])
-    return rref(matrix).rank == len(e.entries)
+    by_degree: dict[int, list[Vec]] = {}
+    for entry in e.entries:
+        by_degree.setdefault(entry.degree, []).append(entry.class_vector)
+    blocks = list(by_degree.values())
+    used = [sorted({k for row in rows for k, c in enumerate(row) if c}) for rows in blocks]
+    everywhere = sorted(set().union(*used))
+    if sum(map(len, used)) != len(everywhere):
+        # degrees share basis positions only when H is not graded
+        blocks, used = [[entry.class_vector for entry in e.entries]], [everywhere]
+    return all(len(rows) <= len(positions)
+               and integer_rank(_scaled_to_integers(rows, positions)) == len(rows)
+               for rows, positions in zip(blocks, used))
+
+
+def _scaled_to_integers(rows: list[Vec], positions: list[int]) -> list[list[int]]:
+    """Each row's entries at `positions`, times the lcm of their denominators."""
+    out = []
+    for row in rows:
+        scale = math.lcm(*(row[k].denominator for k in positions))
+        out.append([row[k].numerator * (scale // row[k].denominator) for k in positions])
+    return out
 
 
 def corollary_integer_check(f: DegreeSet) -> tuple[bool, ...]:
@@ -204,7 +225,7 @@ def certify(h: GradedAlgebra, report: ValidationReport,
     e = goods = model = quasi = None
     if _odd_degrees_vanish(h):
         e = compute_E(h, gens)
-        goods = good_objects(h, gens)
+        goods = good_objects(h, gens, e)
         model = build_model(h, gens, goods)
         quasi = verify_quasi_iso(model, h, cap)
     verdict = render_verdict(h, gens, e, goods, quasi)

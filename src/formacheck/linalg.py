@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything here carries `fractions.Fraction` entries; no floating point is
-allowed anywhere.  Pivoting and free-variable conventions are fixed so that
-every downstream choice (generator sets, complements, cohomology
-representatives) is reproducible bit for bit.
+Matrices carry `fractions.Fraction` entries, and `integer_rank` ranks
+integer rows by fraction-free elimination; no floating point is allowed
+anywhere, so every rank is exact.  Pivoting and free-variable conventions
+are fixed so that every downstream choice (generator sets, complements,
+cohomology representatives) is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def unit_vec(n: int, i: int) -> Vec:
 
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in v)
+    return not any(v)
 
 
 class _MatQ(NamedTuple):
@@ -140,6 +141,40 @@ def rref(m: MatQ) -> RrefResult:
             break
     out = MatQ(m.rows, m.cols, tuple(tuple(row) for row in work))
     return RrefResult(out, tuple(pivots), r)
+
+
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of a matrix of integers, by fraction-free elimination.
+
+    Bareiss's one-step elimination (Math. Comp. 22, 1968): after k pivots
+    every remaining entry is a (k+1)-minor, so each division by the previous
+    pivot is exact and no `Fraction` is built.  A row with a zero in the
+    pivot column is only rescaled by pivot / previous pivot, which changes
+    nothing but a sign when the two agree up to sign, so that step is
+    skipped: every later row then differs from Bareiss's by a sign only.
+    """
+    work = [list(row) for row in rows if any(row)]
+    rank, previous = 0, 1
+    for c in range(len(work[0]) if work else 0):
+        p = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if p is None:
+            continue
+        work[rank], work[p] = work[p], work[rank]
+        top = work[rank]
+        pivot = top[c]
+        rescale = abs(pivot) != abs(previous)
+        for i in range(rank + 1, len(work)):
+            row = work[i]
+            a = row[c]
+            if a:
+                work[i] = [(pivot * x - a * y) // previous for x, y in zip(row, top)]
+            elif rescale:
+                work[i] = [pivot * x // previous for x in row]
+        previous = pivot
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
 
 
 def kernel_basis(m: MatQ) -> list[Vec]:

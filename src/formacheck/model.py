@@ -206,23 +206,26 @@ def compute_E(h: GradedAlgebra, gens: GeneratorSet) -> EFamily:
     return EFamily(tuple(entries))
 
 
-def good_objects(h: GradedAlgebra, gens: GeneratorSet) -> list[GoodObject]:
+def good_objects(h: GradedAlgebra, gens: GeneratorSet,
+                 e: Optional[EFamily] = None) -> list[GoodObject]:
     """Monomials with zero image whose proper divisors (>= 2 factors) all
-    have nonzero image, read off `compute_E`.
+    have nonzero image, read off the family E.
 
-    The nonzero monomials N = E plus the single generators are closed under
-    division, so the good objects are the minimal monomials outside N (the
-    minimal generators of the complementary monomial ideal): one factor more
-    than a member of N, not in N, and in N whenever any one factor is
-    removed.  The divisor witnesses of a good object are the entries of E
-    that divide it.
+    `e` is `compute_E(h, gens)`, passed in by a caller that already has it
+    (as `certify` does) and computed here when omitted.  The nonzero
+    monomials N = E plus the single generators are closed under division,
+    so the good objects are the minimal monomials outside N (the minimal
+    generators of the complementary monomial ideal): one factor more than a
+    member of N, not in N, and in N whenever any one factor is removed.
+    The divisor witnesses of a good object are the entries of E that divide
+    it.
     """
     n = len(gens)
     entries = {}  # dense exponent tuple -> entry of E
-    for entry in compute_E(h, gens):
+    for entry in compute_E(h, gens) if e is None else e:
         exps = [0] * n
-        for i, e in entry.monomial.even:
-            exps[i] = e
+        for i, power in entry.monomial.even:
+            exps[i] = power
         entries[tuple(exps)] = entry
     nonzero = set(entries).union(tuple(int(i == j) for j in range(n)) for i in range(n))
 

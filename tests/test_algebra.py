@@ -65,6 +65,18 @@ def test_validate_nonassociative_where_left_product_vanishes():
     assert report.failures == ("associativity fails on (a, b, c)",)
 
 
+def test_validate_ungraded_table_scans_every_triple():
+    # c*c = c - a breaks the grading, and with it A(k, j, i) = ±A(i, j, k):
+    # (d, c, c) fails while (c, c, d) holds, so no triple may be left out
+    h = GradedAlgebra.from_products(
+        [("1", 0), ("a", 1), ("c", 2), ("d", 3), ("f", 4)], "1",
+        {("c", "c"): {"c": 1, "a": -1}, ("a", "d"): {"f": 1}, ("c", "d"): {"f": 1}})
+    report = fc.validate(h)
+    assert report == brute_validate(h)
+    assert report.graded_commutativity and not report.graded_multiplicativity
+    assert "associativity fails on (d, c, c)" in report.failures
+
+
 def test_validate_degree_support():
     h = GradedAlgebra.from_products(
         [("1", 0), ("x", 2), ("t", 6)], "1", {("x", "x"): {"t": 1}})
@@ -95,7 +107,8 @@ BASES = corpus_objects() + [
     wedge(truncated_poly(2, 3), even_sphere(4)),
 ]
 FAULTS = ("none", "coefficient", "one_sided", "unit_row", "wrong_degree",
-          "odd_square", "second_unit", "nonassociative")
+          "odd_square", "second_unit", "nonassociative", "scaled_coefficient",
+          "graded_unit_row")
 
 
 @pytest.mark.parametrize("k", range(len(BASES)))
@@ -123,9 +136,24 @@ def rebased(h, rng):
     return in_basis(h, new, old)
 
 
+def scaled(h, rng):
+    """h with each positive-degree basis element divided by 2, 3 or 7, so
+    that the table's coefficients have several distinct denominators."""
+    new = [h.basis_vector(i) for i in range(h.dim)]
+    old = list(new)
+    for i in range(h.dim):
+        if i != h.unit_index:
+            s = rng.choice((2, 3, 7))
+            new[i] = tuple(c / s for c in new[i])
+            old[i] = tuple(c * s for c in old[i])
+    return in_basis(h, new, old)
+
+
 def broken_table(h, fault, rng):
     """h's table with one seeded fault of the given kind."""
     coeff = Fraction(rng.choice((-2, -1, 3)), rng.choice((1, 2)))  # never 0 or 1
+    if fault == "scaled_coefficient":
+        h, fault = scaled(h, rng), "coefficient"
     if fault == "one_sided":
         # e_i e_j changed but not e_j e_i: only a GradedAlgebra built
         # directly, not through from_products, can hold this
@@ -157,6 +185,11 @@ def broken_table(h, fault, rng):
     elif fault == "unit_row":
         target = rng.choice(h.labels)
         table[pair(unit, rng.choice(positive))] = {target: coeff}
+    elif fault == "graded_unit_row":
+        # grading and graded commutativity still hold, only the unit law fails
+        x = rng.choice(positive)
+        target = rng.choice([lab for lab in positive if degree[lab] == degree[x]])
+        table[pair(unit, x)] = {target: coeff}
     elif fault == "wrong_degree":
         p = rng.choice(products) if products and rng.random() < 0.5 else \
             pair(rng.choice(positive), rng.choice(positive))
@@ -178,7 +211,7 @@ def broken_table(h, fault, rng):
     return GradedAlgebra.from_products(basis, unit, table)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(0, len(BASES) - 1), rebase=st.booleans(),
        fault=st.sampled_from(FAULTS), seed=st.integers(0, 2 ** 32 - 1))
 def test_validate_matches_brute_on_broken_tables(k, rebase, fault, seed):
@@ -189,8 +222,11 @@ def test_validate_matches_brute_on_broken_tables(k, rebase, fault, seed):
     assert report == brute_validate(h)
     if fault == "none":
         assert report.structure_ok
-    elif fault != "coefficient":  # a changed coefficient can keep the laws
+    elif "coefficient" not in fault:  # a changed coefficient can keep the laws
         assert not report.structure_ok
+    if fault == "graded_unit_row":
+        assert report.graded_multiplicativity and report.graded_commutativity
+        assert not report.unit_law
 
 
 def test_validate_wrong_degree_term_after_a_right_one():

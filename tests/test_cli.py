@@ -218,15 +218,19 @@ def test_check_result_too_long_to_print(tmp_path, capsys):
 def test_unwritable_output_path_exits_1(tmp_path, capsys):
     path = write_json(tmp_path / "s2.json", even_sphere(2))
     missing = str(tmp_path / "missing" / "out.json")
+    report = tmp_path / "c.json"
     commands = [["check", path, "--report", missing],
-                ["check", path, "--report", str(tmp_path / "c.json"),
-                 "--emit-model", str(tmp_path)],
+                ["check", path, "--report", str(report), "--emit-model", str(tmp_path)],
+                ["check", path, "--emit-model", str(tmp_path)],
                 ["corpus", "even_sphere", "2", "-o", missing]]
     capsys.readouterr()
     for argv in commands:
         assert main(argv) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        # a failed run leaves no certificate, neither at --report nor on stdout
+        assert out == ""
+    assert not report.exists()
 
 
 def test_check_deterministic_modulo_timestamp(tmp_path):

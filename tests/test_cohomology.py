@@ -9,6 +9,7 @@ import pytest
 import formacheck as fc
 from formacheck.cohomology import (ChainComplexError, ChainComplexQ, Truncations,
                                    duality_check, validate_square_zero)
+from formacheck.corpus import even_sphere, wedge
 from formacheck.linalg import MatQ
 from formacheck.model import multidegree
 
@@ -155,6 +156,24 @@ def test_table_matches_references_on_larger_inputs():
     assert cert.quasi_isomorphism.reports == block_reference(model, h, cert.cap)
     assert [r.model_cohomology_dim for r in cert.quasi_isomorphism.reports] == \
         oracles.brute_model_dims(model, cert.cap)
+
+
+@pytest.mark.parametrize("folds, cap", [(3, 9), (4, 7)])
+def test_wedge_dims_match_brute_above_the_default_cap(folds, cap):
+    # past the default cap 5, boundaries from faces of size s >= 2 have
+    # nonzero rank, so the integer elimination decides some dimensions
+    s2_obj = even_sphere(2)
+    obj = s2_obj
+    for _ in range(folds - 1):
+        obj = wedge(obj, s2_obj)
+    h = algebra(obj)
+    model = model_of(h)
+    report = fc.verify_quasi_iso(model, h, cap)
+    assert [r.model_cohomology_dim for r in report.reports] == \
+        oracles.brute_model_dims(model, cap)
+    complexes = Truncations(model, cap)
+    assert any(complexes._rank(beta, s) for _, _, beta in complexes.blocks()
+               for s in range(2, len(complexes.faces(beta))))
 
 
 @pytest.mark.parametrize("seed", range(6))

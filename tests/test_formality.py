@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,10 +9,11 @@ import formacheck as fc
 from formacheck.algebra import GradedAlgebra
 from formacheck.formality import (FORMAL_BY_THEOREM, HYPOTHESIS_VIOLATED,
                                   INCONCLUSIVE, DegreeSet)
-from formacheck.model import _monomials_cached
+from formacheck.linalg import rref
+from formacheck.model import EEntry, EFamily, Monomial, _monomials_cached, compute_E
 
-from util import (algebra, corpus_objects, cp2, cp3, dependent_family, pipeline,
-                  s2, s2_power_4, wedge_s2_s2)
+from util import (algebra, change_basis, corpus_objects, cp2, cp3, dependent_family,
+                  dependent_pair, pipeline, s2, s2_power_4, wedge_s2_s2)
 
 
 def e_family_of(h):
@@ -40,6 +43,38 @@ def test_condition_ii_dependent_family():
     assert len(e) == 2
     assert not fc.check_condition_ii(e)
     assert not fc.check_condition_i(e)
+
+
+def dense_rank_independent(e):
+    rows = [entry.class_vector for entry in e]
+    return not rows or rref(fc.MatQ.from_rows(rows)).rank == len(rows)
+
+
+@pytest.mark.parametrize("k", range(len(corpus_objects()) + 2))
+def test_condition_ii_matches_dense_rank(k):
+    # one degree at a time, in any basis, as the rank of all of E at once
+    inputs = [algebra(obj) for obj in corpus_objects()] + [dependent_family(), dependent_pair()]
+    h = inputs[k]
+    for basis in range(3):
+        e = e_family_of(h if basis == 0 else change_basis(h, random.Random(100 * k + basis)))
+        assert fc.check_condition_ii(e) == dense_rank_independent(e)
+    if k >= len(corpus_objects()):
+        # dependent classes in degree 4: more of them than dim H^4 in the
+        # dependent family, as many in the dependent pair
+        e = e_family_of(h)
+        assert len(e) == h.dim_in_degree(4) + (k == len(corpus_objects()))
+        assert fc.validate(h).structure_ok and not fc.check_condition_ii(e)
+        assert fc.certify(h, fc.validate(h)).verdict.classification == INCONCLUSIVE
+
+
+def test_condition_ii_ranks_shared_positions_together():
+    # entries of two degrees whose classes share a basis position (only an
+    # ungraded table can give this) are not split by degree
+    def entry(exponent, vector):
+        return EEntry(Monomial(((0, exponent),), (), 2 * exponent),
+                      tuple(map(Fraction, vector)), 2 * exponent)
+    assert not fc.check_condition_ii(EFamily((entry(2, (0, 1, 0)), entry(3, (0, 2, 0)))))
+    assert fc.check_condition_ii(EFamily((entry(2, (0, 1, 0)), entry(3, (0, 1, 1)))))
 
 
 # ---- corollary degree arithmetic ----
@@ -164,6 +199,24 @@ def test_certify_cap_below_top_rejected():
         with pytest.raises(ValueError, match="below the top degree"):
             fc.certify(h, fc.validate(h), cap=h.top_degree - 1)
     assert fc.certify(cp2(), fc.validate(cp2()), cap=4).cap == 4
+
+
+def test_certify_computes_e_once(monkeypatch):
+    # certify hands its E to good_objects, which then computes none itself
+    calls = []
+
+    def counted(h, gens):
+        calls.append(h)
+        return compute_E(h, gens)
+
+    for module in ("formacheck.formality", "formacheck.model"):
+        monkeypatch.setattr(f"{module}.compute_E", counted)
+    for h in (cp3(), s2_power_4(), dependent_family()):
+        calls.clear()
+        cert = fc.certify(h, fc.validate(h))
+        assert calls == [h]
+        assert cert.good_objects == fc.good_objects(h, cert.generators) == \
+            fc.good_objects(h, cert.generators, cert.e_family)
 
 
 def test_certify_caches_stay_bounded():

@@ -1,10 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from formacheck.linalg import (MatQ, RowSpace, extend_to_complement,
-                               kernel_basis, rref, unit_vec)
+                               integer_rank, kernel_basis, rref, unit_vec)
 
 from oracles import matvec, solve
 from util import frac_matrix
@@ -171,3 +175,55 @@ def test_rowspace_tracks_rank():
     assert rs.add((Fraction(0), Fraction(0), Fraction(1))) is not None
     assert rs.rank == 2
     assert rs.contains((Fraction(3), Fraction(3), Fraction(5)))
+
+
+# ---- fraction-free integer rank against rref and sympy ----
+
+def assert_ranks_agree(rows, cols):
+    rank = integer_rank(rows)
+    assert rank == rref(MatQ.from_rows(rows, cols=cols)).rank
+    assert rank == (sympy.Matrix(rows).rank() if rows and cols else 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 7).flatmap(lambda cols: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), max_size=7),
+    st.just(cols))))
+@example(([], 0))                       # empty
+@example(([], 4))                       # no rows
+@example(([[], [], []], 0))             # no columns
+@example(([[0, 0, 0]] * 4, 3))          # zero
+@example(([[1, 2, 0, -1, 3, 0, 2]] * 2, 7))  # wide, rank 1
+@example(([[1, -1], [2, -2], [0, 3], [0, 0], [3, 0], [-1, 1]], 2))  # tall
+# a pivot of 2 over a row with a zero below it: that row must be rescaled
+@example(([[0, -2, 1], [-2, -2, -1], [0, -1, 1]], 3))
+def test_integer_rank_matches_rref_and_sympy(drawn):
+    rows, cols = drawn
+    assert_ranks_agree(rows, cols)
+
+
+def boundary_rows(faces, s):
+    """The +-1 boundary from the faces of size s to those of size s - 1,
+    one row per face of size s."""
+    lower = {face: i for i, face in enumerate(faces[s - 1])}
+    rows = []
+    for face in faces[s]:
+        row = [0] * len(lower)
+        for p in range(s):
+            row[lower[face[:p] + face[p + 1:]]] = -1 if p % 2 else 1
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.frozensets(st.integers(0, 6), min_size=1, max_size=5),
+                min_size=1, max_size=6))
+def test_integer_rank_on_simplicial_boundaries(facets):
+    faces = [sorted({face for f in facets for face in itertools.combinations(sorted(f), s)})
+             for s in range(max(map(len, facets)) + 1)]
+    for s in range(1, len(faces)):
+        rows = boundary_rows(faces, s)
+        assert_ranks_agree(rows, len(faces[s - 1]))
+        if s > 1:  # d o d = 0, so the ranks of consecutive boundaries fit
+            assert integer_rank(rows) + integer_rank(boundary_rows(faces, s - 1)) \
+                <= len(faces[s - 1])

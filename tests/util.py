@@ -51,6 +51,16 @@ def dependent_family():
         {("a", "a"): {"c": 1}, ("b", "b"): {"c": 1}})
 
 
+def dependent_pair():
+    """a^2 = c + d, b^2 = 2c + 2d and ab = f in a three-dimensional H^4: E
+    has as many classes as H^4 has dimensions, two of them dependent, so
+    only elimination tells that condition (ii) fails."""
+    return fc.GradedAlgebra.from_products(
+        [("1", 0), ("a", 2), ("b", 2), ("c", 4), ("d", 4), ("f", 4)], "1",
+        {("a", "a"): {"c": 1, "d": 1}, ("a", "b"): {"f": 1},
+         ("b", "b"): {"c": 2, "d": 2}})
+
+
 def corpus_objects():
     """A spread of small valid inputs used by the property suites."""
     s2_obj = even_sphere(2)

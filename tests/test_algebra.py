@@ -137,7 +137,7 @@ def rebased(h, rng):
 
 
 def scaled(h, rng):
-    """h with each positive-degree basis element divided by 2, 3 or 7, so
+    """h with each basis element but the unit divided by 2, 3 or 7, so
     that the table's coefficients have several distinct denominators."""
     new = [h.basis_vector(i) for i in range(h.dim)]
     old = list(new)

@@ -195,7 +195,8 @@ def assert_ranks_agree(rows, cols):
 @example(([[0, 0, 0]] * 4, 3))          # zero
 @example(([[1, 2, 0, -1, 3, 0, 2]] * 2, 7))  # wide, rank 1
 @example(([[1, -1], [2, -2], [0, 3], [0, 0], [3, 0], [-1, 1]], 2))  # tall
-# a pivot of 2 over a row with a zero below it: that row must be rescaled
+# a pivot of -2 and, below it, a row with a zero in its column: that row
+# must still be rescaled by the pivot
 @example(([[0, -2, 1], [-2, -2, -1], [0, -1, 1]], 3))
 def test_integer_rank_matches_rref_and_sympy(drawn):
     rows, cols = drawn

@@ -16,10 +16,9 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .linalg import (ONE, RowSpace, Vec, extend_to_complement, unit_vec,
-                     vec_is_zero, zero_vec)
+from .linalg import ONE, RowSpace, Vec, unit_vec, vec_is_zero, zero_vec
 
 Row = tuple[tuple[int, Fraction], ...]  # sparse vector: nonzero (k, c), k increasing
 
@@ -283,13 +282,10 @@ def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool):
     return None
 
 
-def decomposables(h: GradedAlgebra) -> dict[int, list[Vec]]:
-    """Degreewise bases of the span of products of positive-degree classes.
-
-    Returns a canonical (RREF) basis for each degree 1..top_degree; degree 0
-    is excluded by definition.  The elimination runs in each degree's local
-    coordinates and stops as soon as a degree is saturated.
-    """
+def _decomposable_spans(h: GradedAlgebra) -> dict[int, RowSpace]:
+    """Span of the products of positive-degree classes in each degree
+    1..top_degree, in that degree's local coordinates (basis order); each
+    degree's elimination stops as soon as it is saturated."""
     spans = {n: RowSpace(h.dim_in_degree(n)) for n in range(1, h.top_degree + 1)}
     position = {k: s for idx in h._by_degree.values() for s, k in enumerate(idx)}
     positive = [i for i in range(h.dim) if h.degrees[i] > 0]
@@ -308,11 +304,21 @@ def decomposables(h: GradedAlgebra) -> dict[int, list[Vec]]:
                     if h.degrees[k] == n:
                         local[position[k]] = c
                 span.add(local)
+    return spans
+
+
+def decomposables(h: GradedAlgebra) -> dict[int, list[Vec]]:
+    """Degreewise bases of the span of products of positive-degree classes.
+
+    Returns the canonical (RREF) basis of `_decomposable_spans` in each
+    degree 1..top_degree as full-length vectors; degree 0 is excluded by
+    definition.
+    """
     out = {}
-    for n in range(1, h.top_degree + 1):
+    for n, span in _decomposable_spans(h).items():
         idx = h.degree_indices(n)
         full = []
-        for row in spans[n].rows:
+        for row in span.rows:
             vec = [Fraction(0)] * h.dim
             for slot, k in enumerate(idx):
                 vec[k] = row[slot]
@@ -330,9 +336,9 @@ class Generator(NamedTuple):
 class GeneratorSet(NamedTuple):
     """Chosen degreewise complement of the decomposables inside H^+.
 
-    Ordered by (degree, basis index); the greedy standard-basis rule in
-    extend_to_complement makes the choice reproducible, and the chosen
-    classes are recorded verbatim in certificates.
+    Basis classes ordered by (degree, basis index), picked by the greedy
+    rule of `choose_generators`, which makes the choice reproducible; the
+    chosen classes are recorded verbatim in certificates.
     """
 
     generators: tuple[Generator, ...]
@@ -359,23 +365,19 @@ class GeneratorSet(NamedTuple):
 
 
 def choose_generators(h: GradedAlgebra) -> GeneratorSet:
-    """Pick generators degree by degree as a complement of the decomposables."""
-    decomp = decomposables(h)
+    """Pick generators degree by degree as a complement of the decomposables.
+
+    Greedy rule: in each degree, the basis classes are added in basis order
+    to the span of the decomposables, and each class that enlarges the
+    span is a generator.
+    """
     gens = []
-    for n in range(1, h.top_degree + 1):
-        idx = h.degree_indices(n)
-        if not idx:
-            continue
-        local = [tuple(row[k] for k in idx) for row in decomp[n]]
-        comp = extend_to_complement(local, len(idx))
-        for e in comp:
-            slot = next(k for k, c in enumerate(e) if c != 0)
-            basis_index = idx[slot]
-            gens.append((n, basis_index))
-    generators = tuple(
-        Generator(label=f"v{k + 1}", degree=n, class_vector=h.basis_vector(i))
-        for k, (n, i) in enumerate(sorted(gens)))
-    return GeneratorSet(generators)
+    for n, span in _decomposable_spans(h).items():
+        for slot, i in enumerate(h.degree_indices(n)):
+            if span.add(unit_vec(span.dim, slot)) is not None:
+                gens.append(Generator(label=f"v{len(gens) + 1}", degree=n,
+                                      class_vector=h.basis_vector(i)))
+    return GeneratorSet(tuple(gens))
 
 
 class _PhiTable:
@@ -403,24 +405,3 @@ class _PhiTable:
             out = out if vec_is_zero(out) else self.h.mul(self.gens[i].class_vector, out)
             self.cache[key] = out
         return out
-
-
-def evaluate_phi(h: GradedAlgebra, gens: GeneratorSet,
-                 exponents: Iterable[int]) -> Vec:
-    """Product in h of the generator classes named by `exponents`.
-
-    `exponents` lists generator indices with repetition (a multiset); it
-    must be nonempty and name generators of even degree only, since a
-    product of odd classes depends on the order of its factors.  The result
-    is zero whenever the product vanishes or its degree exceeds the top
-    degree of h.
-    """
-    indices = list(exponents)
-    if not indices:
-        raise ValueError("evaluate_phi needs at least one generator index")
-    if any(gens[k].degree % 2 for k in indices):
-        raise ValueError("evaluate_phi needs generators of even degree")
-    exps = [0] * len(gens)
-    for k in indices:
-        exps[k] += 1
-    return _PhiTable(h, gens).value(tuple(exps))

@@ -18,7 +18,7 @@ from .algebra import (AlgebraStructureError, GradedAlgebra, ValidationReport,
                       validate)
 from .cohomology import ChainComplexQ
 from .formality import Certificate, DegreeSet
-from .linalg import ONE, MatQ, Vec
+from .linalg import MatQ, Vec
 from .model import Monomial, format_monomial
 
 _RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
@@ -156,27 +156,6 @@ def load_algebra_file(path) -> tuple[GradedAlgebra, ValidationReport, dict, str]
 
 def parse_algebra(path) -> GradedAlgebra:
     return load_algebra_file(path)[0]
-
-
-def serialize_algebra(h: GradedAlgebra, name: str = "") -> dict:
-    """Emit the half table (left <= right), omitting zero products and the
-    implicit unit rows."""
-    products = []
-    u = h.unit_index
-    for (i, j), entry in sorted(h.mult.items()):
-        if i > j:
-            continue
-        if u in (i, j) and entry == ((j if i == u else i, ONE),):
-            continue  # implicit unit row
-        value = [{"label": h.labels[k], "coeff": format_rational(c)} for k, c in entry]
-        products.append({"left": h.labels[i], "right": h.labels[j], "value": value})
-    return {
-        "name": name,
-        "basis": [{"label": lab, "degree": deg}
-                  for lab, deg in zip(h.labels, h.degrees)],
-        "unit": h.labels[h.unit_index],
-        "products": products,
-    }
 
 
 def _monomial_json(m: Monomial, even_labels) -> dict:

@@ -247,22 +247,3 @@ class RowSpace:
 
     def contains(self, v: Sequence) -> bool:
         return vec_is_zero(self.reduce(v))
-
-
-def extend_to_complement(sub: Sequence[Sequence], ambient_dim: int) -> list[Vec]:
-    """Standard basis vectors completing span(sub) to the ambient space.
-
-    Scans e_0, e_1, ... in index order and keeps each vector that enlarges
-    the span; the greedy rule makes the complement choice reproducible.
-    """
-    rs = RowSpace(ambient_dim)
-    for v in sub:
-        if len(v) != ambient_dim:
-            raise ValueError("subspace vector has wrong length")
-        rs.add(v)
-    kept = []
-    for i in range(ambient_dim):
-        e = unit_vec(ambient_dim, i)
-        if rs.add(e) is not None:
-            kept.append(e)
-    return kept

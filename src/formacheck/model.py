@@ -95,14 +95,9 @@ class EFamily(NamedTuple):
         return not self.entries
 
 
-class DivisorWitness(NamedTuple):
-    monomial: Monomial
-    class_vector: Vec  # nonzero by definition of a good object
-
-
 class GoodObject(NamedTuple):
     monomial: Monomial  # pure even, length >= 2, zero image
-    divisor_witnesses: tuple[DivisorWitness, ...]
+    divisor_witnesses: tuple[EEntry, ...]  # the entries of E dividing it
 
 
 class OddGenerator(NamedTuple):
@@ -129,12 +124,6 @@ class Model(NamedTuple):
     @property
     def odd_degrees(self) -> tuple[int, ...]:
         return tuple(w.degree for w in self.odd_generators)
-
-    def even_labels(self) -> tuple[str, ...]:
-        return tuple(g.label for g in self.generators)
-
-    def odd_labels(self) -> tuple[str, ...]:
-        return tuple(w.label for w in self.odd_generators)
 
 
 def _exponents(degrees: tuple[int, ...], n: int):
@@ -235,8 +224,7 @@ def good_objects(h: GradedAlgebra, gens: GeneratorSet,
     goods = []
     for exps in {shifted(m, i, 1) for m in nonzero for i in range(n)} - nonzero:
         if all(not e or shifted(exps, i, -1) in nonzero for i, e in enumerate(exps)):
-            witnesses = sorted((DivisorWitness(entry.monomial, entry.class_vector)
-                                for div, entry in entries.items()
+            witnesses = sorted((entry for div, entry in entries.items()
                                 if all(a <= b for a, b in zip(div, exps))),
                                key=lambda w: w.monomial.sort_key())
             degree = sum(e * d for e, d in zip(exps, gens.degrees))

@@ -19,7 +19,7 @@ import sympy
 
 from formacheck.algebra import ValidationReport
 from formacheck.linalg import ZERO, MatQ, Vec, as_vec, rref
-from formacheck.model import DivisorWitness, GoodObject, Monomial, _merge_even
+from formacheck.model import EEntry, GoodObject, Monomial, _merge_even
 
 
 def raw_model(model):
@@ -190,7 +190,7 @@ def brute_good_objects(h, gens):
             value = _image(h, gens, div)
             if not any(value):
                 break
-            witnesses.append(DivisorWitness(monomial(div), value))
+            witnesses.append(EEntry(monomial(div), value, monomial(div).degree))
         else:
             witnesses.sort(key=lambda w: w.monomial.sort_key())
             goods.append(GoodObject(monomial(exps), tuple(witnesses)))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import formacheck as fc
-from formacheck.algebra import AlgebraStructureError, GradedAlgebra
+from formacheck.algebra import AlgebraStructureError, GradedAlgebra, _PhiTable
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import parse_algebra_json
 
@@ -310,38 +310,55 @@ def test_generator_count_matches_codimension():
             assert len(dec[n]) + n_gens == h.dim_in_degree(n)
 
 
+@pytest.mark.parametrize("k", range(len(BASES)))
+def test_generators_follow_the_greedy_rule_in_any_basis(k):
+    # e_i is a generator exactly when it raises the rank of the products of
+    # its degree and the basis classes before it
+    h = rebased(parse_algebra_json(BASES[k]), random.Random(k))
+    positive = [i for i in range(h.dim) if h.degrees[i] > 0]
+
+    def rank(rows):
+        return sympy.Matrix(rows or [[0] * h.dim]).rank()
+
+    expected = []
+    for n in range(1, h.top_degree + 1):
+        rows = [h.mul(h.basis_vector(i), h.basis_vector(j))
+                for i in positive for j in positive if h.degrees[i] + h.degrees[j] == n]
+        for i in h.degree_indices(n):
+            if rank(rows + [h.basis_vector(i)]) > rank(rows):
+                expected.append((n, h.basis_vector(i)))
+            rows.append(h.basis_vector(i))
+    gens = fc.choose_generators(h)
+    assert [(g.degree, g.class_vector) for g in gens] == expected
+    assert [g.label for g in gens] == [f"v{j + 1}" for j in range(len(gens))]
+
+
+def phi(h, gens, *indices):
+    """The product in h of the generator classes named by `indices`."""
+    exps = [0] * len(gens)
+    for k in indices:
+        exps[k] += 1
+    return _PhiTable(h, gens).value(tuple(exps))
+
+
 def test_evaluate_phi_cp2():
     h = cp2()
     gens = fc.choose_generators(h)
-    assert fc.evaluate_phi(h, gens, [0, 0]) == q_basis(h, "x^2")
-    assert fc.evaluate_phi(h, gens, [0]) == q_basis(h, "x")
+    assert phi(h, gens, 0, 0) == q_basis(h, "x^2")
+    assert phi(h, gens, 0) == q_basis(h, "x")
 
 
 def test_evaluate_phi_truncates():
     h = s2()
     gens = fc.choose_generators(h)
-    assert fc.evaluate_phi(h, gens, [0, 0]) == h.zero()
-    assert fc.evaluate_phi(h, gens, [0] * 5000) == h.zero()  # deeper than the recursion limit
+    assert phi(h, gens, 0, 0) == h.zero()
+    assert phi(h, gens, *[0] * 5000) == h.zero()  # deeper than the recursion limit
 
 
 def test_evaluate_phi_multiplicative():
     h = cp3()
     gens = fc.choose_generators(h)
-    left = fc.evaluate_phi(h, gens, [0])
-    right = fc.evaluate_phi(h, gens, [0, 0])
-    both = fc.evaluate_phi(h, gens, [0, 0, 0])
+    left = phi(h, gens, 0)
+    right = phi(h, gens, 0, 0)
+    both = phi(h, gens, 0, 0, 0)
     assert h.mul(left, right) == both
-
-
-def test_evaluate_phi_empty_rejected():
-    h = s2()
-    gens = fc.choose_generators(h)
-    with pytest.raises(ValueError):
-        fc.evaluate_phi(h, gens, [])
-    # odd classes anticommute, so a multiset of them names no single product
-    h = GradedAlgebra.from_products([("1", 0), ("a", 3), ("b", 3), ("ab", 6)], "1",
-                                    {("a", "b"): {"ab": 1}})
-    gens = fc.choose_generators(h)
-    for indices in ([0, 1], [1, 0], [0]):
-        with pytest.raises(ValueError, match="even degree"):
-            fc.evaluate_phi(h, gens, indices)

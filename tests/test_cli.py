@@ -10,10 +10,9 @@ import pytest
 import formacheck as fc
 from formacheck.cli import main
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
-from formacheck.formats import (InputError, load_algebra_file,
-                                parse_algebra_json, serialize_algebra)
+from formacheck.formats import InputError, load_algebra_file, parse_algebra_json
 
-from util import algebra, corpus_objects
+from util import algebra, corpus_objects, dependent_pair, serialize_algebra
 
 
 def write_json(path, obj):
@@ -280,6 +279,14 @@ def test_python_dash_m(tmp_path):
         assert run(module, str(tmp_path / "missing.json")) == 1
 
 
+def test_every_export_resolves():
+    # a stale name in __all__ breaks `from formacheck import *`
+    assert [name for name in fc.__all__ if not hasattr(fc, name)] == []
+    namespace = {}
+    exec("from formacheck import *", namespace)
+    assert set(fc.__all__) <= set(namespace)
+
+
 # (exit code, sha256 of the certificate bytes without the generated_at line):
 # certificates are fixed byte for byte, so a faster path must not move these
 GOLDEN_CERTIFICATES = {
@@ -289,6 +296,8 @@ GOLDEN_CERTIFICATES = {
     "CP2xS2": (0, "3ed2db51a577eb340bc2d9edcfc7e23f2d0c68097c6823261711d5e4e87098a2"),
     "S2vS2": (4, "dc9ac219b1599274d2a85468a74097d4930c2639972148ee952beaf7e80a57aa"),
     "S2xS2xS2": (0, "21769630682cb0fd78681bd5d1c144f05c6253add6a89d0456d9dc1dddcc38c4"),
+    # products span the plane c + d, f of H^4, so the greedy rule picks c, not d
+    "dependent_pair": (2, "3e610ad6df825e923bec9e877d7888603b464b5216661b507e400021d8a28705"),
 }
 
 
@@ -296,7 +305,8 @@ GOLDEN_CERTIFICATES = {
 def test_certificate_golden_digest(tmp_path, name):
     s2, cp2 = even_sphere(2), truncated_poly(2, 3)
     obj = {"S2": s2, "CP2": cp2, "S2xS2": product(s2, s2), "CP2xS2": product(cp2, s2),
-           "S2vS2": wedge(s2, s2), "S2xS2xS2": product(product(s2, s2), s2)}[name]
+           "S2vS2": wedge(s2, s2), "S2xS2xS2": product(product(s2, s2), s2),
+           "dependent_pair": serialize_algebra(dependent_pair(), name="dependent_pair")}[name]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     report = tmp_path / "cert.json"

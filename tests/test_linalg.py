@@ -7,8 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formacheck.linalg import (MatQ, RowSpace, extend_to_complement,
-                               integer_rank, kernel_basis, rref, unit_vec)
+from formacheck.linalg import MatQ, RowSpace, integer_rank, kernel_basis, rref, unit_vec
 
 from oracles import matvec, solve
 from util import frac_matrix
@@ -90,19 +89,6 @@ def test_matq_rejects_bad_shape():
     assert MatQ(rows=1, cols=2, entries=(row,)) == MatQ(1, 2, (row,))
 
 
-def test_extend_empty_subspace():
-    assert extend_to_complement([], 2) == [unit_vec(2, 0), unit_vec(2, 1)]
-
-
-def test_extend_one_vector():
-    assert extend_to_complement([unit_vec(2, 0)], 2) == [unit_vec(2, 1)]
-
-
-def test_extend_greedy_rule():
-    sub = [(Fraction(1), Fraction(1), Fraction(0))]
-    assert extend_to_complement(sub, 3) == [unit_vec(3, 0), unit_vec(3, 2)]
-
-
 def test_float_entries_rejected():
     with pytest.raises(TypeError):
         MatQ.from_rows([[0.5]])
@@ -148,7 +134,12 @@ def test_complement_completes_the_space(seed):
     sub = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
            for _ in range(rng.randint(0, dim))]
     sub_rank = rref(MatQ.from_rows(sub, cols=dim)).rank
-    comp = extend_to_complement(sub, dim)
+    rs = RowSpace(dim)
+    for v in sub:
+        rs.add(v)
+    assert rs.rank == sub_rank
+    # add() returns None exactly on vectors already in the span
+    comp = [e for e in (unit_vec(dim, i) for i in range(dim)) if rs.add(e) is not None]
     assert len(comp) == dim - sub_rank
     assert rref(MatQ.from_rows(list(sub) + comp, cols=dim)).rank == dim
 

@@ -19,8 +19,9 @@ def model_of(h):
 
 
 def texts(model, monos):
-    return [format_monomial(m, model.even_labels(), model.odd_labels())
-            for m in monos]
+    even = [g.label for g in model.generators]
+    odd = [w.label for w in model.odd_generators]
+    return [format_monomial(m, even, odd) for m in monos]
 
 
 # ---- monomial bases ----

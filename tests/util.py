@@ -4,11 +4,32 @@ from fractions import Fraction
 
 import formacheck as fc
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
-from formacheck.formats import parse_algebra_json
+from formacheck.formats import format_rational, parse_algebra_json
 
 
 def algebra(obj):
     return parse_algebra_json(obj)
+
+
+def serialize_algebra(h, name=""):
+    """The input JSON object of h: the half table (left <= right), omitting
+    zero products and the implicit unit rows."""
+    products = []
+    u = h.unit_index
+    for (i, j), entry in sorted(h.mult.items()):
+        if i > j:
+            continue
+        if u in (i, j) and entry == ((j if i == u else i, Fraction(1)),):
+            continue  # implicit unit row
+        value = [{"label": h.labels[k], "coeff": format_rational(c)} for k, c in entry]
+        products.append({"left": h.labels[i], "right": h.labels[j], "value": value})
+    return {
+        "name": name,
+        "basis": [{"label": lab, "degree": deg}
+                  for lab, deg in zip(h.labels, h.degrees)],
+        "unit": h.labels[h.unit_index],
+        "products": products,
+    }
 
 
 def s2():

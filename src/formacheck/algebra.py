@@ -307,26 +307,6 @@ def _decomposable_spans(h: GradedAlgebra) -> dict[int, RowSpace]:
     return spans
 
 
-def decomposables(h: GradedAlgebra) -> dict[int, list[Vec]]:
-    """Degreewise bases of the span of products of positive-degree classes.
-
-    Returns the canonical (RREF) basis of `_decomposable_spans` in each
-    degree 1..top_degree as full-length vectors; degree 0 is excluded by
-    definition.
-    """
-    out = {}
-    for n, span in _decomposable_spans(h).items():
-        idx = h.degree_indices(n)
-        full = []
-        for row in span.rows:
-            vec = [Fraction(0)] * h.dim
-            for slot, k in enumerate(idx):
-                vec[k] = row[slot]
-            full.append(tuple(vec))
-        out[n] = full
-    return out
-
-
 class Generator(NamedTuple):
     label: str
     degree: int

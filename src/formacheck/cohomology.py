@@ -1,4 +1,4 @@
-"""Cohomology of the one-stage model, and the duality checker.
+"""Cohomology of the one-stage model.
 
 d preserves multidegree, and block α of the model is the augmented chain
 complex of the simplicial complex Δ_α of sets of odd generators whose
@@ -150,6 +150,9 @@ class Truncations:
         # every block meeting those degrees has |α| <= cap + s_max
         self.s_max = sum(1 for low in accumulate(sorted(model.odd_degrees)) if low <= cap)
         self.supports = [_mask(t) for t in self.targets]
+        # (i, t_j[i]) over the support of each t_j: a face grows by j after a
+        # test of these coordinates only
+        self.terms = [[(i, e) for i, e in enumerate(t) if e] for t in self.targets]
         self._faces: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
         self._ranks: dict[tuple[tuple[int, ...], int], int] = {}
 
@@ -173,15 +176,21 @@ class Truncations:
         out = self._faces.get(beta)
         if out is not None:
             return out
-        vertices = self._vertices(beta)
-        level = [((), (0,) * len(beta))]
+        vertices = [(j, self.terms[j]) for j in self._vertices(beta)]
+        level = [((), list(beta), 0)]  # a face S, β - Σ_S t, where its extensions start
         out = []
         while level:
-            out.append([face for face, _ in level])
-            level = [(face + (j,), tuple(a + e for a, e in zip(total, self.targets[j])))
-                     for face, total in level
-                     for j in vertices if not face or j > face[-1]
-                     if all(a + e <= b for a, e, b in zip(total, self.targets[j], beta))]
+            out.append([face for face, _, _ in level])
+            grown = []
+            for face, room, start in level:
+                for p in range(start, len(vertices)):
+                    j, terms = vertices[p]
+                    if all(room[i] >= e for i, e in terms):
+                        rest = room.copy()
+                        for i, e in terms:
+                            rest[i] -= e
+                        grown.append((face + (j,), rest, p + 1))
+            level = grown
         self._faces[beta] = out
         return out
 
@@ -260,78 +269,3 @@ def verify_quasi_iso(model: Model, h: GradedAlgebra, cap: int) -> QuasiIsoReport
         overall=not failing,
         first_failure=failing[0] if failing else None,
     )
-
-
-class ChainComplexError(ValueError):
-    """Raised when boundary matrices do not square to zero."""
-
-    def __init__(self, degree: int, message: str):
-        super().__init__(message)
-        self.degree = degree
-
-
-class _ChainComplexQ(NamedTuple):
-    dims: tuple[int, ...]
-    boundaries: tuple[MatQ, ...]
-
-
-class ChainComplexQ(_ChainComplexQ):
-    """Finite chain complex over Q: dims for C_0..C_N and boundaries
-    boundaries[k] = d_(k+1): C_(k+1) -> C_k."""
-
-    __slots__ = ()
-
-    def __new__(cls, dims: tuple[int, ...], boundaries: tuple[MatQ, ...]):
-        if len(boundaries) != max(len(dims) - 1, 0):
-            raise ValueError("need exactly one boundary matrix per adjacent pair")
-        for k, b in enumerate(boundaries):
-            if (b.rows, b.cols) != (dims[k], dims[k + 1]):
-                raise ValueError(
-                    f"boundary {k + 1} has shape {b.rows}x{b.cols}, "
-                    f"expected {dims[k]}x{dims[k + 1]}")
-        return super().__new__(cls, dims, boundaries)
-
-    @property
-    def top(self) -> int:
-        return len(self.dims) - 1
-
-    def boundary(self, n: int) -> MatQ:
-        """d_n: C_n -> C_(n-1); zero-shaped outside 1..top."""
-        if 1 <= n <= self.top:
-            return self.boundaries[n - 1]
-        rows = self.dims[n - 1] if 0 <= n - 1 <= self.top else 0
-        cols = self.dims[n] if 0 <= n <= self.top else 0
-        return MatQ.zeros(rows, cols)
-
-
-def validate_square_zero(c: ChainComplexQ):
-    for n in range(2, c.top + 1):
-        if not c.boundary(n - 1).matmul(c.boundary(n)).is_zero():
-            raise ChainComplexError(
-                n, f"boundary squared is nonzero: d_{n - 1} o d_{n} != 0")
-
-
-class DualityRow(NamedTuple):
-    degree: int
-    homology_dim: int
-    dual_cohomology_dim: int
-    equal: bool
-
-
-def duality_check(c: ChainComplexQ) -> list[DualityRow]:
-    """Homology of c against cohomology of the degreewise dual complex.
-
-    The dual has differentials transpose(d_(n+1)): C^n -> C^(n+1); both
-    sides are computed by independent rank eliminations, and over Q they
-    must agree in every degree (any inequality is a bug, here or in the
-    input construction).
-    """
-    validate_square_zero(c)
-    homology_rank = {n: rref(c.boundary(n)).rank for n in range(1, c.top + 1)}
-    dual_rank = {n: rref(c.boundary(n + 1).transpose()).rank for n in range(c.top)}
-    rows = []
-    for n in range(c.top + 1):
-        hom = c.dims[n] - homology_rank.get(n, 0) - homology_rank.get(n + 1, 0)
-        coh = c.dims[n] - dual_rank.get(n, 0) - dual_rank.get(n - 1, 0)
-        rows.append(DualityRow(n, hom, coh, hom == coh))
-    return rows

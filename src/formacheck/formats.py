@@ -1,5 +1,4 @@
-"""File formats: algebra files, chain complex files, certificates, rational
-string codec.
+"""File formats: algebra files, certificates, rational string codec.
 
 All files are UTF-8 JSON.  Rationals travel as strings "p/q" (or "p") so
 the formats stay exact and language neutral; floats are rejected outright.
@@ -12,13 +11,11 @@ import json
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import (AlgebraStructureError, GradedAlgebra, ValidationReport,
                       validate)
-from .cohomology import ChainComplexQ
 from .formality import Certificate, DegreeSet
-from .linalg import MatQ, Vec
+from .linalg import Vec
 from .model import Monomial, format_monomial
 
 _RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
@@ -224,37 +221,3 @@ def certificate_json(cert: Certificate, raw_obj, digest: str) -> dict:
         },
         "exit_code": cert.exit_code,
     }
-
-
-def parse_chain_complex_json(obj, source: str = "input") -> ChainComplexQ:
-    dims_raw = _require(obj, "dims", list, source)
-    dims = []
-    for k, d in enumerate(dims_raw):
-        if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-            raise InputError(f"{source}: dims[{k}] must be a nonnegative integer")
-        dims.append(d)
-    if not dims:
-        raise InputError(f"{source}: dims must be nonempty")
-    boundaries_raw = _optional_list(obj, "boundaries", source)
-    if len(boundaries_raw) != len(dims) - 1:
-        raise InputError(
-            f"{source}: expected {len(dims) - 1} boundary matrices, got {len(boundaries_raw)}")
-    boundaries = []
-    for k, mat in enumerate(boundaries_raw):
-        where = f"{source}: boundaries[{k}]"
-        if not isinstance(mat, list) or len(mat) != dims[k]:
-            raise InputError(f"{where}: expected {dims[k]} rows")
-        rows = []
-        for r, row in enumerate(mat):
-            if not isinstance(row, list) or len(row) != dims[k + 1]:
-                raise InputError(f"{where}: row {r} must have {dims[k + 1]} entries")
-            rows.append([parse_rational(x, f"{where}[{r}][{c}]")
-                         for c, x in enumerate(row)])
-        boundaries.append(MatQ.from_rows(rows, cols=dims[k + 1]))
-    return ChainComplexQ(tuple(dims), tuple(boundaries))
-
-
-def load_chain_complex_file(path) -> tuple[ChainComplexQ, Optional[str]]:
-    obj = _read_json(path)[1]
-    name = obj.get("name") if isinstance(obj, dict) else None
-    return parse_chain_complex_json(obj, source=str(path)), name

@@ -8,16 +8,16 @@ test.  The reference validator and the good-object walk read the
 multiplication table only through `GradedAlgebra.mul` on dense vectors.
 
 The last section keeps small helpers that only the tests use: the product
-of model monomials, a linear solver and a matrix-vector product.
+of model monomials, a linear solver, a matrix-vector product and bases of
+the decomposables.
 """
 
 import itertools
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import sympy
 
-from formacheck.algebra import ValidationReport
+from formacheck.algebra import GradedAlgebra, ValidationReport, _decomposable_spans
 from formacheck.linalg import ZERO, MatQ, Vec, as_vec, rref
 from formacheck.model import EEntry, GoodObject, Monomial, _merge_even
 
@@ -243,3 +243,23 @@ def solve(m: MatQ, b: Sequence) -> Optional[Vec]:
     for j, p in enumerate(pivots):
         x[p] = red.entries[j][m.cols]
     return tuple(x)
+
+
+def decomposables(h: GradedAlgebra) -> dict[int, list[Vec]]:
+    """Degreewise bases of the span of products of positive-degree classes.
+
+    Returns the canonical (RREF) basis of `_decomposable_spans` in each
+    degree 1..top_degree as full-length vectors; degree 0 is excluded by
+    definition.
+    """
+    out = {}
+    for n, span in _decomposable_spans(h).items():
+        idx = h.degree_indices(n)
+        full = []
+        for row in span.rows:
+            vec = [ZERO] * h.dim
+            for slot, k in enumerate(idx):
+                vec[k] = row[slot]
+            full.append(tuple(vec))
+        out[n] = full
+    return out

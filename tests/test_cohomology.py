@@ -7,16 +7,17 @@ from math import comb
 import pytest
 
 import formacheck as fc
-from formacheck.cohomology import (ChainComplexError, ChainComplexQ, Truncations,
-                                   duality_check, validate_square_zero)
+from formacheck.cohomology import Truncations
 from formacheck.corpus import even_sphere, wedge
+from formacheck.duality import (ChainComplexError, ChainComplexQ, duality_check,
+                                validate_square_zero)
 from formacheck.linalg import MatQ
 from formacheck.model import multidegree
 
 import oracles
 from util import (algebra, corpus_objects, cp2, dependent_family, frac_matrix,
-                  pipeline, random_chain_complex, random_even_monomial_algebra,
-                  s2, s2_power_4, sphere_wedge_8, wedge_s2_s2)
+                  random_chain_complex, random_even_monomial_algebra, s2,
+                  s2_power_4, sphere_wedge_8, wedge_s2_s2)
 
 
 def model_of(h):

@@ -9,7 +9,7 @@ from formacheck.model import Monomial, format_monomial, multidegree
 
 from oracles import brute_good_objects, multiply
 from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,
-                  dependent_family, pipeline, random_even_monomial_algebra, s2,
+                  dependent_family, random_even_monomial_algebra, s2,
                   s2_power_4, sphere_wedge_8, wedge_s2_s2)
 
 

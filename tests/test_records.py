@@ -10,6 +10,7 @@ import pytest
 
 import formacheck as fc
 from formacheck.corpus import product, truncated_poly
+from formacheck.duality import ChainComplexQ, duality_check
 from formacheck.formality import DegreeSet
 from formacheck.linalg import MatQ
 
@@ -21,12 +22,12 @@ def sample_records():
     h = cp2()
     gens, e, goods, model, report = pipeline(h)
     verdict = fc.render_verdict(h, gens, e, goods, report)
-    complex_q = fc.ChainComplexQ((1, 1), (MatQ.identity(1),))
+    complex_q = ChainComplexQ((1, 1), (MatQ.identity(1),))
     return [
         MatQ.identity(1), h, fc.validate(h), gens[0], gens,
         goods[0].monomial, e.entries[0], e, goods[0],
         model.odd_generators[0], model, report.reports[0], report, complex_q,
-        fc.duality_check(complex_q)[0], DegreeSet.from_algebra(h), verdict,
+        duality_check(complex_q)[0], DegreeSet.from_algebra(h), verdict,
     ]
 
 

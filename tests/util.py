@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import formacheck as fc
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
+from formacheck.duality import ChainComplexQ
 from formacheck.formats import format_rational, parse_algebra_json
 
 
@@ -203,7 +204,7 @@ def random_chain_complex(rng, max_dim=5, max_deg=6):
         base_change[n - 1][0].matmul(canonical[n - 1]).matmul(base_change[n][1])
         for n in range(1, top + 1))
     homology = [dims[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
-    return fc.ChainComplexQ(tuple(dims), boundaries), homology
+    return ChainComplexQ(tuple(dims), boundaries), homology
 
 
 def random_even_monomial_algebra(rng):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .linalg import ONE, RowSpace, Vec, unit_vec, vec_is_zero, zero_vec
+from .linalg import ONE, RowSpace, Vec, unit_vec, vec_is_zero
 
 Row = tuple[tuple[int, Fraction], ...]  # sparse vector: nonzero (k, c), k increasing
 
@@ -58,9 +58,6 @@ class GradedAlgebra(_GradedAlgebra):
 
     def dim_in_degree(self, n: int) -> int:
         return len(self.degree_indices(n))
-
-    def zero(self) -> Vec:
-        return zero_vec(self.dim)
 
     def basis_vector(self, i: int) -> Vec:
         return unit_vec(self.dim, i)

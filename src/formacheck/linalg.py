@@ -244,6 +244,3 @@ class RowSpace:
         self.rows.insert(where, new_row)
         self.pivots.insert(where, p)
         return new_row
-
-    def contains(self, v: Sequence) -> bool:
-        return vec_is_zero(self.reduce(v))

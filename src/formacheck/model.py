@@ -126,15 +126,15 @@ class Model(NamedTuple):
         return tuple(w.degree for w in self.odd_generators)
 
 
-def _exponents(degrees: tuple[int, ...], n: int):
-    """Exponent tuples over positive `degrees` of weighted degree exactly n,
-    in lexicographic order."""
+def _exponents(degrees: tuple[int, ...], n: int, bound: tuple[int, ...]):
+    """Exponent tuples over positive `degrees` of weighted degree exactly n
+    and at most `bound` in each coordinate, in lexicographic order."""
     if not degrees:
         if n == 0:
             yield ()
         return
-    for e in range(n // degrees[0] + 1):
-        for rest in _exponents(degrees[1:], n - e * degrees[0]):
+    for e in range(min(n // degrees[0], bound[0]) + 1):
+        for rest in _exponents(degrees[1:], n - e * degrees[0], bound[1:]):
             yield (e,) + rest
 
 
@@ -144,13 +144,14 @@ def _monomials_cached(even_degs: tuple[int, ...], odd_degs: tuple[int, ...],
                       n: int) -> tuple[Monomial, ...]:
     # keyed on the degrees alone: hashing a whole Model hashes every class vector
     evens: list = [None] * (n + 1)  # even parts by degree, shared by all odd parts
+    bound = tuple(n // d for d in even_degs)
     found: list[Monomial] = []
 
     def pick_odd(i: int, remaining: int, acc: tuple[int, ...]):
         if remaining < 0:
             return
         if evens[remaining] is None:
-            evens[remaining] = [_pack(exps) for exps in _exponents(even_degs, remaining)]
+            evens[remaining] = [_pack(exps) for exps in _exponents(even_degs, remaining, bound)]
         found.extend(Monomial(even, acc, n) for even in evens[remaining])
         for j in range(i, len(odd_degs)):
             pick_odd(j + 1, remaining - odd_degs[j], acc + (j,))
@@ -184,9 +185,10 @@ def compute_E(h: GradedAlgebra, gens: GeneratorSet) -> EFamily:
     """
     _require_even(gens)
     phi = _PhiTable(h, gens)
+    bound = tuple(h.top_degree // d for d in gens.degrees)
     entries = []
     for degree in range(h.top_degree + 1):
-        for exps in _exponents(gens.degrees, degree):
+        for exps in _exponents(gens.degrees, degree, bound):
             if sum(exps) < 2:
                 continue
             value = phi.value(exps)

@@ -78,6 +78,23 @@ def brute_model_dims(model, cap):
     return [brute_cohomology_dim(even_degs, odd, n) for n in range(cap + 1)]
 
 
+def brute_blocks(model, cap):
+    """(|α|, α) for every multidegree α whose block meets a degree <= cap,
+    by |α| and then lexicographically.  A face of size s lies in degree at
+    least the sum of the s smallest odd degrees, so no face reaching the cap
+    has more than s_max elements and every such block has |α| <= cap + s_max."""
+    even_degs, odd = raw_model(model)
+    odd_degs = sorted(d for d, _ in odd)
+    s_max = max(s for s in range(len(odd_degs) + 1) if sum(odd_degs[:s]) <= cap)
+    reach = cap + s_max
+    out = []
+    for alpha in itertools.product(*(range(reach // d + 1) for d in even_degs)):
+        n = sum(a * d for a, d in zip(alpha, even_degs))
+        if n <= reach:
+            out.append((n, alpha))
+    return sorted(out)
+
+
 def brute_validate(h):
     """Dense reference for `formacheck.validate`: every law on every basis
     pair and triple, with the same failure messages in the same order."""

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 import formacheck as fc
-from formacheck.cohomology import Truncations
+from formacheck.cohomology import blocks, boundary_rank, faces
 from formacheck.corpus import even_sphere, wedge
 from formacheck.duality import (ChainComplexError, ChainComplexQ, duality_check,
                                 validate_square_zero)
@@ -27,6 +27,23 @@ def model_of(h):
 def block_reference(model, h, cap):
     """The per-degree table from the monomial blocks, one degree at a time."""
     return tuple(fc.induced_map(model, h, n) for n in range(cap + 1))
+
+
+def targets_of(model):
+    return [multidegree(model, w.target) for w in model.odd_generators]
+
+
+def complex_faces(model, alpha):
+    """Faces of Δ_α by `cohomology.faces`, on the vertices t_j <= α."""
+    vertices = [(j, [(i, e) for i, e in enumerate(t) if e])
+                for j, t in enumerate(targets_of(model))
+                if all(e <= a for e, a in zip(t, alpha))]
+    return faces(vertices, alpha)
+
+
+def reduced_betti(levels, s):
+    """dim H~_(s-1) of the complex with these faces (by size)."""
+    return len(levels[s]) - boundary_rank(levels, s) - boundary_rank(levels, s + 1)
 
 
 # ---- model cohomology ----
@@ -159,22 +176,25 @@ def test_table_matches_references_on_larger_inputs():
         oracles.brute_model_dims(model, cert.cap)
 
 
-@pytest.mark.parametrize("folds, cap", [(3, 9), (4, 7)])
-def test_wedge_dims_match_brute_above_the_default_cap(folds, cap):
-    # past the default cap 5, boundaries from faces of size s >= 2 have
-    # nonzero rank, so the integer elimination decides some dimensions
+def s2_wedge(folds):
     s2_obj = even_sphere(2)
     obj = s2_obj
     for _ in range(folds - 1):
         obj = wedge(obj, s2_obj)
-    h = algebra(obj)
+    return algebra(obj)
+
+
+@pytest.mark.parametrize("folds, cap", [(3, 9), (4, 7)])
+def test_wedge_dims_match_brute_above_the_default_cap(folds, cap):
+    # past the default cap 5, boundaries from faces of size s >= 2 have
+    # nonzero rank, so the integer elimination decides some dimensions
+    h = s2_wedge(folds)
     model = model_of(h)
     report = fc.verify_quasi_iso(model, h, cap)
     assert [r.model_cohomology_dim for r in report.reports] == \
         oracles.brute_model_dims(model, cap)
-    complexes = Truncations(model, cap)
-    assert any(complexes._rank(beta, s) for _, _, beta in complexes.blocks()
-               for s in range(2, len(complexes.faces(beta))))
+    assert any(boundary_rank(levels, s) for _, _, levels in blocks(model, cap)
+               for s in range(2, len(levels)))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -186,21 +206,74 @@ def test_table_matches_block_reference_on_random_algebras(seed):
 
 
 @pytest.mark.parametrize("obj_index", range(len(corpus_objects())))
-def test_truncations_faces_and_euler(obj_index):
-    # each block's faces are the subsets S with sum of targets <= alpha, read
-    # off the memo at beta = min(alpha, T); their alternating count is the
-    # alternating sum of the reduced Betti numbers (Euler-Poincare)
+def test_table_matches_block_reference_without_a_pure_power(obj_index):
+    # with one least zero power left out, no target is a power of that
+    # generator alone, so the walk bounds its coordinate by degree instead
     h = algebra(corpus_objects()[obj_index])
-    complexes = Truncations(model_of(h), 2 * h.top_degree + 1)
-    targets = complexes.targets
-    for _, alpha, beta in complexes.blocks():
-        faces = complexes.faces(beta)
+    gens = fc.choose_generators(h)
+    goods = fc.good_objects(h, gens)
+    k = next(k for k, g in enumerate(goods) if len(g.monomial.even) == 1)
+    model = fc.build_model(h, gens, goods[:k] + goods[k + 1:])
+    cap = 2 * h.top_degree + 1
+    assert fc.verify_quasi_iso(model, h, cap).reports == block_reference(model, h, cap)
+
+
+@pytest.mark.parametrize("obj_index", range(len(corpus_objects())))
+def test_truncations_faces_and_euler(obj_index):
+    # each block's faces are the subsets S with sum of targets <= alpha, for
+    # every block the cap reads and for those the walk yields; their
+    # alternating count is the alternating sum of the reduced Betti numbers
+    # (Euler-Poincare)
+    h = algebra(corpus_objects()[obj_index])
+    model = model_of(h)
+    cap = 2 * h.top_degree + 1
+    targets = targets_of(model)
+    walked = {alpha: levels for _, alpha, levels in blocks(model, cap)}
+    for _, alpha in oracles.brute_blocks(model, cap):
+        levels = complex_faces(model, alpha)
         brute = [[S for S in itertools.combinations(range(len(targets)), s)
                   if all(sum(targets[j][i] for j in S) <= a for i, a in enumerate(alpha))]
                  for s in range(len(targets) + 1)]
-        assert faces == [level for level in brute if level]
-        assert sum((-1) ** s * len(level) for s, level in enumerate(faces)) == \
-            sum((-1) ** s * complexes.reduced_betti(beta, s) for s in range(len(faces)))
+        assert levels == [level for level in brute if level]
+        assert walked.pop(alpha, levels) == levels
+        assert sum((-1) ** s * len(level) for s, level in enumerate(levels)) == \
+            sum((-1) ** s * reduced_betti(levels, s) for s in range(len(levels)))
+    assert not walked  # the walk stays within the blocks the cap reads
+
+
+CONE_CASES = (
+    [pytest.param(lambda k=k: algebra(corpus_objects()[k]), None, id=f"corpus-{k}")
+     for k in range(len(corpus_objects()))]
+    + [pytest.param(lambda seed=seed: random_even_monomial_algebra(random.Random(9400 + seed)),
+                    None, id=f"random-{seed}") for seed in range(20)]
+    + [pytest.param(lambda folds=folds: s2_wedge(folds), cap, id=f"wedge-{folds}")
+       for folds, cap in [(3, 9), (4, 7)]])
+
+
+@pytest.mark.parametrize("make, cap", CONE_CASES)
+def test_blocks_outside_the_box_are_cones(make, cap):
+    # the walk yields exactly the blocks with alpha_i <= T_i - 1 wherever a
+    # target is a power of v_i alone, and every other block the cap reads is
+    # a cone; with one generator v the rim block v^(T-1) is nonzero and bare,
+    # so the box cannot shrink
+    h = make()
+    model = model_of(h)
+    cap = 2 * h.top_degree + 1 if cap is None else cap
+    targets = targets_of(model)
+    total = [sum(column) for column in zip(*targets)]
+    pure = {i for t in targets for i, e in enumerate(t) if e == sum(t)}
+    assert pure == set(range(len(model.generators)))
+    walked = {alpha for _, alpha, _ in blocks(model, cap)}
+    rim = 0
+    for n, alpha in oracles.brute_blocks(model, cap):
+        outside = any(alpha[i] >= total[i] for i in pure)
+        assert (alpha in walked) != outside
+        levels = complex_faces(model, alpha)
+        read = range(max(0, n - cap), len(levels))
+        cone = len(levels) > 1 and not any(reduced_betti(levels, s) for s in read)
+        assert cone or not outside
+        rim += not cone and any(alpha[i] == total[i] - 1 for i in pure)
+    assert rim or len(model.generators) > 1
 
 
 def chain_dims_series(model, cap):
@@ -220,10 +293,9 @@ def test_truncations_count_every_monomial_once(obj_index):
     h = algebra(corpus_objects()[obj_index])
     model = model_of(h)
     cap = 2 * h.top_degree + 1
-    complexes = Truncations(model, cap)
     counts = [0] * (cap + 1)
-    for n, _, beta in complexes.blocks():
-        for s, level in enumerate(complexes.faces(beta)):
+    for n, alpha in oracles.brute_blocks(model, cap):
+        for s, level in enumerate(complex_faces(model, alpha)):
             if n - s <= cap:
                 counts[n - s] += len(level)
     assert counts == chain_dims_series(model, cap)

@@ -1,6 +1,9 @@
 """The lint step: no module-level import in `src/formacheck` or `tests` goes
 unused.  A name counts as used when the module reads it somewhere or lists
-it in `__all__`; `from __future__` imports are exempt."""
+it in `__all__`; `from __future__` imports are exempt.  No module-level
+private name (`_x`) defined in `src/formacheck` goes unread there either:
+some module of the package must read it, so a helper the package stopped
+calling is deleted rather than kept for the tests."""
 
 import ast
 import glob
@@ -9,8 +12,8 @@ import os
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-FILES = sorted(glob.glob(os.path.join(ROOT, "src", "formacheck", "*.py"))
-               + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "formacheck", "*.py")))
+FILES = SOURCES + sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
 
 
 def module_imports(tree: ast.Module):
@@ -50,6 +53,35 @@ def unused_imports(source: str) -> list:
     return sorted(unused)
 
 
+def private_definitions(tree: ast.Module):
+    """(line, name) of each `_x` that a module-level def, class or assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in bound
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of every module-level private name that no module
+    in `sources` (module name -> source text) reads, by name or attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for line, name in private_definitions(tree) if name not in read)
+
+
 def test_checker_finds_unused_imports():
     source = ("from __future__ import annotations\n"
               "import os, os.path as p\n"
@@ -64,3 +96,20 @@ def test_checker_finds_unused_imports():
 def test_no_unused_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_checker_finds_unread_private_names():
+    sources = {"a": ("_LIMIT = 3\n_unused: int = 0\n__dunder__ = 1\n"
+                     "def _helper():\n    return _LIMIT\n"
+                     "class _Kept:\n    pass\n"
+                     "def _orphan():\n    _local = 1\n    return _local\n"),
+               "b": "from .a import _helper\nimport a\nx = _helper() + a._Kept\n"}
+    assert unread_private_names(sources) == [("a", 2, "_unused"), ("a", 8, "_orphan")]
+
+
+def test_every_private_name_has_a_reader():
+    sources = {}
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.relpath(path, ROOT)] = fh.read()
+    assert unread_private_names(sources) == []

@@ -5,6 +5,7 @@ import pytest
 
 import formacheck as fc
 from formacheck.algebra import GradedAlgebra
+from formacheck.linalg import zero_vec
 from formacheck.model import Monomial, format_monomial, multidegree
 
 from oracles import brute_good_objects, multiply
@@ -224,6 +225,27 @@ def test_good_objects_match_brute_oracle_in_random_bases(name):
     assert changed == (mixes and any(h.unit_index not in pair for pair in h.mult))
 
 
+@pytest.mark.parametrize("case", [f"corpus-{k}" for k in range(len(corpus_objects()))]
+                         + [f"random-{seed}" for seed in range(20)])
+def test_least_zero_power_of_each_generator_is_good(case):
+    # the premise of the box walk in `cohomology.blocks`: v^k with v^k = 0 and
+    # v^(k-1) != 0 has only nonzero proper divisors v^m, 2 <= m < k
+    kind, index = case.split("-")
+    if kind == "corpus":
+        h = algebra(corpus_objects()[int(index)])
+    else:
+        h = random_even_monomial_algebra(random.Random(7300 + int(index)))
+    for ring in (h, change_basis(h, random.Random(int(index)))):
+        gens = fc.choose_generators(ring)
+        goods = [g.monomial for g in fc.good_objects(ring, gens)]
+        for i, g in enumerate(gens):
+            power, k = g.class_vector, 1
+            while any(power):
+                power, k = ring.mul(power, g.class_vector), k + 1
+            assert k >= 2
+            assert Monomial(((i, k),), (), k * g.degree) in goods
+
+
 def test_empty_E_forces_length_two_goods():
     for obj in corpus_objects():
         h = algebra(obj)
@@ -354,8 +376,8 @@ def test_phi_tilde_values():
     x2 = h.basis_vector(h.labels.index("x^2"))
     assert fc.phi_tilde(model, h, {v: Fraction(1)}) == x
     assert fc.phi_tilde(model, h, {v2: Fraction(1)}) == x2
-    assert fc.phi_tilde(model, h, {w: Fraction(1)}) == h.zero()
-    assert fc.phi_tilde(model, h, {vw: Fraction(1)}) == h.zero()
+    assert fc.phi_tilde(model, h, {w: Fraction(1)}) == zero_vec(h.dim)
+    assert fc.phi_tilde(model, h, {vw: Fraction(1)}) == zero_vec(h.dim)
     assert fc.phi_tilde(model, h, {unit: Fraction(1)}) == h.unit()
 
 

@@ -1,21 +1,14 @@
 """Command line front end: reads input files, writes certificates.
 
-Subcommands:
-    check <file> [--cap N] [--report out.json] [--emit-model model.json]
-    corpus <kind> [params] -o <file>
-    duality <file>
-
-Exit codes for check: 0 formal with a clean capped quasi-isomorphism check,
-2 inconclusive, 3 hypothesis violated, 4 formal but the computational check
-found a failing degree (discrepancy), 1 input error.
-
-`corpus` and `duality` import their modules when they run, so that a
-`check` process neither loads nor compiles them.
+`HELP` is the command line's reference: its grammar, options and exit
+codes; `formacheck -h` prints it.  `parse_command_line` reads that grammar
+by hand: a stdlib parser's import and set-up would cost every process a few
+milliseconds.  `corpus` and `duality` import their modules when they run,
+so that a `check` process neither loads nor compiles them.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -24,6 +17,29 @@ from typing import Optional
 from . import __version__
 from .formality import EXIT_INPUT_ERROR, EXIT_OK, certify
 from .formats import InputError, certificate_json, load_algebra_file
+
+
+USAGE = """usage: formacheck check FILE [--cap N] [--report PATH] [--emit-model PATH]
+       formacheck corpus KIND [PARAM ...] (-o | --output) PATH
+       formacheck duality FILE"""
+HELP = USAGE + """
+
+  check                run the formality pipeline on an algebra file
+    --cap N            verify the quasi-isomorphism up to this degree (default: 2*top_degree + 1)
+    --report PATH      write the certificate here instead of stdout
+    --emit-model PATH  also write the model block to this file
+  corpus               generate an algebra file: even_sphere, truncated_poly, product or wedge
+    -o, --output PATH  write the algebra file here
+  duality              check homology/dual-cohomology equality for a chain complex file
+  -h, --help           show this help
+
+Options may come before or after the arguments, as `--name value`, `--name=value` or a unique
+prefix of the name; `--` ends them.  check exits 0 formal with a clean capped quasi-isomorphism
+check, 2 inconclusive, 3 hypothesis violated, 4 formal with a failing degree (discrepancy); every
+command exits 1 on an input or usage error."""
+# each command and its options, every one of which takes a value
+_COMMANDS = {"check": ("--cap", "--report", "--emit-model"), "corpus": ("--output",),
+             "duality": ()}
 
 
 def _write(path, text: str):
@@ -104,42 +120,63 @@ def run_duality(path) -> int:
     return EXIT_OK if result["all_equal"] else EXIT_INPUT_ERROR
 
 
+def parse_command_line(argv):
+    """(command, arguments, options by keyword) from `argv`, by the grammar of
+    HELP; `-h` or `--help` returns at once with the options {"help": True}.
+    The token after an option is its value even when it starts with `-`."""
+    command, args, opts = None, [], {}
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--":
+            args.extend(tokens)  # every token left is an argument; this ends the loop
+        elif tok[:1] != "-" or tok[1:2] in "0123456789.":  # "-", -1 and -.5 are arguments
+            if command:
+                args.append(tok)
+            elif tok in _COMMANDS:
+                command = tok
+            else:
+                raise InputError(f"unknown command {tok!r}")
+        else:  # --name[=value], or -h or -o with the value attached, after "=" or next
+            key, eq, value = (tok.partition("=") if tok[1] == "-" else
+                              ({"-h": "--help", "-o": "--output"}.get(tok[:2], tok),
+                               tok[2:], tok[2:].removeprefix("=")))
+            names = [n for n in ("--help", *_COMMANDS.get(command, ())) if n.startswith(key)]
+            if len(names) != 1:  # no option name is a prefix of another
+                raise InputError(f"unrecognized option {tok!r}")
+            if names == ["--help"]:
+                return command, args, {"help": True}
+            value = value if eq else next(tokens, None)
+            if value is None:
+                raise InputError(f"option {names[0]} needs a value")
+            try:
+                opts[names[0][2:].replace("-", "_")] = int(value) if names == ["--cap"] else value
+            except ValueError:
+                raise InputError(f"--cap needs an integer, not {value!r}") from None
+    if command is None or not args:
+        raise InputError("missing " + ("KIND" if command == "corpus" else
+                                       "FILE" if command else "command"))
+    if command == "corpus" and "output" not in opts:
+        raise InputError("missing -o/--output PATH")
+    if command != "corpus" and len(args) > 1:
+        raise InputError(f"unexpected arguments after the file: {' '.join(args[1:])}")
+    return command, args, opts
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="formacheck",
-        description="Formality certificates for finite-dimensional graded "
-                    "commutative algebras over Q")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="run the formality pipeline on an algebra file")
-    p_check.add_argument("file")
-    p_check.add_argument("--cap", type=int, default=None,
-                         help="verify the quasi-isomorphism up to this degree "
-                              "(default: 2*top_degree + 1)")
-    p_check.add_argument("--report", default=None, help="write the certificate here "
-                                                        "instead of stdout")
-    p_check.add_argument("--emit-model", default=None,
-                         help="also write the model block to this file")
-
-    p_corpus = sub.add_parser("corpus", help="generate a corpus algebra file")
-    p_corpus.add_argument("kind",
-                          choices=["even_sphere", "truncated_poly", "product", "wedge"])
-    p_corpus.add_argument("params", nargs="*")
-    p_corpus.add_argument("-o", "--output", required=True)
-
-    p_duality = sub.add_parser("duality",
-                               help="check homology/dual-cohomology equality for a "
-                                    "chain complex file")
-    p_duality.add_argument("file")
-
-    args = parser.parse_args(argv)
     try:
-        if args.command == "check":
-            return run_check(args.file, cap=args.cap, emit_model=args.emit_model,
-                             report=args.report)
-        if args.command == "corpus":
-            return run_corpus(args.kind, args.params, args.output)
-        return run_duality(args.file)
+        command, args, opts = parse_command_line(sys.argv[1:] if argv is None else argv)
+    except InputError as exc:
+        print(f"error: {exc}\n{USAGE}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if opts.get("help"):
+        print(HELP)
+        return EXIT_OK
+    try:
+        if command == "check":
+            return run_check(*args, **opts)
+        if command == "corpus":
+            return run_corpus(args[0], args[1:], opts["output"])
+        return run_duality(*args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

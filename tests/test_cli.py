@@ -1,14 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import formacheck as fc
-from formacheck.cli import main
+from formacheck.cli import USAGE, main, parse_command_line
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import InputError, load_algebra_file, parse_algebra_json
 
@@ -313,6 +320,162 @@ def test_certificate_golden_digest(tmp_path, name):
     code = main(["check", str(path), "--report", str(report)])
     text = re.sub(rb'\n *"generated_at": "[^"]*",', b"", report.read_bytes())
     assert (code, hashlib.sha256(text).hexdigest()) == GOLDEN_CERTIFICATES[name]
+
+
+# ---- command line ----
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# argv -> (command, arguments, options) as parse_command_line reads it
+S2_OUT = ("corpus", ["even_sphere", "2"], {"output": "s.json"})
+PARSED = [
+    # README's CLI section
+    ("corpus even_sphere 2 -o s2.json", ("corpus", ["even_sphere", "2"], {"output": "s2.json"})),
+    ("corpus truncated_poly 2 3 -o cp2.json",
+     ("corpus", ["truncated_poly", "2", "3"], {"output": "cp2.json"})),
+    ("corpus wedge s2.json s2.json -o wedge.json",
+     ("corpus", ["wedge", "s2.json", "s2.json"], {"output": "wedge.json"})),
+    ("corpus product s2.json cp2.json -o prod.json",
+     ("corpus", ["product", "s2.json", "cp2.json"], {"output": "prod.json"})),
+    ("check cp2.json --cap 12 --report cp2.cert.json",
+     ("check", ["cp2.json"], {"cap": 12, "report": "cp2.cert.json"})),
+    ("check wedge.json --emit-model model.json",
+     ("check", ["wedge.json"], {"emit_model": "model.json"})),
+    ("duality complex.json", ("duality", ["complex.json"], {})),
+    # --name=value, and -o with its value attached
+    ("check a.json --cap=7 --report=r.json --emit-model=m.json",
+     ("check", ["a.json"], {"cap": 7, "report": "r.json", "emit_model": "m.json"})),
+    ("corpus even_sphere 2 --output=s.json", S2_OUT),
+    ("corpus even_sphere 2 -os.json", S2_OUT),
+    ("corpus even_sphere 2 -o=s.json", S2_OUT),
+    # options before the arguments, or between them
+    ("check --cap 7 --report r.json a.json",
+     ("check", ["a.json"], {"cap": 7, "report": "r.json"})),
+    ("corpus -o s.json even_sphere 2", S2_OUT),
+    ("corpus even_sphere -o s.json 2", S2_OUT),
+    ("corpus product -o p.json a.json b.json",
+     ("corpus", ["product", "a.json", "b.json"], {"output": "p.json"})),
+    # unique prefixes of long names
+    ("check a.json --rep r.json --em m.json --c 5",
+     ("check", ["a.json"], {"report": "r.json", "emit_model": "m.json", "cap": 5})),
+    ("corpus even_sphere 2 --out s.json", S2_OUT),
+    # -- ends the options
+    ("check -- -x.json", ("check", ["-x.json"], {})),
+    ("check --cap 5 -- -x.json", ("check", ["-x.json"], {"cap": 5})),
+    ("duality -- --help", ("duality", ["--help"], {})),
+    # an option's value may start with -, and -2 or - is an argument
+    ("check a.json --cap -1", ("check", ["a.json"], {"cap": -1})),
+    ("check a.json --report -r.json", ("check", ["a.json"], {"report": "-r.json"})),
+    ("corpus even_sphere -2 -o s.json", ("corpus", ["even_sphere", "-2"], {"output": "s.json"})),
+    ("check -", ("check", ["-"], {})),
+    # the last value of a repeated option wins
+    ("check a.json --cap 5 --cap 6", ("check", ["a.json"], {"cap": 6})),
+    # help, wherever it comes
+    ("-h", (None, [], {"help": True})),
+    ("--help", (None, [], {"help": True})),
+    ("check -h", ("check", [], {"help": True})),
+    ("check a.json --he", ("check", ["a.json"], {"help": True})),
+    ("corpus --help", ("corpus", [], {"help": True})),
+    ("duality -h", ("duality", [], {"help": True})),
+]
+
+
+@pytest.mark.parametrize("line, parsed", PARSED)
+def test_parse_command_line(line, parsed):
+    assert parse_command_line(shlex.split(line)) == parsed
+
+
+def readme_invocations():
+    """The `formacheck` lines of README's CLI section, comments stripped."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.join(shlex.split(line, comments=True)[1:])
+            for line in block.splitlines() if line.startswith("formacheck ")]
+
+
+def test_readme_invocations(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "complex.json", {"name": "pair", "dims": [1, 1],
+                                           "boundaries": [[["1"]]]})
+    lines = readme_invocations()
+    assert set(lines) <= {line for line, _ in PARSED}
+    for line in lines:
+        # the 2-sphere wedge is the README's discrepancy example
+        assert main(shlex.split(line)) == (4 if line.startswith("check wedge") else 0), line
+        assert not capsys.readouterr().err.startswith("error")
+    assert json.loads((tmp_path / "cp2.cert.json").read_text())["cap"] == 12
+    assert (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("line", ["-h", "--help", "check -h", "check --help", "corpus -h",
+                                  "corpus --help", "duality -h", "duality --help"])
+def test_help_exits_0(line, capsys):
+    assert main(shlex.split(line)) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(USAGE) and err == ""
+    assert all(command in out for command in ("check", "corpus", "duality", "--emit-model"))
+
+
+USAGE_ERRORS = [
+    "",                                   # no command
+    "frobnicate a.json",                  # unknown command
+    "--cap 5 check a.json",               # an option before the command
+    "check",                              # no file
+    "check a.json b.json",                # two files
+    "check a.json --cap abc",             # --cap not an integer
+    "check a.json --cap=",
+    "check a.json --cap",                 # an option without its value
+    "check a.json --report",
+    "check a.json --bogus x",             # unknown options
+    "check a.json -o x.json",             # -o belongs to corpus
+    "check -x.json",                      # a file that looks like an option, without --
+    "check a.json -- --cap 5",            # after --, options are arguments
+    "corpus even_sphere 2",               # no -o
+    "corpus -o x.json",                   # no kind
+    "duality",
+    "duality a.json b.json",
+    "duality a.json --cap 5",
+]
+
+
+@pytest.mark.parametrize("line", USAGE_ERRORS)
+def test_usage_error_exits_1(line, capsys):
+    assert main(shlex.split(line)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("\n" + USAGE + "\n")
+    assert err.count("\n") == USAGE.count("\n") + 2 and "Traceback" not in err
+
+
+# tokens the fuzzed command lines are made of; every number is small, so
+# no command line asks for unbounded work
+TOKENS = ["check", "corpus", "duality", "--cap", "--report", "--emit-model", "-o", "--output",
+          "--rep", "--em", "--c", "-h", "--help", "--", "-", "=", "0", "2", "3", "5", "12", "-1",
+          "abc", "-x", "--bogus", "even_sphere", "truncated_poly", "product", "wedge",
+          "s2.json", "missing.json", "out.json"]
+TOKEN = st.one_of(st.sampled_from(TOKENS),
+                  st.builds("{}={}".format, st.sampled_from(TOKENS), st.sampled_from(TOKENS)))
+# many command lines start with a command, so that some get past the parser
+ARGV = st.builds(list.__add__, st.lists(st.sampled_from(TOKENS[:3]), max_size=1),
+                 st.lists(TOKEN, max_size=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=ARGV)
+def test_main_survives_fuzzed_command_lines(argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # the outputs a command line names land here
+        try:
+            write_json(pathlib.Path(tmp, "s2.json"), even_sphere(2))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3, 4)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), err.getvalue()
 
 
 # ---- corpus subcommand ----

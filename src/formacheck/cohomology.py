@@ -13,11 +13,11 @@ blocks of (S^2)^4 at cap 13, and 27 of 120 for (CP^2)^3 at cap 12.
 degree from the monomial basis; they are the reference the tests compare
 against.
 
-The ±1 boundaries of the Δ_α are ranked by fraction-free integer
-elimination (`linalg.integer_rank`), every other rank by exact rational
-elimination; no float is involved anywhere.  A degree is "bijective" only
-when the induced map has full rank on both sides.  The verdict never
-claims anything beyond the configured degree cap.
+Every rank is an integer rank: `linalg.integer_rank` takes the ±1
+boundaries of the Δ_α, and `linalg.rank` the induced map's rows, scaled to
+integers; no float is involved.  A degree is "bijective" only when the
+induced map has full rank on both sides.  The verdict never claims
+anything beyond the configured degree cap.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .algebra import GradedAlgebra, _PhiTable
-from .linalg import ZERO, MatQ, RowSpace, Vec, integer_rank, kernel_basis, rref
+from .linalg import ZERO, MatQ, RowSpace, Vec, integer_rank, kernel_basis, rank
 from .model import (Model, _exponents, blocks_of_degree, differentiate,
                     monomials_of_degree, multidegree, phi_tilde)
 
@@ -119,16 +119,14 @@ def induced_map(model: Model, h: GradedAlgebra, n: int) -> DegreeReport:
         combo = {basis_n[i]: rep[i] for i in pure_even if rep[i] != 0}
         image = phi_tilde(model, h, combo)
         columns.append(tuple(image[k] for k in idx))
-    matrix = MatQ.from_rows(
-        [[col[i] for col in columns] for i in range(len(idx))], cols=len(columns))
-    rank = rref(matrix).rank
+    mapped = rank(columns)
     return DegreeReport(
         degree=n,
         model_cohomology_dim=dim_model,
         target_dim=len(idx),
-        induced_map_rank=rank,
-        injective=rank == dim_model,
-        surjective=rank == len(idx),
+        induced_map_rank=mapped,
+        injective=mapped == dim_model,
+        surjective=mapped == len(idx),
     )
 
 
@@ -240,15 +238,14 @@ def verify_quasi_iso(model: Model, h: GradedAlgebra, cap: int) -> QuasiIsoReport
     reports = []
     for n in range(cap + 1):
         idx = h.degree_indices(n)
-        rows = [[phi.value(alpha)[k] for k in idx] for alpha in bare.get(n, ())]
-        rank = rref(MatQ.from_rows(rows)).rank if rows else 0
+        mapped = rank([phi.value(alpha)[k] for k in idx] for alpha in bare.get(n, ()))
         reports.append(DegreeReport(
             degree=n,
             model_cohomology_dim=dims[n],
             target_dim=len(idx),
-            induced_map_rank=rank,
-            injective=rank == dims[n],
-            surjective=rank == len(idx),
+            induced_map_rank=mapped,
+            injective=mapped == dims[n],
+            surjective=mapped == len(idx),
         ))
     failing = [r.degree for r in reports if not r.bijective]
     return QuasiIsoReport(

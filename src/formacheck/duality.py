@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .formats import InputError, _optional_list, _read_json, _require, parse_rational
-from .linalg import MatQ, rref
+from .linalg import MatQ, rank
 
 
 class ChainComplexError(ValueError):
@@ -71,14 +71,14 @@ class DualityRow(NamedTuple):
 def duality_check(c: ChainComplexQ) -> list[DualityRow]:
     """Homology of c against cohomology of the degreewise dual complex.
 
-    The dual has differentials transpose(d_(n+1)): C^n -> C^(n+1); both
-    sides are computed by independent rank eliminations, and over Q they
-    must agree in every degree (any inequality is a bug, here or in the
-    input construction).
+    The dual has differentials transpose(d_(n+1)): C^n -> C^(n+1); each
+    side is an integer rank (`linalg.rank`) of its own rows, and over Q
+    they must agree in every degree (any inequality is a bug, here or in
+    the input construction).
     """
     validate_square_zero(c)
-    homology_rank = {n: rref(c.boundary(n)).rank for n in range(1, c.top + 1)}
-    dual_rank = {n: rref(c.boundary(n + 1).transpose()).rank for n in range(c.top)}
+    homology_rank = {n: rank(c.boundary(n).entries) for n in range(1, c.top + 1)}
+    dual_rank = {n: rank(c.boundary(n + 1).transpose().entries) for n in range(c.top)}
     rows = []
     for n in range(c.top + 1):
         hom = c.dims[n] - homology_rank.get(n, 0) - homology_rank.get(n + 1, 0)

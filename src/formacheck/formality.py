@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import GeneratorSet, GradedAlgebra, ValidationReport, choose_generators
 from .cohomology import QuasiIsoReport, verify_quasi_iso
-from .linalg import Vec, integer_rank
+from .linalg import rank
 from .model import EFamily, GoodObject, Model, build_model, compute_E, good_objects
 
 FORMAL_BY_THEOREM = "FORMAL_BY_THEOREM"
@@ -58,33 +58,11 @@ def check_condition_ii(e: EFamily) -> bool:
 
     Two monomials mapping to dependent classes (in particular to the same
     class) make the indexed family dependent, so the check keeps one row
-    per entry rather than deduplicating values.  An entry's class lies in
-    H^degree, so entries of different degrees are independent: each
-    degree's rows are ranked on their own, over the basis positions they
-    use, each row scaled to integers.  A degree with more rows than
-    positions is dependent without elimination.  Vacuously true when empty.
+    per entry rather than deduplicating values: the family is independent
+    when the integer rank (`linalg.rank`) of its class vectors is its
+    length.  Vacuously true when empty.
     """
-    by_degree: dict[int, list[Vec]] = {}
-    for entry in e.entries:
-        by_degree.setdefault(entry.degree, []).append(entry.class_vector)
-    blocks = list(by_degree.values())
-    used = [sorted({k for row in rows for k, c in enumerate(row) if c}) for rows in blocks]
-    everywhere = sorted(set().union(*used))
-    if sum(map(len, used)) != len(everywhere):
-        # degrees share basis positions only when H is not graded
-        blocks, used = [[entry.class_vector for entry in e.entries]], [everywhere]
-    return all(len(rows) <= len(positions)
-               and integer_rank(_scaled_to_integers(rows, positions)) == len(rows)
-               for rows, positions in zip(blocks, used))
-
-
-def _scaled_to_integers(rows: list[Vec], positions: list[int]) -> list[list[int]]:
-    """Each row's entries at `positions`, times the lcm of their denominators."""
-    out = []
-    for row in rows:
-        scale = math.lcm(*(row[k].denominator for k in positions))
-        out.append([row[k].numerator * (scale // row[k].denominator) for k in positions])
-    return out
+    return rank([entry.class_vector for entry in e]) == len(e)
 
 
 def corollary_integer_check(f: DegreeSet) -> tuple[bool, ...]:

@@ -18,7 +18,7 @@ from .formality import Certificate, DegreeSet
 from .linalg import Vec
 from .model import Monomial, format_monomial
 
-_RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 class InputError(Exception):
@@ -31,7 +31,7 @@ def parse_rational(value, where: str = "value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL.match(value):
+        if not _RATIONAL.fullmatch(value):
             raise InputError(f"{where}: malformed rational {value!r}")
         try:
             return Fraction(value)

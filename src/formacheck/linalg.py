@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices carry `fractions.Fraction` entries, and `integer_rank` ranks
-integer rows by fraction-free elimination; no floating point is allowed
-anywhere, so every rank is exact.  Pivoting and free-variable conventions
-are fixed so that every downstream choice (generator sets, complements,
-cohomology representatives) is reproducible bit for bit.
+Matrices carry `fractions.Fraction` entries.  Every rank is an integer rank
+(`rank` scales rows to integers for fraction-free `integer_rank`), and the
+one echelon form is `RowSpace`, which `rref` reads; no float is allowed
+anywhere.  Pivoting and free-variable conventions are fixed so that every
+downstream choice (generator sets, complements, cohomology representatives)
+is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -114,33 +116,23 @@ class RrefResult(NamedTuple):
 
 
 def rref(m: MatQ) -> RrefResult:
-    """Reduced row echelon form with deterministic pivoting.
+    """Reduced row echelon form: m's rows added to a `RowSpace`, padded with
+    zero rows.  The RREF is unique, so this is any Gauss-Jordan result."""
+    span = RowSpace(m.cols)
+    for row in m.entries:
+        span.add(row)
+    rows = tuple(span.rows) + (zero_vec(m.cols),) * (m.rows - span.rank)
+    return RrefResult(MatQ(m.rows, m.cols, rows), tuple(span.pivots), span.rank)
 
-    The pivot for each column is the first row (in index order) with a
-    nonzero entry; no magnitude-based pivoting, so identical inputs always
-    produce identical output.
-    """
-    work = [list(row) for row in m.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            work[r], work[pr] = work[pr], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(m.rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    out = MatQ(m.rows, m.cols, tuple(tuple(row) for row in work))
-    return RrefResult(out, tuple(pivots), r)
+
+def rank(rows: Iterable[Sequence]) -> int:
+    """Rank over Q: each row times the lcm of its denominators spans the same
+    line, so this is `integer_rank` of the scaled rows."""
+    scaled = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (scale // x.denominator) for x in row])
+    return integer_rank(scaled)
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:
@@ -184,7 +176,7 @@ def kernel_basis(m: MatQ) -> list[Vec]:
     reduced column above the pivots; vectors are ordered by free column
     index.
     """
-    red, pivots, rank = rref(m)
+    red, pivots, _ = rref(m)
     pivot_set = set(pivots)
     basis = []
     for f in range(m.cols):
@@ -195,7 +187,7 @@ def kernel_basis(m: MatQ) -> list[Vec]:
         for j, p in enumerate(pivots):
             v[p] = -red.entries[j][f]
         basis.append(tuple(v))
-    assert len(basis) == m.cols - rank
+    assert len(basis) == m.cols - len(pivots)
     return basis
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from formacheck.formality import (FORMAL_BY_THEOREM, HYPOTHESIS_VIOLATED,
 from formacheck.linalg import rref
 from formacheck.model import EEntry, EFamily, Monomial, _monomials_cached, compute_E
 
-from util import (algebra, change_basis, corpus_objects, cp2, cp3, dependent_family,
-                  dependent_pair, pipeline, s2, s2_power_4, wedge_s2_s2)
+from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,
+                  dependent_family, dependent_pair, pipeline, s2, s2_power_4, sphere_wedge_8,
+                  wedge_s2_s2)
 
 
 def e_family_of(h):
@@ -232,6 +234,23 @@ def test_certify_caches_stay_bounded():
     assert fc.certify(h, fc.validate(h)).exit_code == 0
     assert _monomials_cached.cache_info().misses == 0
     assert fc.differential_matrix.cache_info().misses == 0
+
+
+def test_check_path_builds_no_rational_echelon_form(monkeypatch):
+    # every rank certify takes is an integer rank: no module's `rref` runs,
+    # and no dense `MatQ` is built
+    inputs = [(algebra(obj), None) for obj in corpus_objects()]
+    inputs += [(s2_power_4(), 13), (cp2_power_3(), 12), (sphere_wedge_8(), None)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rational elimination on the check path")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("formacheck") and getattr(module, "rref", None) is rref:
+            monkeypatch.setattr(module, "rref", forbidden)
+    monkeypatch.setattr(fc.MatQ, "from_rows", staticmethod(forbidden))
+    for h, cap in inputs:
+        fc.certify(h, fc.validate(h), cap)
 
 
 def test_verdict_deterministic():

@@ -134,6 +134,10 @@ REJECTED_ALGEBRAS = {
     "bool_coefficient": cp2_with(products__0__value__0__coeff=True),
     "float_coefficient": cp2_with(products__0__value__0__coeff=1.5),
     "zero_denominator": cp2_with(products__0__value__0__coeff="1/0"),
+    # a rational is the whole string, in ASCII digits
+    "trailing_newline": cp2_with(products__0__value__0__coeff="1\n"),
+    "fraction_trailing_newline": cp2_with(products__0__value__0__coeff="3/4\n"),
+    "fullwidth_digit": cp2_with(products__0__value__0__coeff="\uff12"),
     "list_coefficient": cp2_with(products__0__value__0__coeff=[1]),
     "negative_degree": cp2_with(basis__1__degree=-2),
     "odd_degree": cp2_with(basis__1__degree=3),  # x*x lands in degree 4, not 6
@@ -161,6 +165,9 @@ REJECTED_COMPLEXES = {
     "bool_entry": {"dims": [1, 1], "boundaries": [[[True]]]},
     "float_entry": {"dims": [1, 1], "boundaries": [[[0.5]]]},
     "zero_denominator": {"dims": [1, 1], "boundaries": [[["1/0"]]]},
+    "trailing_newline": {"dims": [1, 1], "boundaries": [[["1\n"]]]},
+    "fraction_trailing_newline": {"dims": [1, 1], "boundaries": [[["3/4\n"]]]},
+    "fullwidth_digit": {"dims": [1, 1], "boundaries": [[["\uff12"]]]},
     "top_level_string": "dims",
 }
 

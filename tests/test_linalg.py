@@ -7,8 +7,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formacheck.linalg import (MatQ, RowSpace, integer_rank, kernel_basis, rref, unit_vec,
-                               vec_is_zero)
+from formacheck.linalg import (ZERO, MatQ, RowSpace, integer_rank, kernel_basis, rank, rref,
+                               unit_vec, vec_is_zero)
 
 from oracles import matvec, solve
 from util import frac_matrix
@@ -169,18 +169,34 @@ def test_rowspace_tracks_rank():
     assert vec_is_zero(rs.reduce((Fraction(3), Fraction(3), Fraction(5))))
 
 
-# ---- fraction-free integer rank against rref and sympy ----
+# ---- rank, integer_rank and rref against sympy ----
+
+def sympy_matrix(rows, cols):
+    return sympy.Matrix(len(rows), cols, [sympy.Rational(x.numerator, x.denominator)
+                                          for row in rows for x in row])
+
 
 def assert_ranks_agree(rows, cols):
-    rank = integer_rank(rows)
-    assert rank == rref(MatQ.from_rows(rows, cols=cols)).rank
-    assert rank == (sympy.Matrix(rows).rank() if rows and cols else 0)
+    expected = sympy_matrix(rows, cols).rank()
+    assert rank(rows) == expected
+    assert rref(MatQ.from_rows(rows, cols=cols)).rank == expected
+    if all(x.denominator == 1 for row in rows for x in row):
+        assert integer_rank([[int(x) for x in row] for row in rows]) == expected
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, cols): small `Fraction` entries, some rows and columns zeroed."""
+    cols = draw(st.integers(0, 7))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=7))
+    zero_rows, zero_cols = draw(st.sets(st.integers(0, 6))), draw(st.sets(st.integers(0, 6)))
+    return [[ZERO if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)], cols
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 7).flatmap(lambda cols: st.tuples(
-    st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), max_size=7),
-    st.just(cols))))
+@given(rational_matrices())
 @example(([], 0))                       # empty
 @example(([], 4))                       # no rows
 @example(([[], [], []], 0))             # no columns
@@ -192,7 +208,13 @@ def assert_ranks_agree(rows, cols):
 @example(([[0, -2, 1], [-2, -2, -1], [0, -1, 1]], 3))
 def test_integer_rank_matches_rref_and_sympy(drawn):
     rows, cols = drawn
+    rows = [[Fraction(x) for x in row] for row in rows]
     assert_ranks_agree(rows, cols)
+    reduced, pivots = sympy_matrix(rows, cols).rref()
+    out = rref(MatQ.from_rows(rows, cols=cols))
+    assert out.pivot_cols == pivots
+    assert [list(row) for row in out.rref.entries] == \
+        [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(rows))]
 
 
 def boundary_rows(faces, s):

@@ -5,11 +5,24 @@ codes; `formacheck -h` prints it.  `parse_command_line` reads that grammar
 by hand: a stdlib parser's import and set-up would cost every process a few
 milliseconds.  `corpus` and `duality` import their modules when they run,
 so that a `check` process neither loads nor compiles them.
+
+The `formacheck` script and `python -m formacheck` run `entrypoint`, which
+flushes standard output and then standard error and ends the process with
+`os._exit`: `atexit` hooks do not run, and the interpreter is not torn
+down.  That teardown frees every module, code object and result one at a
+time, and it took 8-11 ms of a `check` process that lasts about 0.1 s at
+the benchmark's sizes.  Ending early is safe because every file a command
+writes is closed before `main` returns (`_write` uses `with`), and no
+command registers an `atexit` hook, starts a thread or leaves a temporary
+file.  An exception that escapes `main` still ends the process the normal
+way, with a traceback and exit 1.  `main()` and `certify()` return
+normally, for tests and library use.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -51,6 +64,21 @@ def _write(path, text: str):
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _stdout(code: int, text: Optional[str] = None) -> int:
+    """Write `text` to standard output, or flush it when `text` is None, and
+    return `code`.  If standard output cannot be written (a pipe whose reader
+    has gone, a full disk), say so on stderr and return EXIT_INPUT_ERROR."""
+    try:
+        if text is None:
+            sys.stdout.flush()
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    return code
+
+
 def _utc_now() -> str:
     """The current UTC time as YYYY-MM-DDTHH:MM:SS.ffffff+00:00."""
     seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
@@ -74,8 +102,8 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
     text = json.dumps(certificate, indent=2, sort_keys=True) + "\n"
     if report is not None:
         _write(report, text)
-    else:
-        sys.stdout.write(text)
+    elif _stdout(EXIT_OK, text) != EXIT_OK:
+        return EXIT_INPUT_ERROR
 
     verdict, qreport = cert.verdict, cert.quasi_isomorphism
     summary = [f"classification: {verdict.classification}"]
@@ -116,8 +144,8 @@ def run_duality(path) -> int:
         "degrees": [r._asdict() for r in rows],
         "all_equal": all(r.equal for r in rows),
     }
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return EXIT_OK if result["all_equal"] else EXIT_INPUT_ERROR
+    return _stdout(EXIT_OK if result["all_equal"] else EXIT_INPUT_ERROR,
+                   json.dumps(result, indent=2, sort_keys=True) + "\n")
 
 
 def parse_command_line(argv):
@@ -169,8 +197,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}\n{USAGE}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if opts.get("help"):
-        print(HELP)
-        return EXIT_OK
+        return _stdout(EXIT_OK, HELP + "\n")
     try:
         if command == "check":
             return run_check(*args, **opts)
@@ -183,7 +210,12 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    """Run `main`, flush its output and end the process without tearing the
+    interpreter down (see the module docstring).  A write error still held in
+    the buffer shows up in this flush and exits 1."""
+    code = _stdout(main())
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -127,11 +127,16 @@ def rref(m: MatQ) -> RrefResult:
 
 def rank(rows: Iterable[Sequence]) -> int:
     """Rank over Q: each row times the lcm of its denominators spans the same
-    line, so this is `integer_rank` of the scaled rows."""
+    line, so this is `integer_rank` of the scaled rows.  Only the nonzero
+    entries are scaled: a class vector has one among hundreds."""
     scaled = []
     for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (scale // x.denominator) for x in row])
+        nonzero = [(k, x) for k, x in enumerate(row) if x]
+        scale = math.lcm(*(x.denominator for _, x in nonzero))
+        out = [0] * len(row)
+        for k, x in nonzero:
+            out[k] = x.numerator * (scale // x.denominator)
+        scaled.append(out)
     return integer_rank(scaled)
 
 

@@ -19,7 +19,7 @@ from formacheck.cli import USAGE, main, parse_command_line
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import InputError, load_algebra_file, parse_algebra_json
 
-from util import algebra, corpus_objects, dependent_pair, serialize_algebra
+from util import algebra, corpus_objects, dependent_pair, serialize_algebra, sphere_wedge_8
 
 
 def write_json(path, obj):
@@ -284,6 +284,55 @@ def test_python_dash_m(tmp_path):
         assert run(module, path, "--report", str(report)) == 0
         assert json.loads(report.read_text())["exit_code"] == 0
         assert run(module, str(tmp_path / "missing.json")) == 1
+
+
+def child_env(unbuffered):
+    """The environment of a `python -m formacheck` child, with or without
+    PYTHONUNBUFFERED (unset, a short certificate waits in the buffer until
+    the final flush; a long one fails at its write)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
+
+
+@contextlib.contextmanager
+def unwritable_stdout(target):
+    """A file descriptor no write succeeds on: a pipe whose reader is closed
+    (EPIPE) or /dev/full (ENOSPC)."""
+    if target == "closed pipe":
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            yield w
+        finally:
+            os.close(w)
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as fh:
+            yield fh.fileno()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize("command", ["check", "check 8-fold wedge", "duality", "--help"])
+def test_unwritable_stdout_exits_1(tmp_path, command, target, unbuffered):
+    argv = {"check": ["check", write_json(tmp_path / "s2.json", even_sphere(2))],
+            "check 8-fold wedge": ["check", write_json(tmp_path / "w8.json",
+                                                      serialize_algebra(sphere_wedge_8()))],
+            "duality": ["duality", write_json(tmp_path / "c.json",
+                                              {"dims": [1, 1], "boundaries": [[["1"]]]})],
+            "--help": ["--help"]}[command]
+    with unwritable_stdout(target) as fd:
+        run = subprocess.run([sys.executable, "-m", "formacheck", *argv], stdout=fd,
+                             stderr=subprocess.PIPE, env=child_env(unbuffered), text=True,
+                             timeout=120)
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert lines[-1].startswith("error: cannot write standard output: ")
+    assert "Traceback" not in run.stderr and len([x for x in lines if "error" in x]) == 1
 
 
 def test_every_export_resolves():

@@ -3,7 +3,8 @@ unused.  A name counts as used when the module reads it somewhere or lists
 it in `__all__`; `from __future__` imports are exempt.  No module-level
 private name (`_x`) defined in `src/formacheck` goes unread there either:
 some module of the package must read it, so a helper the package stopped
-calling is deleted rather than kept for the tests."""
+calling is deleted rather than kept for the tests.  Only `cli.entrypoint`
+calls `os._exit`: library code returns, it never ends the process."""
 
 import ast
 import glob
@@ -82,6 +83,21 @@ def unread_private_names(sources: dict) -> list:
                   for line, name in private_definitions(tree) if name not in read)
 
 
+def hard_exits(source: str) -> list:
+    """(line, enclosing function or None) of every call of `os._exit`."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "os._exit":
+                found.append((child.lineno, function))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def test_checker_finds_unused_imports():
     source = ("from __future__ import annotations\n"
               "import os, os.path as p\n"
@@ -105,6 +121,23 @@ def test_checker_finds_unread_private_names():
                      "def _orphan():\n    _local = 1\n    return _local\n"),
                "b": "from .a import _helper\nimport a\nx = _helper() + a._Kept\n"}
     assert unread_private_names(sources) == [("a", 2, "_unused"), ("a", 8, "_orphan")]
+
+
+def test_checker_finds_hard_exits():
+    source = ("import os, sys\nos._exit(0)\n"
+              "def entrypoint():\n    os._exit(main())\n"
+              "class C:\n    def stop(self):\n        if True:\n            os._exit(1)\n"
+              "def f():\n    sys.exit(2)\n    def g():\n        return os._exit\n")
+    assert hard_exits(source) == [(2, None), (4, "entrypoint"), (8, "stop")]
+
+
+def test_only_the_entrypoint_ends_the_process():
+    found = []
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            module = os.path.basename(path)
+            found += [(module, function) for _, function in hard_exits(fh.read())]
+    assert found == [("cli.py", "entrypoint")]
 
 
 def test_every_private_name_has_a_reader():

@@ -10,8 +10,8 @@ The `formacheck` script and `python -m formacheck` run `entrypoint`, which
 flushes standard output and then standard error and ends the process with
 `os._exit`: `atexit` hooks do not run, and the interpreter is not torn
 down.  That teardown frees every module, code object and result one at a
-time, and it took 8-11 ms of a `check` process that lasts about 0.1 s at
-the benchmark's sizes.  Ending early is safe because every file a command
+time, and it took about 10 ms of a `check` process that lasts about 0.1 s
+at the benchmark's sizes.  Ending early is safe because every file a command
 writes is closed before `main` returns (`_write` uses `with`), and no
 command registers an `atexit` hook, starts a thread or leaves a temporary
 file.  An exception that escapes `main` still ends the process the normal

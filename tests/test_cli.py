@@ -269,10 +269,19 @@ def test_check_stdout_certificate(tmp_path, capsys):
     assert cert["input_sha256"]
 
 
-def test_python_dash_m(tmp_path):
+def child_env(unbuffered):
+    """The environment of a `python -m formacheck` child, with or without
+    PYTHONUNBUFFERED (unset, a short certificate waits in the buffer until
+    the final flush; a long one fails at its write)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fc.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
+
+
+def test_python_dash_m(tmp_path):
+    env = child_env(unbuffered=True)
     path = write_json(tmp_path / "s2.json", even_sphere(2))
 
     def run(module, *args):
@@ -284,17 +293,6 @@ def test_python_dash_m(tmp_path):
         assert run(module, path, "--report", str(report)) == 0
         assert json.loads(report.read_text())["exit_code"] == 0
         assert run(module, str(tmp_path / "missing.json")) == 1
-
-
-def child_env(unbuffered):
-    """The environment of a `python -m formacheck` child, with or without
-    PYTHONUNBUFFERED (unset, a short certificate waits in the buffer until
-    the final flush; a long one fails at its write)."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fc.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    env.pop("PYTHONUNBUFFERED", None)
-    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
 
 
 @contextlib.contextmanager
@@ -332,7 +330,8 @@ def test_unwritable_stdout_exits_1(tmp_path, command, target, unbuffered):
     assert run.returncode == 1
     lines = run.stderr.splitlines()
     assert lines[-1].startswith("error: cannot write standard output: ")
-    assert "Traceback" not in run.stderr and len([x for x in lines if "error" in x]) == 1
+    assert "Traceback" not in run.stderr
+    assert [x for x in lines if x.startswith("error")] == lines[-1:]
 
 
 def test_every_export_resolves():

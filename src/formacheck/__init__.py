@@ -4,10 +4,9 @@ commutative algebras over Q."""
 __version__ = "0.1.0"
 
 from .linalg import MatQ, RowSpace, Vec, kernel_basis, rref
-from .algebra import (AlgebraStructureError, GeneratorSet, Generator,
-                      GradedAlgebra, ValidationReport, choose_generators,
-                      validate)
-from .model import (EFamily, GoodObject, Model, Monomial, OddGenerator,
+from .algebra import (AlgebraStructureError, Generator, GradedAlgebra,
+                      ValidationReport, choose_generators, validate)
+from .model import (GoodObject, Model, Monomial, OddGenerator,
                     build_model, compute_E, differential_matrix,
                     format_monomial, good_objects, monomials_of_degree,
                     phi_tilde)
@@ -22,9 +21,9 @@ from .formats import InputError, format_rational, parse_algebra, parse_rational
 __all__ = [
     "__version__",
     "MatQ", "RowSpace", "Vec", "rref", "kernel_basis",
-    "GradedAlgebra", "GeneratorSet", "Generator", "ValidationReport",
+    "GradedAlgebra", "Generator", "ValidationReport",
     "AlgebraStructureError", "validate", "choose_generators",
-    "Monomial", "Model", "OddGenerator", "EFamily", "GoodObject",
+    "Monomial", "Model", "OddGenerator", "GoodObject",
     "monomials_of_degree", "compute_E", "good_objects",
     "build_model", "differential_matrix", "phi_tilde", "format_monomial",
     "DegreeReport", "QuasiIsoReport", "cohomology_basis", "induced_map",

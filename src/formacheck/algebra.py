@@ -310,43 +310,14 @@ class Generator(NamedTuple):
     class_vector: Vec
 
 
-class GeneratorSet(NamedTuple):
-    """Chosen degreewise complement of the decomposables inside H^+.
-
-    Basis classes ordered by (degree, basis index), picked by the greedy
-    rule of `choose_generators`, which makes the choice reproducible; the
-    chosen classes are recorded verbatim in certificates.
-    """
-
-    generators: tuple[Generator, ...]
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __getitem__(self, k: int) -> Generator:
-        return self.generators[k]
-
-    def __reduce__(self):
-        # pickle and copy by field; iteration yields the generators instead
-        return GeneratorSet, (self.generators,)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(g.degree for g in self.generators)
-
-    def all_even(self) -> bool:
-        return all(d % 2 == 0 for d in self.degrees)
-
-
-def choose_generators(h: GradedAlgebra) -> GeneratorSet:
+def choose_generators(h: GradedAlgebra) -> tuple[Generator, ...]:
     """Pick generators degree by degree as a complement of the decomposables.
 
     Greedy rule: in each degree, the basis classes are added in basis order
     to the span of the decomposables, and each class that enlarges the
-    span is a generator.
+    span is a generator.  The generators come ordered by (degree, basis
+    index), which makes the choice reproducible; certificates record the
+    chosen classes verbatim.
     """
     gens = []
     for n, span in _decomposable_spans(h).items():
@@ -354,7 +325,7 @@ def choose_generators(h: GradedAlgebra) -> GeneratorSet:
             if span.add(unit_vec(span.dim, slot)) is not None:
                 gens.append(Generator(label=f"v{len(gens) + 1}", degree=n,
                                       class_vector=h.basis_vector(i)))
-    return GeneratorSet(tuple(gens))
+    return tuple(gens)
 
 
 class _PhiTable:
@@ -362,7 +333,7 @@ class _PhiTable:
     over the generators; the generators must have even degree, so the order
     of the factors does not matter."""
 
-    def __init__(self, h: GradedAlgebra, gens: GeneratorSet):
+    def __init__(self, h: GradedAlgebra, gens: tuple[Generator, ...]):
         self.h = h
         self.gens = gens
         n = len(gens)

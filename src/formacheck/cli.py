@@ -6,17 +6,19 @@ by hand: a stdlib parser's import and set-up would cost every process a few
 milliseconds.  `corpus` and `duality` import their modules when they run,
 so that a `check` process neither loads nor compiles them.
 
-The `formacheck` script and `python -m formacheck` run `entrypoint`, which
-flushes standard output and then standard error and ends the process with
-`os._exit`: `atexit` hooks do not run, and the interpreter is not torn
-down.  That teardown frees every module, code object and result one at a
-time, and it took about 10 ms of a `check` process that lasts about 0.1 s
-at the benchmark's sizes.  Ending early is safe because every file a command
-writes is closed before `main` returns (`_write` uses `with`), and no
-command registers an `atexit` hook, starts a thread or leaves a temporary
-file.  An exception that escapes `main` still ends the process the normal
-way, with a traceback and exit 1.  `main()` and `certify()` return
-normally, for tests and library use.
+Every line for standard error goes through `_stderr`, which flushes it at
+once and ignores a standard error that cannot be written, so a full disk
+or a closed pipe there never changes the exit code.  The `formacheck`
+script and `python -m formacheck` run `entrypoint`, which flushes standard
+output and ends the process with `os._exit`: `atexit` hooks do not run,
+and the interpreter is not torn down.  That teardown frees every module,
+code object and result one at a time, and it took about 10 ms of a
+`check` process that lasts about 0.1 s at the benchmark's sizes.  Ending
+early is safe because every file a command writes is closed before `main`
+returns (`_write` uses `with`), and no command registers an `atexit` hook,
+starts a thread or leaves a temporary file.  An exception that escapes
+`main` still ends the process the normal way, with a traceback and exit 1.
+`main()` and `certify()` return normally, for tests and library use.
 """
 
 from __future__ import annotations
@@ -64,6 +66,15 @@ def _write(path, text: str):
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _stderr(text: str):
+    """Print `text` to standard error and flush it; if standard error cannot
+    be written, the line is dropped."""
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def _stdout(code: int, text: Optional[str] = None) -> int:
     """Write `text` to standard output, or flush it when `text` is None, and
     return `code`.  If standard output cannot be written (a pipe whose reader
@@ -74,7 +85,7 @@ def _stdout(code: int, text: Optional[str] = None) -> int:
         else:
             sys.stdout.write(text)
     except OSError as exc:
-        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        _stderr(f"error: cannot write standard output: {exc.strerror or exc}")
         return EXIT_INPUT_ERROR
     return code
 
@@ -118,7 +129,7 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
     if verdict.discrepancy:
         summary.append("DISCREPANCY: theorem-level verdict is formal, but the "
                        "capped quasi-isomorphism check failed")
-    print("\n".join(summary), file=sys.stderr)
+    _stderr("\n".join(summary))
     return cert.exit_code
 
 
@@ -127,7 +138,7 @@ def run_corpus(kind: str, params: list, out) -> int:
 
     obj = generate(kind, params)
     _write(out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {obj['name']} to {out}", file=sys.stderr)
+    _stderr(f"wrote {obj['name']} to {out}")
     return EXIT_OK
 
 
@@ -194,7 +205,7 @@ def main(argv=None) -> int:
     try:
         command, args, opts = parse_command_line(sys.argv[1:] if argv is None else argv)
     except InputError as exc:
-        print(f"error: {exc}\n{USAGE}", file=sys.stderr)
+        _stderr(f"error: {exc}\n{USAGE}")
         return EXIT_INPUT_ERROR
     if opts.get("help"):
         return _stdout(EXIT_OK, HELP + "\n")
@@ -205,7 +216,7 @@ def main(argv=None) -> int:
             return run_corpus(args[0], args[1:], opts["output"])
         return run_duality(*args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return EXIT_INPUT_ERROR
 
 
@@ -213,9 +224,7 @@ def entrypoint():
     """Run `main`, flush its output and end the process without tearing the
     interpreter down (see the module docstring).  A write error still held in
     the buffer shows up in this flush and exits 1."""
-    code = _stdout(main())
-    sys.stderr.flush()
-    os._exit(code)
+    os._exit(_stdout(main()))
 
 
 if __name__ == "__main__":

@@ -63,14 +63,14 @@ def _product_table(a: GradedAlgebra, b: GradedAlgebra):
                 out[pos[(m, n)]] = out.get(pos[(m, n)], Fraction(0)) + sign * cm * cn
         return {k2: v for k2, v in out.items() if v != 0}
 
-    return pairs, pos, mul
+    return pairs, mul
 
 
 def product(a_obj: dict, b_obj: dict) -> dict:
     """Tensor product of two algebra files (Koszul sign included)."""
     a = parse_algebra_json(a_obj, "product left factor")
     b = parse_algebra_json(b_obj, "product right factor")
-    pairs, _, mul = _product_table(a, b)
+    pairs, mul = _product_table(a, b)
     labels = [f"{a.labels[i]}*{b.labels[j]}" for i, j in pairs]
     degrees = [a.degrees[i] + b.degrees[j] for i, j in pairs]
     unit = labels[pairs.index((a.unit_index, b.unit_index))]

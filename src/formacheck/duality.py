@@ -45,18 +45,10 @@ class ChainComplexQ(_ChainComplexQ):
     def top(self) -> int:
         return len(self.dims) - 1
 
-    def boundary(self, n: int) -> MatQ:
-        """d_n: C_n -> C_(n-1); zero-shaped outside 1..top."""
-        if 1 <= n <= self.top:
-            return self.boundaries[n - 1]
-        rows = self.dims[n - 1] if 0 <= n - 1 <= self.top else 0
-        cols = self.dims[n] if 0 <= n <= self.top else 0
-        return MatQ.zeros(rows, cols)
-
 
 def validate_square_zero(c: ChainComplexQ):
     for n in range(2, c.top + 1):
-        if not c.boundary(n - 1).matmul(c.boundary(n)).is_zero():
+        if not c.boundaries[n - 2].matmul(c.boundaries[n - 1]).is_zero():
             raise ChainComplexError(
                 n, f"boundary squared is nonzero: d_{n - 1} o d_{n} != 0")
 
@@ -77,8 +69,8 @@ def duality_check(c: ChainComplexQ) -> list[DualityRow]:
     the input construction).
     """
     validate_square_zero(c)
-    homology_rank = {n: rank(c.boundary(n).entries) for n in range(1, c.top + 1)}
-    dual_rank = {n: rank(c.boundary(n + 1).transpose().entries) for n in range(c.top)}
+    homology_rank = {n: rank(c.boundaries[n - 1].entries) for n in range(1, c.top + 1)}
+    dual_rank = {n: rank(c.boundaries[n].transpose().entries) for n in range(c.top)}
     rows = []
     for n in range(c.top + 1):
         hom = c.dims[n] - homology_rank.get(n, 0) - homology_rank.get(n + 1, 0)

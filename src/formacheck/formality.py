@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .algebra import GeneratorSet, GradedAlgebra, ValidationReport, choose_generators
+from .algebra import Generator, GradedAlgebra, ValidationReport, choose_generators
 from .cohomology import QuasiIsoReport, verify_quasi_iso
 from .linalg import rank
-from .model import EFamily, GoodObject, Model, build_model, compute_E, good_objects
+from .model import EEntry, GoodObject, Model, build_model, compute_E, good_objects
 
 FORMAL_BY_THEOREM = "FORMAL_BY_THEOREM"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -48,12 +48,12 @@ class DegreeSet(_DegreeSet):
         return cls(tuple(sorted({d for d in h.degrees if d > 0})))
 
 
-def check_condition_i(e: EFamily) -> bool:
+def check_condition_i(e: tuple[EEntry, ...]) -> bool:
     """Trivial cup product: the family of nonzero products is empty."""
-    return e.is_empty()
+    return not e
 
 
-def check_condition_ii(e: EFamily) -> bool:
+def check_condition_ii(e: tuple[EEntry, ...]) -> bool:
     """Linear independence of the family indexed by distinct monomials.
 
     Two monomials mapping to dependent classes (in particular to the same
@@ -113,13 +113,12 @@ class Verdict(NamedTuple):
     condition_ii: Optional[bool]
     corollary_integer: tuple[bool, ...]
     corollary_nonnegative: tuple[bool, ...]
-    quasi_iso: Optional[QuasiIsoReport]
     classification: str
     discrepancy: bool
 
 
-def render_verdict(h: GradedAlgebra, gens: GeneratorSet,
-                   e: Optional[EFamily], goods: Optional[list[GoodObject]],
+def render_verdict(h: GradedAlgebra, e: Optional[tuple[EEntry, ...]],
+                   goods: Optional[list[GoodObject]],
                    quasi_report: Optional[QuasiIsoReport]) -> Verdict:
     """Assemble the final classification from the pieces of one pipeline run.
 
@@ -156,7 +155,6 @@ def render_verdict(h: GradedAlgebra, gens: GeneratorSet,
         condition_ii=cond_ii,
         corollary_integer=corollary_integer_check(degree_set),
         corollary_nonnegative=corollary_nonnegative_check(degree_set),
-        quasi_iso=quasi_report,
         classification=classification,
         discrepancy=discrepancy,
     )
@@ -168,8 +166,8 @@ class Certificate(NamedTuple):
     algebra: GradedAlgebra
     validation: ValidationReport
     cap: int
-    generators: GeneratorSet
-    e_family: Optional[EFamily]
+    generators: tuple[Generator, ...]
+    e_family: Optional[tuple[EEntry, ...]]
     good_objects: Optional[list[GoodObject]]
     model: Optional[Model]
     quasi_isomorphism: Optional[QuasiIsoReport]
@@ -206,5 +204,5 @@ def certify(h: GradedAlgebra, report: ValidationReport,
         goods = good_objects(h, gens, e)
         model = build_model(h, gens, goods)
         quasi = verify_quasi_iso(model, h, cap)
-    verdict = render_verdict(h, gens, e, goods, quasi)
+    verdict = render_verdict(h, e, goods, quasi)
     return Certificate(h, report, cap, gens, e, goods, model, quasi, verdict)

@@ -183,7 +183,7 @@ def certificate_json(cert: Certificate, raw_obj, digest: str) -> dict:
         "e_family": None if cert.e_family is None else [{
             "monomial": _monomial_json(entry.monomial, labels),
             "class": sparse(entry.class_vector),
-            "degree": entry.degree,
+            "degree": entry.monomial.degree,
         } for entry in cert.e_family],
         "good_objects": None if cert.good_objects is None else [{
             "monomial": _monomial_json(g.monomial, labels),

@@ -76,10 +76,6 @@ class MatQ(_MatQ):
         return cls(len(data), ncols, data)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "MatQ":
-        return cls(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
-
-    @classmethod
     def identity(cls, n: int) -> "MatQ":
         return cls(n, n, tuple(unit_vec(n, i) for i in range(n)))
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .algebra import GeneratorSet, GradedAlgebra, _PhiTable
+from .algebra import Generator, GradedAlgebra, _PhiTable
 from .linalg import MatQ, Vec, vec_is_zero
 
 EvenPart = tuple[tuple[int, int], ...]  # (generator index, exponent > 0), ascending
@@ -71,28 +71,10 @@ def _merge_even(a: EvenPart, b: EvenPart) -> EvenPart:
 
 
 class EEntry(NamedTuple):
+    """A nonzero product of >= 2 generators: its monomial and its class."""
+
     monomial: Monomial
     class_vector: Vec
-    degree: int
-
-
-class EFamily(NamedTuple):
-    """Nonzero products of >= 2 generators, indexed by distinct monomials."""
-
-    entries: tuple[EEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __reduce__(self):
-        # pickle and copy by field; iteration yields the entries instead
-        return EFamily, (self.entries,)
-
-    def is_empty(self) -> bool:
-        return not self.entries
 
 
 class GoodObject(NamedTuple):
@@ -114,12 +96,12 @@ class Model(NamedTuple):
     are not recomputed after the w's are added.
     """
 
-    generators: GeneratorSet
+    generators: tuple[Generator, ...]
     odd_generators: tuple[OddGenerator, ...]
 
     @property
     def even_degrees(self) -> tuple[int, ...]:
-        return self.generators.degrees
+        return tuple(g.degree for g in self.generators)
 
     @property
     def odd_degrees(self) -> tuple[int, ...]:
@@ -171,12 +153,12 @@ def monomials_of_degree(model: Model, n: int) -> list[Monomial]:
     return list(_monomials_cached(model.even_degrees, model.odd_degrees, n))
 
 
-def _require_even(gens: GeneratorSet):
-    if not gens.all_even():
+def _require_even(gens: tuple[Generator, ...]):
+    if any(g.degree % 2 for g in gens):
         raise ValueError("construction requires all generators in even degrees")
 
 
-def compute_E(h: GradedAlgebra, gens: GeneratorSet) -> EFamily:
+def compute_E(h: GradedAlgebra, gens: tuple[Generator, ...]) -> tuple[EEntry, ...]:
     """All nonzero products of >= 2 generators, up to the top degree of h,
     by degree and then lexicographically in the exponents.
 
@@ -185,20 +167,21 @@ def compute_E(h: GradedAlgebra, gens: GeneratorSet) -> EFamily:
     """
     _require_even(gens)
     phi = _PhiTable(h, gens)
-    bound = tuple(h.top_degree // d for d in gens.degrees)
+    degrees = tuple(g.degree for g in gens)
+    bound = tuple(h.top_degree // d for d in degrees)
     entries = []
     for degree in range(h.top_degree + 1):
-        for exps in _exponents(gens.degrees, degree, bound):
+        for exps in _exponents(degrees, degree, bound):
             if sum(exps) < 2:
                 continue
             value = phi.value(exps)
             if not vec_is_zero(value):
-                entries.append(EEntry(Monomial(_pack(exps), (), degree), value, degree))
-    return EFamily(tuple(entries))
+                entries.append(EEntry(Monomial(_pack(exps), (), degree), value))
+    return tuple(entries)
 
 
-def good_objects(h: GradedAlgebra, gens: GeneratorSet,
-                 e: Optional[EFamily] = None) -> list[GoodObject]:
+def good_objects(h: GradedAlgebra, gens: tuple[Generator, ...],
+                 e: Optional[tuple[EEntry, ...]] = None) -> list[GoodObject]:
     """Monomials with zero image whose proper divisors (>= 2 factors) all
     have nonzero image, read off the family E.
 
@@ -229,13 +212,13 @@ def good_objects(h: GradedAlgebra, gens: GeneratorSet,
             witnesses = sorted((entry for div, entry in entries.items()
                                 if all(a <= b for a, b in zip(div, exps))),
                                key=lambda w: w.monomial.sort_key())
-            degree = sum(e * d for e, d in zip(exps, gens.degrees))
+            degree = sum(e * g.degree for e, g in zip(exps, gens))
             goods.append(GoodObject(Monomial(_pack(exps), (), degree), tuple(witnesses)))
     goods.sort(key=lambda g: g.monomial.sort_key())
     return goods
 
 
-def build_model(h: GradedAlgebra, gens: GeneratorSet,
+def build_model(h: GradedAlgebra, gens: tuple[Generator, ...],
                 goods: Optional[list[GoodObject]] = None) -> Model:
     """One-stage model: d(v) = 0 and one w per good object with d(w) = m."""
     _require_even(gens)

@@ -189,7 +189,7 @@ def brute_good_objects(h, gens):
     whose proper divisors with >= 2 factors all have nonzero image, with
     those divisors as witnesses.  A longer candidate would have a proper
     divisor above the top degree, so nothing good lies past the bound."""
-    degs = gens.degrees
+    degs = tuple(g.degree for g in gens)
     bound = h.top_degree + max(degs, default=0)
 
     def monomial(exps):
@@ -207,7 +207,7 @@ def brute_good_objects(h, gens):
             value = _image(h, gens, div)
             if not any(value):
                 break
-            witnesses.append(EEntry(monomial(div), value, monomial(div).degree))
+            witnesses.append(EEntry(monomial(div), value))
         else:
             witnesses.sort(key=lambda w: w.monomial.sort_key())
             goods.append(GoodObject(monomial(exps), tuple(witnesses)))

@@ -334,6 +334,27 @@ def test_unwritable_stdout_exits_1(tmp_path, command, target, unbuffered):
     assert [x for x in lines if x.startswith("error")] == lines[-1:]
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case, expected", [("check --report", 0), ("check 8-fold wedge", 4),
+                                            ("missing file", 1), ("corpus", 0),
+                                            ("stdout full too", 1)])
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, case, expected, unbuffered):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    s2_path = write_json(tmp_path / "s2.json", even_sphere(2))
+    argv = {"check --report": ["check", s2_path, "--report", str(tmp_path / "cert.json")],
+            "check 8-fold wedge": ["check", write_json(tmp_path / "w8.json",
+                                                      serialize_algebra(sphere_wedge_8()))],
+            "missing file": ["check", str(tmp_path / "missing.json")],
+            "corpus": ["corpus", "even_sphere", "2", "-o", str(tmp_path / "out.json")],
+            "stdout full too": ["check", s2_path]}[case]
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run([sys.executable, "-m", "formacheck", *argv],
+                             stdout=full if case == "stdout full too" else subprocess.DEVNULL,
+                             stderr=full, env=child_env(unbuffered), timeout=120)
+    assert run.returncode == expected
+
+
 def test_every_export_resolves():
     # a stale name in __all__ breaks `from formacheck import *`
     assert [name for name in fc.__all__ if not hasattr(fc, name)] == []
@@ -577,6 +598,12 @@ def test_duality_subcommand(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["all_equal"]
     assert [d["homology_dim"] for d in result["degrees"]] == [0, 0]
+    # one term: no boundary matrix at all
+    path = write_json(tmp_path / "one.json", {"dims": [3], "boundaries": []})
+    assert main(["duality", path]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["all_equal"] is True
+    assert [d["homology_dim"] for d in result["degrees"]] == [3]
 
 
 def test_duality_square_nonzero_rejected(tmp_path, capsys):

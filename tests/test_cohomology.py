@@ -360,7 +360,7 @@ def test_euler_characteristic_per_block(obj_index):
 
 def zero_complex(dims):
     return ChainComplexQ(tuple(dims),
-                         tuple(MatQ.zeros(dims[k], dims[k + 1])
+                         tuple(MatQ.from_rows([[0] * dims[k + 1]] * dims[k], cols=dims[k + 1])
                                for k in range(len(dims) - 1)))
 
 
@@ -368,6 +368,9 @@ def test_duality_zero_differentials():
     rows = duality_check(zero_complex((1, 0, 2)))
     assert [(r.homology_dim, r.dual_cohomology_dim, r.equal) for r in rows] == \
         [(1, 1, True), (0, 0, True), (2, 2, True)]
+    # one term: no boundary matrix at all
+    rows = duality_check(zero_complex((3,)))
+    assert [(r.homology_dim, r.dual_cohomology_dim, r.equal) for r in rows] == [(3, 3, True)]
 
 
 def test_duality_acyclic_pair():

@@ -10,7 +10,7 @@ from formacheck.algebra import GradedAlgebra
 from formacheck.formality import (FORMAL_BY_THEOREM, HYPOTHESIS_VIOLATED,
                                   INCONCLUSIVE, DegreeSet)
 from formacheck.linalg import rref
-from formacheck.model import EEntry, EFamily, Monomial, _monomials_cached, compute_E
+from formacheck.model import EEntry, Monomial, _monomials_cached, compute_E
 
 from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,
                   dependent_family, dependent_pair, pipeline, s2, s2_power_4, sphere_wedge_8,
@@ -73,9 +73,9 @@ def test_condition_ii_ranks_shared_positions_together():
     # ungraded table can give this) are not split by degree
     def entry(exponent, vector):
         return EEntry(Monomial(((0, exponent),), (), 2 * exponent),
-                      tuple(map(Fraction, vector)), 2 * exponent)
-    assert not fc.check_condition_ii(EFamily((entry(2, (0, 1, 0)), entry(3, (0, 2, 0)))))
-    assert fc.check_condition_ii(EFamily((entry(2, (0, 1, 0)), entry(3, (0, 1, 1)))))
+                      tuple(map(Fraction, vector)))
+    assert not fc.check_condition_ii((entry(2, (0, 1, 0)), entry(3, (0, 2, 0))))
+    assert fc.check_condition_ii((entry(2, (0, 1, 0)), entry(3, (0, 1, 1))))
 
 
 # ---- corollary degree arithmetic ----
@@ -138,7 +138,7 @@ def test_degree_set_rejects_bad_input():
 def test_verdict_sphere_formal_via_i():
     h = s2()
     gens, e, goods, model, report = pipeline(h, cap=12)
-    v = fc.render_verdict(h, gens, e, goods, report)
+    v = fc.render_verdict(h, e, goods, report)
     assert v.classification == FORMAL_BY_THEOREM
     assert v.condition_i and v.condition_ii
     assert not v.discrepancy
@@ -147,7 +147,7 @@ def test_verdict_sphere_formal_via_i():
 def test_verdict_cp2_formal_via_ii():
     h = cp2()
     gens, e, goods, model, report = pipeline(h, cap=12)
-    v = fc.render_verdict(h, gens, e, goods, report)
+    v = fc.render_verdict(h, e, goods, report)
     assert v.classification == FORMAL_BY_THEOREM
     assert not v.condition_i
     assert v.condition_ii
@@ -157,25 +157,24 @@ def test_verdict_cp2_formal_via_ii():
 def test_verdict_wedge_discrepancy():
     h = wedge_s2_s2()
     gens, e, goods, model, report = pipeline(h, cap=12)
-    v = fc.render_verdict(h, gens, e, goods, report)
+    v = fc.render_verdict(h, e, goods, report)
     assert v.classification == FORMAL_BY_THEOREM
     assert v.condition_i
     assert v.discrepancy
-    assert v.quasi_iso.first_failure == 5
+    assert report.first_failure == 5
 
 
 def test_verdict_inconclusive():
     h = dependent_family()
     gens, e, goods, model, report = pipeline(h)
-    v = fc.render_verdict(h, gens, e, goods, report)
+    v = fc.render_verdict(h, e, goods, report)
     assert v.classification == INCONCLUSIVE
     assert v.condition_i is False and v.condition_ii is False
 
 
 def test_verdict_hypothesis_violated():
     h = GradedAlgebra.from_products([("1", 0), ("x", 2), ("z", 3)], "1", {})
-    gens = fc.choose_generators(h)
-    v = fc.render_verdict(h, gens, None, None, None)
+    v = fc.render_verdict(h, None, None, None)
     assert v.classification == HYPOTHESIS_VIOLATED
     assert v.condition_i is None and v.condition_ii is None
     assert not v.hypothesis_ok
@@ -256,8 +255,8 @@ def test_check_path_builds_no_rational_echelon_form(monkeypatch):
 def test_verdict_deterministic():
     h = cp2()
     gens, e, goods, model, report = pipeline(h, cap=10)
-    assert fc.render_verdict(h, gens, e, goods, report) == \
-        fc.render_verdict(h, gens, e, goods, report)
+    assert fc.render_verdict(h, e, goods, report) == \
+        fc.render_verdict(h, e, goods, report)
 
 
 def test_corollary_implies_condition_ii_on_corpus():

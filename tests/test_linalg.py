@@ -45,7 +45,7 @@ def test_rref_fractional_entries():
 
 
 def test_kernel_zero_matrix():
-    m = MatQ.zeros(3, 3)
+    m = MatQ.from_rows([[0] * 3] * 3)
     basis = kernel_basis(m)
     assert basis == [unit_vec(3, i) for i in range(3)]
 

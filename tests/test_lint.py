@@ -3,8 +3,10 @@ unused.  A name counts as used when the module reads it somewhere or lists
 it in `__all__`; `from __future__` imports are exempt.  No module-level
 private name (`_x`) defined in `src/formacheck` goes unread there either:
 some module of the package must read it, so a helper the package stopped
-calling is deleted rather than kept for the tests.  Only `cli.entrypoint`
-calls `os._exit`: library code returns, it never ends the process."""
+calling is deleted rather than kept for the tests.  No function in
+`src/formacheck` takes a parameter that its body never reads (`self` and
+`cls` are exempt).  Only `cli.entrypoint` calls `os._exit`: library code
+returns, it never ends the process."""
 
 import ast
 import glob
@@ -83,6 +85,24 @@ def unread_private_names(sources: dict) -> list:
                   for line, name in private_definitions(tree) if name not in read)
 
 
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of every parameter of a def or lambda that
+    the function's body never reads; `self` and `cls` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            p for p in (args.vararg, args.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(p.lineno, getattr(node, "name", "<lambda>"), p.arg) for p in params
+                  if p.arg not in read and p.arg not in ("self", "cls")]
+    return sorted(found)
+
+
 def hard_exits(source: str) -> list:
     """(line, enclosing function or None) of every call of `os._exit`."""
     found = []
@@ -121,6 +141,26 @@ def test_checker_finds_unread_private_names():
                      "def _orphan():\n    _local = 1\n    return _local\n"),
                "b": "from .a import _helper\nimport a\nx = _helper() + a._Kept\n"}
     assert unread_private_names(sources) == [("a", 2, "_unused"), ("a", 8, "_orphan")]
+
+
+def test_checker_finds_unread_parameters():
+    source = ("def f(a, b=1, *args, c, **kw):\n    return a + len(args)\n"
+              "class C:\n    def m(self, x):\n        return 0\n"
+              "    @classmethod\n    def k(cls, y):\n        def inner():\n            return y\n"
+              "        return inner\n"
+              "def g(z):\n    z = 1\n    return (lambda u, v: u)(0, 0)\n"
+              "def h(t=None):\n    return t is None\n")
+    assert unread_parameters(source) == [(1, "f", "b"), (1, "f", "c"), (1, "f", "kw"),
+                                         (4, "m", "x"), (11, "g", "z"), (13, "<lambda>", "v")]
+
+
+def test_every_parameter_is_read():
+    found = []
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            module = os.path.basename(path)
+            found += [(module, *params[1:]) for params in unread_parameters(fh.read())]
+    assert found == []
 
 
 def test_checker_finds_hard_exits():

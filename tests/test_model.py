@@ -113,13 +113,13 @@ def test_multiply_associative_up_to_sign(obj_index):
 
 def test_e_family_sphere_empty():
     h = s2()
-    assert fc.compute_E(h, fc.choose_generators(h)).is_empty()
+    assert not fc.compute_E(h, fc.choose_generators(h))
 
 
 def test_e_family_cp3():
     h = cp3()
     e = fc.compute_E(h, fc.choose_generators(h))
-    assert [(entry.monomial.even, entry.degree) for entry in e] == \
+    assert [(entry.monomial.even, entry.monomial.degree) for entry in e] == \
         [(((0, 2),), 4), (((0, 3),), 6)]
     x2 = h.basis_vector(h.labels.index("x^2"))
     x3 = h.basis_vector(h.labels.index("x^3"))
@@ -128,7 +128,7 @@ def test_e_family_cp3():
 
 def test_e_family_wedge_empty():
     h = wedge_s2_s2()
-    assert fc.compute_E(h, fc.choose_generators(h)).is_empty()
+    assert not fc.compute_E(h, fc.choose_generators(h))
 
 
 def test_e_family_requires_even_generators():
@@ -250,7 +250,7 @@ def test_empty_E_forces_length_two_goods():
     for obj in corpus_objects():
         h = algebra(obj)
         gens = fc.choose_generators(h)
-        if fc.compute_E(h, gens).is_empty():
+        if not fc.compute_E(h, gens):
             assert all(g.monomial.length == 2 for g in fc.good_objects(h, gens))
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .linalg import ONE, RowSpace, Vec, unit_vec, vec_is_zero
+from .linalg import ONE, RowSpace, Vec, unit_vec
 
 Row = tuple[tuple[int, Fraction], ...]  # sparse vector: nonzero (k, c), k increasing
 
@@ -327,29 +327,3 @@ def choose_generators(h: GradedAlgebra) -> tuple[Generator, ...]:
                                       class_vector=h.basis_vector(i)))
     return tuple(gens)
 
-
-class _PhiTable:
-    """Memoized products of generator classes, keyed by full exponent tuples
-    over the generators; the generators must have even degree, so the order
-    of the factors does not matter."""
-
-    def __init__(self, h: GradedAlgebra, gens: tuple[Generator, ...]):
-        self.h = h
-        self.gens = gens
-        n = len(gens)
-        self.cache: dict[tuple[int, ...], Vec] = {(0,) * n: h.unit()}
-        for i, g in enumerate(gens):
-            self.cache[(0,) * i + (1,) + (0,) * (n - i - 1)] = g.class_vector
-
-    def value(self, exps: tuple[int, ...]) -> Vec:
-        # a loop, not recursion: an exponent may exceed the recursion limit
-        pending = []  # (exponent tuple, index of the generator it takes off)
-        while exps not in self.cache:
-            i = next(k for k, e in enumerate(exps) if e)
-            pending.append((exps, i))
-            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-        out = self.cache[exps]
-        for key, i in reversed(pending):
-            out = out if vec_is_zero(out) else self.h.mul(self.gens[i].class_vector, out)
-            self.cache[key] = out
-        return out

@@ -4,11 +4,12 @@ d preserves multidegree, and block α of the model is the augmented chain
 complex of the simplicial complex Δ_α of sets of odd generators whose
 targets sum to at most α.  `verify_quasi_iso` reads the model's cohomology
 off the reduced homology of these complexes, and the induced map off the
-blocks where Δ_α is only the empty set.  The least power of v_i that is
-zero in H is always a good object, and once α_i reaches T_i, the sum of
-the targets' exponents of v_i, its w joins every face: Δ_α is a cone and
-adds nothing.  So only the box α <= T - 1 is walked: 16 of the 495
-blocks of (S^2)^4 at cap 13, and 27 of 120 for (CP^2)^3 at cap 12.
+classes of 1, the generators and E: they are the nonzero monomials of the
+blocks with Δ_α = {∅}, the only blocks phi~ sees.  The least power of v_i
+that is zero in H is always a good object, and once α_i reaches T_i, the
+sum of the targets' exponents of v_i, its w joins every face: Δ_α is a
+cone and adds nothing.  So only the box α <= T - 1 is walked: 16 of the
+495 blocks of (S^2)^4 at cap 13, and 27 of 120 for (CP^2)^3 at cap 12.
 `cohomology_basis` and `induced_map` compute the same numbers degree by
 degree from the monomial basis; they are the reference the tests compare
 against.
@@ -25,9 +26,9 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from .algebra import GradedAlgebra, _PhiTable
+from .algebra import GradedAlgebra
 from .linalg import ZERO, MatQ, RowSpace, Vec, integer_rank, kernel_basis, rank
-from .model import (Model, _exponents, blocks_of_degree, differentiate,
+from .model import (EEntry, Model, _exponents, blocks_of_degree, differentiate,
                     monomials_of_degree, multidegree, phi_tilde)
 
 
@@ -213,32 +214,37 @@ def _mask(exponents: tuple[int, ...]) -> int:
     return sum(1 << i for i, e in enumerate(exponents) if e)
 
 
-def verify_quasi_iso(model: Model, h: GradedAlgebra, cap: int) -> QuasiIsoReport:
+def verify_quasi_iso(model: Model, h: GradedAlgebra, e: tuple[EEntry, ...],
+                     cap: int) -> QuasiIsoReport:
     """Degreewise comparison of model cohomology with H, for 0 <= n <= cap.
 
-    Block α adds H~_(s-1)(Δ_α) to H^(|α|-s).  phi~ kills every monomial with
-    an odd factor, so only blocks with Δ_α = {∅} reach H, through the class
-    of v^α: the rank in degree n is the rank of those phi(v^α) with |α| = n.
-    The report is explicitly capped: no claim is made beyond the checked
-    range.
+    `e` is `compute_E(h, model.generators)`.  Block α adds H~_(s-1)(Δ_α) to
+    H^(|α|-s).  phi~ kills every monomial with an odd factor, so only the
+    blocks with Δ_α = {∅} reach H, through phi(v^α).  phi(v^α) is nonzero
+    exactly when v^α is 1, a generator or an entry of E, and no target
+    divides such a monomial: a target is zero in H, and so is each of its
+    multiples.  So the image in degree n is the span of the classes of 1,
+    the generators and E in degree n, and its rank is the induced map's.
+    The one precondition is that every target is zero in H (phi~ is a
+    cochain map), which holds for `build_model` and any subset of its good
+    objects.  The report is explicitly capped: no claim is made beyond the
+    checked range.
     """
     if cap < h.top_degree:
         raise ValueError(
             f"cap {cap} is below the top degree {h.top_degree}; the check would be vacuous")
     dims = [0] * (cap + 1)
-    bare: dict[int, list[tuple[int, ...]]] = {}  # degree -> α with Δ_α = {∅}
-    for n, alpha, levels in blocks(model, cap):
+    for n, _, levels in blocks(model, cap):
         low = max(0, n - cap)
         ranks = [boundary_rank(levels, s) for s in range(low, len(levels) + 1)]
         for s in range(low, len(levels)):
             dims[n - s] += len(levels[s]) - ranks[s - low] - ranks[s - low + 1]
-        if len(levels) == 1 and h.degree_indices(n):
-            bare.setdefault(n, []).append(alpha)
-    phi = _PhiTable(h, model.generators)
+    nonzero = [(0, h.unit())] + [(g.degree, g.class_vector) for g in model.generators]
+    nonzero += [(entry.monomial.degree, entry.class_vector) for entry in e]
     reports = []
     for n in range(cap + 1):
         idx = h.degree_indices(n)
-        mapped = rank([phi.value(alpha)[k] for k in idx] for alpha in bare.get(n, ()))
+        mapped = rank([v[k] for k in idx] for degree, v in nonzero if degree == n)
         reports.append(DegreeReport(
             degree=n,
             model_cohomology_dim=dims[n],

@@ -203,6 +203,6 @@ def certify(h: GradedAlgebra, report: ValidationReport,
         e = compute_E(h, gens)
         goods = good_objects(h, gens, e)
         model = build_model(h, gens, goods)
-        quasi = verify_quasi_iso(model, h, cap)
+        quasi = verify_quasi_iso(model, h, e, cap)
     verdict = render_verdict(h, e, goods, quasi)
     return Certificate(h, report, cap, gens, e, goods, model, quasi, verdict)

@@ -3,7 +3,7 @@
 Even generators v (polynomial part) come from the chosen generator set of
 the input ring; odd generators w (exterior part) are added one per good
 object m, with dw = m.  Monomials are kept in a canonical signed form:
-even exponents sorted by generator index, odd factors strictly increasing,
+even factors and odd factors by strictly increasing generator index,
 sign +1.
 """
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .algebra import Generator, GradedAlgebra, _PhiTable
+from .algebra import Generator, GradedAlgebra
 from .linalg import MatQ, Vec, vec_is_zero
 
 EvenPart = tuple[tuple[int, int], ...]  # (generator index, exponent > 0), ascending
@@ -31,8 +31,8 @@ class Monomial(_Monomial):
     def __new__(cls, even: EvenPart, odd: tuple[int, ...], degree: int):
         if any(e <= 0 for _, e in even):
             raise ValueError("even exponents must be positive")
-        if list(even) != sorted(even, key=lambda t: t[0]):
-            raise ValueError("even factors must be sorted by generator index")
+        if [i for i, _ in even] != sorted({i for i, _ in even}):
+            raise ValueError("even factors must be sorted by generator index, each index once")
         if list(odd) != sorted(set(odd)):
             raise ValueError("odd factors must be strictly increasing")
         return super().__new__(cls, even, odd, degree)
@@ -163,19 +163,29 @@ def compute_E(h: GradedAlgebra, gens: tuple[Generator, ...]) -> tuple[EEntry, ..
     by degree and then lexicographically in the exponents.
 
     Products of degree beyond top_degree(h) are zero by grading, so the
-    enumeration bound loses nothing.
+    enumeration bound loses nothing.  A product is its first generator
+    times the product with that factor removed, which has a lower degree,
+    so it is among the generators or the entries found before, or else it
+    is zero.  `verify_quasi_iso` reads the induced map off E as well.
     """
     _require_even(gens)
-    phi = _PhiTable(h, gens)
     degrees = tuple(g.degree for g in gens)
     bound = tuple(h.top_degree // d for d in degrees)
+    # dense exponent tuple -> nonzero class, for the generators and E so far
+    nonzero = {tuple(int(i == j) for j in range(len(gens))): g.class_vector
+               for i, g in enumerate(gens)}
     entries = []
     for degree in range(h.top_degree + 1):
         for exps in _exponents(degrees, degree, bound):
             if sum(exps) < 2:
                 continue
-            value = phi.value(exps)
+            i = next(k for k, e in enumerate(exps) if e)
+            rest = nonzero.get(exps[:i] + (exps[i] - 1,) + exps[i + 1:])
+            if rest is None:
+                continue
+            value = h.mul(gens[i].class_vector, rest)
             if not vec_is_zero(value):
+                nonzero[exps] = value
                 entries.append(EEntry(Monomial(_pack(exps), (), degree), value))
     return tuple(entries)
 
@@ -306,19 +316,22 @@ def phi_tilde(model: Model, h: GradedAlgebra,
     evaluate through the generator classes, and the empty monomial is the
     unit.
 
-    Reference only, for the tests and `induced_map`; it builds a new
-    product table on every call, where `verify_quasi_iso` keeps one per run.
+    Reference only, for the tests and `induced_map`: it multiplies the
+    generator classes in with `h.mul` and does not read `compute_E`, so
+    `induced_map` checks the rank `verify_quasi_iso` reads off E.
     """
     degrees = {m.degree for m in element}
     if len(degrees) > 1:
         raise ValueError("phi_tilde needs a homogeneous element")
-    phi = _PhiTable(h, model.generators)
     out = [Fraction(0)] * h.dim
     for m, coeff in sorted(element.items(), key=lambda kv: kv[0].sort_key()):
         if coeff == 0 or m.odd:
             continue
-        # a pure even monomial's multidegree is its dense exponent tuple
-        for k, c in enumerate(phi.value(multidegree(model, m))):
+        value = h.unit()
+        for i, e in m.even:
+            for _ in range(e):
+                value = h.mul(model.generators[i].class_vector, value)
+        for k, c in enumerate(value):
             if c != 0:
                 out[k] += coeff * c
     return tuple(out)

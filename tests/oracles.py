@@ -183,6 +183,23 @@ def _image(h, gens, exps):
     return out
 
 
+def brute_E(h, gens):
+    """Reference for `formacheck.compute_E`: every exponent tuple up to the
+    top degree with >= 2 factors and a nonzero image, sorted by degree and
+    then by the exponent tuple."""
+    degs = tuple(g.degree for g in gens)
+    found = []
+    for exps in itertools.product(*(range(h.top_degree // d + 1) for d in degs)):
+        degree = sum(e * d for e, d in zip(exps, degs))
+        if sum(exps) < 2 or degree > h.top_degree:
+            continue
+        value = _image(h, gens, exps)
+        if any(value):
+            found.append((degree, exps, value))
+    return tuple(EEntry(Monomial(tuple((i, e) for i, e in enumerate(exps) if e), (), degree),
+                        value) for degree, exps, value in sorted(found))
+
+
 def brute_good_objects(h, gens):
     """Reference for `formacheck.good_objects`: walk every exponent tuple up
     to degree top + max generator degree and keep those with zero image

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import formacheck as fc
-from formacheck.algebra import AlgebraStructureError, GradedAlgebra, _PhiTable
+from formacheck.algebra import AlgebraStructureError, GradedAlgebra
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.linalg import zero_vec
 from formacheck.formats import parse_algebra_json
@@ -335,11 +335,11 @@ def test_generators_follow_the_greedy_rule_in_any_basis(k):
 
 
 def phi(h, gens, *indices):
-    """The product in h of the generator classes named by `indices`."""
-    exps = [0] * len(gens)
-    for k in indices:
-        exps[k] += 1
-    return _PhiTable(h, gens).value(tuple(exps))
+    """The product in h of the generator classes named by `indices`, as
+    `phi_tilde` of a model with no odd generators evaluates it."""
+    even = tuple((k, indices.count(k)) for k in sorted(set(indices)))
+    m = fc.Monomial(even, (), sum(gens[k].degree for k in indices))
+    return fc.phi_tilde(fc.Model(gens, ()), h, {m: Fraction(1)})
 
 
 def test_evaluate_phi_cp2():

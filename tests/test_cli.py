@@ -476,6 +476,26 @@ def test_readme_invocations(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "model.json").exists()
 
 
+def readme_library_blocks():
+    """The `python` blocks of README's Library section."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Library", 1)[1].split("\n## ", 1)[0]
+    return [part.split("```", 1)[0] for part in section.split("```python\n")[1:]]
+
+
+def test_readme_library_blocks(tmp_path, monkeypatch, capsys):
+    # the first block checks cp2.json; the second states its output in a comment
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "cp2.json", truncated_poly(2, 3))
+    blocks = readme_library_blocks()
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    stated = blocks[1].split("print(", 1)[1].split("# ", 1)[1].splitlines()[0]
+    assert out == ["FORMAL_BY_THEOREM None 0", stated]
+
+
 @pytest.mark.parametrize("line", ["-h", "--help", "check -h", "check --help", "corpus -h",
                                   "corpus --help", "duality -h", "duality --help"])
 def test_help_exits_0(line, capsys):

@@ -1,9 +1,11 @@
 """Certificates are fixed byte for byte across commits.
 
 Each digest is the sha256 of `json.dumps(certificate_json(cert, raw, digest),
-sort_keys=True)` for one input at the default cap, where `raw` is the input
-object and `digest` the sha256 of its sorted JSON.  A change that moves any
-field of any certificate (a value, an order, a key) moves its digest.
+sort_keys=True)` for one input, where `raw` is the input object and `digest`
+the sha256 of its sorted JSON.  `GOLDEN` is taken at the default cap, and
+`GOLDEN_AT_CAP` at the caps the benchmark's workloads run.  A change that
+moves any field of any certificate (a value, an order, a key) moves its
+digest.
 Regenerate a digest only for a change that means to alter the certificate.
 """
 
@@ -15,7 +17,8 @@ import pytest
 import formacheck as fc
 from formacheck.formats import certificate_json
 
-from util import algebra, corpus_objects, dependent_family, serialize_algebra, sphere_wedge_8
+from util import (algebra, corpus_objects, cp2_power_3, dependent_family, s2_power_4,
+                  serialize_algebra, sphere_wedge_8)
 
 GOLDEN = {
     "even_sphere(2)": "032c5ae0e0c5dd831f118772135c6675ec3acceb793e4737018afdf5bd4243b1",
@@ -45,27 +48,41 @@ GOLDEN = {
     "sphere_wedge_8": "9e02002f88111c80dcf64e7008464ddc7193170f5bcfa5a0a9992b6050d2726b",
 }
 
+# (input, cap) -> digest
+GOLDEN_AT_CAP = {
+    ("s2_power_4", 13): "45d2c1472fb07c5fa611365060bc395bb635a1973fad640a18e9ae41f9209a0d",
+    ("cp2_power_3", 12): "62658c94bb8a547211c237a6876bf994c529f91eaaf9622e1496fe895b3ca435",
+    ("sphere_wedge_8", 9): "46087b2c11c775fb1ca75d99fb2db93ba6a29b62a7e9cd19626c79403b356f7a",
+}
+
 
 def inputs() -> dict:
     """Each golden input's algebra-file object, by name."""
     out = {obj["name"]: obj for obj in corpus_objects()}
     out["dependent_family"] = serialize_algebra(dependent_family(), name="dependent_family")
     out["sphere_wedge_8"] = serialize_algebra(sphere_wedge_8(), name="sphere_wedge_8")
+    out["s2_power_4"] = serialize_algebra(s2_power_4(), name="s2_power_4")
+    out["cp2_power_3"] = serialize_algebra(cp2_power_3(), name="cp2_power_3")
     return out
 
 
-def certificate_digest(raw: dict) -> str:
+def certificate_digest(raw: dict, cap=None) -> str:
     h = algebra(raw)
-    cert = fc.certify(h, fc.validate(h))
+    cert = fc.certify(h, fc.validate(h), cap)
     digest = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
     text = json.dumps(certificate_json(cert, raw, digest), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_every_input_has_a_digest():
-    assert sorted(inputs()) == sorted(GOLDEN)
+    assert sorted(inputs()) == sorted(set(GOLDEN) | {name for name, _ in GOLDEN_AT_CAP})
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_certificate_digest(name):
     assert certificate_digest(inputs()[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name,cap", sorted(GOLDEN_AT_CAP))
+def test_certificate_digest_at_cap(name, cap):
+    assert certificate_digest(inputs()[name], cap) == GOLDEN_AT_CAP[(name, cap)]

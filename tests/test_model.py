@@ -8,7 +8,7 @@ from formacheck.algebra import GradedAlgebra
 from formacheck.linalg import zero_vec
 from formacheck.model import Monomial, format_monomial, multidegree
 
-from oracles import brute_good_objects, multiply
+from oracles import brute_E, brute_good_objects, multiply
 from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,
                   dependent_family, random_even_monomial_algebra, s2,
                   s2_power_4, sphere_wedge_8, wedge_s2_s2)
@@ -61,6 +61,8 @@ def test_monomial_rejects_noncanonical_form():
         Monomial(((0, 0),), (), 0)
     with pytest.raises(ValueError, match="sorted by generator index"):
         Monomial(((1, 1), (0, 1)), (), 4)
+    with pytest.raises(ValueError, match="each index once"):
+        Monomial(((0, 1), (0, 1)), (), 4)  # would drop a factor when merged
     with pytest.raises(ValueError, match="strictly increasing"):
         Monomial((), (1, 0), 6)
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -197,6 +199,7 @@ NAMED_INPUTS = {
 
 def assert_goods_match_oracle(h):
     gens = fc.choose_generators(h)
+    assert fc.compute_E(h, gens) == brute_E(h, gens)
     goods = fc.good_objects(h, gens)
     assert goods == brute_good_objects(h, gens)
     return goods

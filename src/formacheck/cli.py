@@ -4,7 +4,9 @@
 codes; `formacheck -h` prints it.  `parse_command_line` reads that grammar
 by hand: a stdlib parser's import and set-up would cost every process a few
 milliseconds.  `corpus` and `duality` import their modules when they run,
-so that a `check` process neither loads nor compiles them.
+so that a `check` process neither loads nor compiles them.  Nor does it
+load `reference`, the degree-by-degree code the tests compare against, or
+OpenSSL: `formats` takes its sha256 from `_sha256` where Python has it.
 
 Every line for standard error goes through `_stderr`, which flushes it at
 once and ignores a standard error that cannot be written, so a full disk

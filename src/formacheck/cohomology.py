@@ -10,9 +10,9 @@ that is zero in H is always a good object, and once α_i reaches T_i, the
 sum of the targets' exponents of v_i, its w joins every face: Δ_α is a
 cone and adds nothing.  So only the box α <= T - 1 is walked: 16 of the
 495 blocks of (S^2)^4 at cap 13, and 27 of 120 for (CP^2)^3 at cap 12.
-`cohomology_basis` and `induced_map` compute the same numbers degree by
-degree from the monomial basis; they are the reference the tests compare
-against.
+`reference.cohomology_basis` and `reference.induced_map` compute the same
+numbers degree by degree from the monomial basis; they are the reference
+the tests compare against.
 
 Every rank is an integer rank: `linalg.integer_rank` takes the ±1
 boundaries of the Δ_α, and `linalg.rank` the induced map's rows, scaled to
@@ -27,9 +27,10 @@ from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .algebra import GradedAlgebra
-from .linalg import ZERO, MatQ, RowSpace, Vec, integer_rank, kernel_basis, rank
-from .model import (EEntry, Model, _exponents, blocks_of_degree, differentiate,
-                    monomials_of_degree, multidegree, phi_tilde)
+from .linalg import _moved_to_reference, integer_rank, rank
+from .model import EEntry, Model, _exponents, multidegree
+
+__getattr__ = _moved_to_reference(__name__, {"cohomology_basis", "induced_map"})
 
 
 class DegreeReport(NamedTuple):
@@ -50,85 +51,6 @@ class QuasiIsoReport(NamedTuple):
     reports: tuple[DegreeReport, ...]
     overall: bool
     first_failure: Optional[int]
-
-
-def cohomology_basis(model: Model, n: int) -> tuple[int, list[Vec]]:
-    """Dimension and representatives of H^n of the model, from its monomials.
-
-    Reference only: `verify_quasi_iso` gets the same dimensions from the
-    complexes Δ_α, and the tests compare the two.
-
-    d preserves multidegree, so H^n is computed one block at a time: the
-    kernel of d on the block's degree-n monomials, reduced against the RREF
-    of the image of the block's degree-(n-1) monomials (and against the
-    representatives chosen before), with leading coefficient 1.  Blocks are
-    taken in ascending multidegree; each representative is returned in the
-    coordinates of monomials_of_degree(model, n) and is supported in one
-    block.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    basis = monomials_of_degree(model, n)
-    below = monomials_of_degree(model, n - 1) if n > 0 else []
-    sources = blocks_of_degree(model, n - 1)
-    reps = []
-    for alpha, cols in blocks_of_degree(model, n).items():
-        local = {basis[j]: k for k, j in enumerate(cols)}
-        d_out: dict = {}  # image monomial -> its row of d on the block
-        for k, j in enumerate(cols):
-            for sign, image in differentiate(model, basis[j]):
-                d_out.setdefault(image, [0] * len(cols))[k] = sign
-        cycles = kernel_basis(MatQ.from_rows(d_out.values(), cols=len(cols)))
-        if not cycles:
-            continue
-        span = RowSpace(len(cols))
-        image_rank = 0
-        for j in sources.get(alpha, ()):
-            column = [0] * len(cols)
-            for sign, image in differentiate(model, below[j]):
-                column[local[image]] = sign
-            if span.add(column) is not None:
-                image_rank += 1
-        found = [v for v in map(span.add, cycles) if v is not None]
-        assert len(found) == len(cycles) - image_rank
-        for v in found:
-            rep = [ZERO] * len(basis)
-            for j, c in zip(cols, v):
-                rep[j] = c
-            reps.append(tuple(rep))
-    return len(reps), reps
-
-
-def induced_map(model: Model, h: GradedAlgebra, n: int) -> DegreeReport:
-    """Rank of H(phi~) in degree n, with injectivity/surjectivity flags,
-    from the representatives of `cohomology_basis` (the reference for the
-    degree-n row of `verify_quasi_iso`).
-
-    Well defined because phi~ is a cochain map into (H, 0); above the top
-    degree of h the target is zero and the check degenerates to "model
-    cohomology vanishes".  phi~ kills every monomial with an odd factor, so
-    in block alpha it sees only v^alpha, the block's one monomial of top
-    degree: a representative maps to its v^alpha coefficient times
-    phi(v^alpha).
-    """
-    dim_model, reps = cohomology_basis(model, n)
-    idx = h.degree_indices(n)
-    basis_n = monomials_of_degree(model, n)
-    pure_even = [i for i, m in enumerate(basis_n) if not m.odd]
-    columns = []
-    for rep in reps:
-        combo = {basis_n[i]: rep[i] for i in pure_even if rep[i] != 0}
-        image = phi_tilde(model, h, combo)
-        columns.append(tuple(image[k] for k in idx))
-    mapped = rank(columns)
-    return DegreeReport(
-        degree=n,
-        model_cohomology_dim=dim_model,
-        target_dim=len(idx),
-        induced_map_rank=mapped,
-        injective=mapped == dim_model,
-        surjective=mapped == len(idx),
-    )
 
 
 def blocks(model: Model, cap: int):

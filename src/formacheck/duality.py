@@ -9,7 +9,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .formats import InputError, _optional_list, _read_json, _require, parse_rational
-from .linalg import MatQ, rank
+from .linalg import rank
+from .reference import MatQ
 
 
 class ChainComplexError(ValueError):

@@ -6,11 +6,15 @@ the formats stay exact and language neutral; floats are rejected outright.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from decimal import Decimal
 from fractions import Fraction
+
+try:  # the OpenSSL-free digest (CPython 3.10-3.11): loading hashlib costs a check ~5 ms
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .algebra import (AlgebraStructureError, GradedAlgebra, ValidationReport,
                       validate)
@@ -148,7 +152,7 @@ def load_algebra_file(path) -> tuple[GradedAlgebra, ValidationReport, dict, str]
     object, sha256 hex)."""
     raw, obj = _read_json(path)
     h, report = _parse_validated(obj, str(path))
-    return h, report, obj, hashlib.sha256(raw).hexdigest()
+    return h, report, obj, sha256(raw).hexdigest()
 
 
 def parse_algebra(path) -> GradedAlgebra:

@@ -1,18 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices carry `fractions.Fraction` entries.  Every rank is an integer rank
+Vectors carry `fractions.Fraction` entries.  Every rank is an integer rank
 (`rank` scales rows to integers for fraction-free `integer_rank`), and the
-one echelon form is `RowSpace`, which `rref` reads; no float is allowed
-anywhere.  Pivoting and free-variable conventions are fixed so that every
-downstream choice (generator sets, complements, cohomology representatives)
-is reproducible bit for bit.
+one echelon form is `RowSpace`; no float is allowed anywhere.  Pivoting
+conventions are fixed so that every downstream choice (generator sets,
+complements) is reproducible bit for bit.  The dense matrices (`MatQ`,
+`rref`, `kernel_basis`), which only the degree-by-degree reference and
+`duality` use, live in `reference`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -20,19 +21,25 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _coerce(x) -> Fraction:
-    # floats are rejected to keep certificates exact by construction
-    if isinstance(x, float):
-        raise TypeError("floating point entries are not allowed")
-    return Fraction(x)
+def _moved_to_reference(module: str, names: set[str]):
+    """A module `__getattr__` (PEP 562) for the `names` that moved from
+    `module` to `reference`.  It imports `reference` on the first lookup
+    and returns the name from there, so the old addresses keep working
+    while a `check` process, which looks none of them up, never compiles
+    or loads it.  Any other name raises `AttributeError`, as it would
+    without the hook."""
+
+    def __getattr__(name: str):
+        if name in names:
+            from . import reference
+            return getattr(reference, name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+    return __getattr__
 
 
-def as_vec(values: Iterable) -> Vec:
-    return tuple(_coerce(x) for x in values)
-
-
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
+__getattr__ = _moved_to_reference(__name__, {
+    "MatQ", "RrefResult", "as_vec", "kernel_basis", "rref", "zero_vec"})
 
 
 def unit_vec(n: int, i: int) -> Vec:
@@ -41,84 +48,6 @@ def unit_vec(n: int, i: int) -> Vec:
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return not any(v)
-
-
-class _MatQ(NamedTuple):
-    rows: int
-    cols: int
-    entries: tuple[Vec, ...]
-
-
-class MatQ(_MatQ):
-    """Dense matrix over Q, row-major, immutable after construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: int, cols: int, entries: tuple[Vec, ...]):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(entries) != rows:
-            raise ValueError("row count does not match entries")
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged matrix rows")
-        return super().__new__(cls, rows, cols, entries)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable], cols: Optional[int] = None) -> "MatQ":
-        data = tuple(as_vec(r) for r in rows)
-        if data:
-            ncols = len(data[0])
-        elif cols is not None:
-            ncols = cols
-        else:
-            raise ValueError("column count required for a matrix with no rows")
-        return cls(len(data), ncols, data)
-
-    @classmethod
-    def identity(cls, n: int) -> "MatQ":
-        return cls(n, n, tuple(unit_vec(n, i) for i in range(n)))
-
-    def transpose(self) -> "MatQ":
-        return MatQ(self.cols, self.rows,
-                    tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                          for j in range(self.cols)))
-
-    def matmul(self, other: "MatQ") -> "MatQ":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matmul")
-        rows = []
-        for i in range(self.rows):
-            left = self.entries[i]
-            row = [ZERO] * other.cols
-            for k, c in enumerate(left):
-                if c == 0:
-                    continue
-                right = other.entries[k]
-                for j, r in enumerate(right):
-                    if r != 0:
-                        row[j] += c * r
-            rows.append(tuple(row))
-        return MatQ(self.rows, other.cols, tuple(rows))
-
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(row) for row in self.entries)
-
-
-class RrefResult(NamedTuple):
-    rref: MatQ
-    pivot_cols: tuple[int, ...]
-    rank: int
-
-
-def rref(m: MatQ) -> RrefResult:
-    """Reduced row echelon form: m's rows added to a `RowSpace`, padded with
-    zero rows.  The RREF is unique, so this is any Gauss-Jordan result."""
-    span = RowSpace(m.cols)
-    for row in m.entries:
-        span.add(row)
-    rows = tuple(span.rows) + (zero_vec(m.cols),) * (m.rows - span.rank)
-    return RrefResult(MatQ(m.rows, m.cols, rows), tuple(span.pivots), span.rank)
 
 
 def rank(rows: Iterable[Sequence]) -> int:
@@ -168,28 +97,6 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
         if rank == len(work):
             break
     return rank
-
-
-def kernel_basis(m: MatQ) -> list[Vec]:
-    """Basis of the null space {x : m.x = 0}, one vector per free column.
-
-    For free column f the vector has a 1 in position f and the negated
-    reduced column above the pivots; vectors are ordered by free column
-    index.
-    """
-    red, pivots, _ = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for j, p in enumerate(pivots):
-            v[p] = -red.entries[j][f]
-        basis.append(tuple(v))
-    assert len(basis) == m.cols - len(pivots)
-    return basis
 
 
 class RowSpace:

@@ -5,16 +5,22 @@ the input ring; odd generators w (exterior part) are added one per good
 object m, with dw = m.  Monomials are kept in a canonical signed form:
 even factors and odd factors by strictly increasing generator index,
 sign +1.
+
+The model's monomial basis in each degree, the matrix of d on it and
+phi~ are the degree-by-degree reference, which `check` never runs; they
+live in `reference`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .algebra import Generator, GradedAlgebra
-from .linalg import MatQ, Vec, vec_is_zero
+from .linalg import Vec, _moved_to_reference, vec_is_zero
+
+__getattr__ = _moved_to_reference(__name__, {
+    "blocks_of_degree", "differential_matrix", "differentiate", "monomials_of_degree",
+    "phi_tilde"})
 
 EvenPart = tuple[tuple[int, int], ...]  # (generator index, exponent > 0), ascending
 
@@ -61,13 +67,6 @@ def format_monomial(m: Monomial, even_labels, odd_labels) -> str:
 
 def _pack(exponents: Iterable[int]) -> EvenPart:
     return tuple((i, e) for i, e in enumerate(exponents) if e)
-
-
-def _merge_even(a: EvenPart, b: EvenPart) -> EvenPart:
-    acc = dict(a)
-    for i, e in b:
-        acc[i] = acc.get(i, 0) + e
-    return tuple(sorted(acc.items()))
 
 
 class EEntry(NamedTuple):
@@ -118,39 +117,6 @@ def _exponents(degrees: tuple[int, ...], n: int, bound: tuple[int, ...]):
     for e in range(min(n // degrees[0], bound[0]) + 1):
         for rest in _exponents(degrees[1:], n - e * degrees[0], bound[1:]):
             yield (e,) + rest
-
-
-# cohomology_basis asks for degrees n and n - 1 only, so two entries suffice
-@lru_cache(maxsize=2)
-def _monomials_cached(even_degs: tuple[int, ...], odd_degs: tuple[int, ...],
-                      n: int) -> tuple[Monomial, ...]:
-    # keyed on the degrees alone: hashing a whole Model hashes every class vector
-    evens: list = [None] * (n + 1)  # even parts by degree, shared by all odd parts
-    bound = tuple(n // d for d in even_degs)
-    found: list[Monomial] = []
-
-    def pick_odd(i: int, remaining: int, acc: tuple[int, ...]):
-        if remaining < 0:
-            return
-        if evens[remaining] is None:
-            evens[remaining] = [_pack(exps) for exps in _exponents(even_degs, remaining, bound)]
-        found.extend(Monomial(even, acc, n) for even in evens[remaining])
-        for j in range(i, len(odd_degs)):
-            pick_odd(j + 1, remaining - odd_degs[j], acc + (j,))
-
-    pick_odd(0, n, ())
-    return tuple(sorted(set(found), key=Monomial.sort_key))
-
-
-def monomials_of_degree(model: Model, n: int) -> list[Monomial]:
-    """All canonical monomials of the given degree, duplicate free, sorted.
-
-    Used by the degree-by-degree reference (`cohomology_basis`,
-    `differential_matrix`); `verify_quasi_iso` enumerates no monomials.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return list(_monomials_cached(model.even_degrees, model.odd_degrees, n))
 
 
 def _require_even(gens: tuple[Generator, ...]):
@@ -241,25 +207,6 @@ def build_model(h: GradedAlgebra, gens: tuple[Generator, ...],
     return Model(generators=gens, odd_generators=odd)
 
 
-def differentiate(model: Model, m: Monomial) -> list[tuple[int, Monomial]]:
-    """d of one canonical monomial, as (sign, canonical monomial) terms.
-
-    For (even part) * w_{o_1} ... w_{o_k} the even part is closed and
-    contributes no sign, and moving d past the first t odd factors costs
-    (-1)^t, so
-
-        d(m) = sum_t (-1)^t (even part * target(o_t)) * (odd factors minus o_t).
-
-    The replaced target is pure even and commutes to the front freely.  The
-    terms are distinct, and each has the multidegree of m.
-    """
-    return [(-1 if t % 2 else 1,
-             Monomial(even=_merge_even(m.even, model.odd_generators[oi].target.even),
-                      odd=m.odd[:t] + m.odd[t + 1:],
-                      degree=m.degree + 1))
-            for t, oi in enumerate(m.odd)]
-
-
 def multidegree(model: Model, m: Monomial) -> tuple[int, ...]:
     """Even exponents of m plus the exponents of the targets of its odd
     factors, as a dense tuple over the even generators.
@@ -276,62 +223,3 @@ def multidegree(model: Model, m: Monomial) -> tuple[int, ...]:
     return tuple(out)
 
 
-def blocks_of_degree(model: Model, n: int) -> dict[tuple[int, ...], list[int]]:
-    """Positions in monomials_of_degree(model, n), grouped by multidegree.
-
-    Blocks come in ascending multidegree and positions ascend within each.
-    """
-    out: dict[tuple[int, ...], list[int]] = {}
-    if n < 0:
-        return out
-    for j, m in enumerate(monomials_of_degree(model, n)):
-        out.setdefault(multidegree(model, m), []).append(j)
-    return dict(sorted(out.items()))
-
-
-@lru_cache(maxsize=2)
-def differential_matrix(model: Model, n: int) -> MatQ:
-    """Dense matrix of d from the degree-n monomial basis to the degree-(n+1)
-    one, assembled from `differentiate`.
-
-    Reference only: `verify_quasi_iso` works on the complexes Δ_α instead.
-    The tests check d^2 = 0 and phi~ o d = 0 on this matrix.
-    """
-    rows_basis = monomials_of_degree(model, n + 1)
-    cols_basis = monomials_of_degree(model, n)
-    row_index = {m: i for i, m in enumerate(rows_basis)}
-    entries = [[Fraction(0)] * len(cols_basis) for _ in rows_basis]
-    for j, m in enumerate(cols_basis):
-        for sign, image in differentiate(model, m):
-            entries[row_index[image]][j] += sign
-    return MatQ.from_rows(entries, cols=len(cols_basis))
-
-
-def phi_tilde(model: Model, h: GradedAlgebra,
-              element: Mapping[Monomial, Fraction]) -> Vec:
-    """Algebra morphism into (H, 0): v maps to its class, every w to zero.
-
-    `element` is a linear combination of canonical monomials and must be
-    homogeneous.  Monomials containing any odd factor die; pure even ones
-    evaluate through the generator classes, and the empty monomial is the
-    unit.
-
-    Reference only, for the tests and `induced_map`: it multiplies the
-    generator classes in with `h.mul` and does not read `compute_E`, so
-    `induced_map` checks the rank `verify_quasi_iso` reads off E.
-    """
-    degrees = {m.degree for m in element}
-    if len(degrees) > 1:
-        raise ValueError("phi_tilde needs a homogeneous element")
-    out = [Fraction(0)] * h.dim
-    for m, coeff in sorted(element.items(), key=lambda kv: kv[0].sort_key()):
-        if coeff == 0 or m.odd:
-            continue
-        value = h.unit()
-        for i, e in m.even:
-            for _ in range(e):
-                value = h.mul(model.generators[i].class_vector, value)
-        for k, c in enumerate(value):
-            if c != 0:
-                out[k] += coeff * c
-    return tuple(out)

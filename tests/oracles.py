@@ -18,8 +18,9 @@ from typing import Optional, Sequence
 import sympy
 
 from formacheck.algebra import GradedAlgebra, ValidationReport, _decomposable_spans
-from formacheck.linalg import ZERO, MatQ, Vec, as_vec, rref
-from formacheck.model import EEntry, GoodObject, Monomial, _merge_even
+from formacheck.linalg import ZERO, MatQ, Vec, rref
+from formacheck.model import EEntry, GoodObject, Monomial
+from formacheck.reference import _merge_even, as_vec
 
 
 def raw_model(model):

@@ -10,7 +10,8 @@ from formacheck.algebra import GradedAlgebra
 from formacheck.formality import (FORMAL_BY_THEOREM, HYPOTHESIS_VIOLATED,
                                   INCONCLUSIVE, DegreeSet)
 from formacheck.linalg import rref
-from formacheck.model import EEntry, Monomial, _monomials_cached, compute_E
+from formacheck.model import EEntry, Monomial, compute_E
+from formacheck.reference import _monomials_cached
 
 from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,
                   dependent_family, dependent_pair, pipeline, s2, s2_power_4, sphere_wedge_8,

@@ -5,8 +5,8 @@ import pytest
 
 import formacheck as fc
 from formacheck.algebra import GradedAlgebra
-from formacheck.linalg import zero_vec
 from formacheck.model import Monomial, format_monomial, multidegree
+from formacheck.reference import zero_vec
 
 from oracles import brute_E, brute_good_objects, multiply
 from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,

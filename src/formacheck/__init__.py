@@ -3,7 +3,7 @@ commutative algebras over Q."""
 
 __version__ = "0.1.0"
 
-from .linalg import RowSpace, Vec, _moved_to_reference
+from .linalg import Vec, _moved_to_reference
 from .algebra import (AlgebraStructureError, Generator, GradedAlgebra,
                       ValidationReport, choose_generators, validate)
 from .model import (GoodObject, Model, Monomial, OddGenerator, build_model,
@@ -17,8 +17,8 @@ from .formats import InputError, format_rational, parse_algebra, parse_rational
 
 # the degree-by-degree reference, loaded on first use (see `reference`)
 __getattr__ = _moved_to_reference(__name__, {
-    "MatQ", "cohomology_basis", "differential_matrix", "induced_map", "kernel_basis",
-    "monomials_of_degree", "phi_tilde", "rref"})
+    "MatQ", "RowSpace", "cohomology_basis", "differential_matrix", "induced_map",
+    "kernel_basis", "monomials_of_degree", "phi_tilde", "rref"})
 
 __all__ = [
     "__version__",

@@ -8,6 +8,7 @@ structural wherever it can be.
 The table is stored sparse: `mult[(i, j)]` is a `Row`, the nonzero terms
 (k, c) of e_i * e_j in increasing k, and pairs with a zero product are
 absent.  Elements passed to and returned by `GradedAlgebra.mul` stay dense.
+The generators are the non-pivots of one integer elimination per degree.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .linalg import ONE, RowSpace, Vec, unit_vec
+from .linalg import ONE, Vec, integer_pivots, unit_vec
 
 Row = tuple[tuple[int, Fraction], ...]  # sparse vector: nonzero (k, c), k increasing
 
@@ -279,31 +280,6 @@ def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool):
     return None
 
 
-def _decomposable_spans(h: GradedAlgebra) -> dict[int, RowSpace]:
-    """Span of the products of positive-degree classes in each degree
-    1..top_degree, in that degree's local coordinates (basis order); each
-    degree's elimination stops as soon as it is saturated."""
-    spans = {n: RowSpace(h.dim_in_degree(n)) for n in range(1, h.top_degree + 1)}
-    position = {k: s for idx in h._by_degree.values() for s, k in enumerate(idx)}
-    positive = [i for i in range(h.dim) if h.degrees[i] > 0]
-    for i in positive:
-        for j in positive:
-            n = h.degrees[i] + h.degrees[j]
-            if n > h.top_degree:
-                continue
-            span = spans[n]
-            if span.rank == span.dim:
-                continue
-            prod = h.mult.get((i, j))
-            if prod is not None:
-                local = [Fraction(0)] * span.dim
-                for k, c in prod:
-                    if h.degrees[k] == n:
-                        local[position[k]] = c
-                span.add(local)
-    return spans
-
-
 class Generator(NamedTuple):
     label: str
     degree: int
@@ -314,16 +290,28 @@ def choose_generators(h: GradedAlgebra) -> tuple[Generator, ...]:
     """Pick generators degree by degree as a complement of the decomposables.
 
     Greedy rule: in each degree, the basis classes are added in basis order
-    to the span of the decomposables, and each class that enlarges the
-    span is a generator.  The generators come ordered by (degree, basis
-    index), which makes the choice reproducible; certificates record the
-    chosen classes verbatim.
+    to the span D of the degree's terms of the products of positive-degree
+    classes, and each class that enlarges the span is a generator.  e_s
+    fails to enlarge D + span(e_<s) exactly when some element of D has its
+    last nonzero coordinate at s.  So, with the columns in reverse basis
+    order, the generators are the non-pivot columns of D's rows, each row
+    scaled by the lcm of its denominators: one `integer_pivots` per degree.
+    They come ordered by (degree, basis index), reproducibly.
     """
-    gens = []
-    for n, span in _decomposable_spans(h).items():
-        for slot, i in enumerate(h.degree_indices(n)):
-            if span.add(unit_vec(span.dim, slot)) is not None:
-                gens.append(Generator(label=f"v{len(gens) + 1}", degree=n,
-                                      class_vector=h.basis_vector(i)))
-    return tuple(gens)
-
+    deg = h.degrees
+    column = {k: len(idx) - 1 - s for idx in h._by_degree.values() for s, k in enumerate(idx)}
+    rows: dict[int, list] = {n: [] for n in range(1, h.top_degree + 1)}
+    for (i, j), prod in h.mult.items():
+        n = deg[i] + deg[j]
+        terms = [(column[k], c) for k, c in prod if deg[k] == n]
+        if deg[i] > 0 and deg[j] > 0 and terms:  # then 1 < n <= top degree
+            scale = math.lcm(*(c.denominator for _, c in terms))
+            row = [0] * h.dim_in_degree(n)
+            for col, c in terms:
+                row[col] = c.numerator * (scale // c.denominator)
+            rows[n].append(row)
+    free = []
+    for n, degree_rows in rows.items():
+        pivots = set(integer_pivots(degree_rows))
+        free += [(n, i) for i in h.degree_indices(n) if column[i] not in pivots]
+    return tuple(Generator(f"v{g + 1}", n, h.basis_vector(i)) for g, (n, i) in enumerate(free))

@@ -103,6 +103,8 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
     h, vreport, raw_obj, digest = load_algebra_file(path)
     if cap is not None and cap < h.top_degree:
         raise InputError(f"cap {cap} is below the top degree {h.top_degree}")
+    if cap is not None and cap >= sys.maxsize:  # no list holds cap + 1 degrees
+        raise InputError(f"cap {cap} is too large")
     cert = certify(h, vreport, cap)
     certificate = {
         "tool": {"name": "formacheck", "version": __version__},

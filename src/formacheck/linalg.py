@@ -1,19 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Vectors carry `fractions.Fraction` entries.  Every rank is an integer rank
-(`rank` scales rows to integers for fraction-free `integer_rank`), and the
-one echelon form is `RowSpace`; no float is allowed anywhere.  Pivoting
-conventions are fixed so that every downstream choice (generator sets,
-complements) is reproducible bit for bit.  The dense matrices (`MatQ`,
-`rref`, `kernel_basis`), which only the degree-by-degree reference and
-`duality` use, live in `reference`.
+Vectors carry `fractions.Fraction` entries; no float is allowed anywhere.
+The check path has one elimination, the fraction-free `integer_pivots`:
+`rank` scales rows to integers for it, and the generator choice reads its
+pivot columns.  The dense matrices and the reduced echelon form (`MatQ`,
+`RowSpace`, `rref`, `kernel_basis`), which only the degree-by-degree
+reference, `duality` and the tests use, live in `reference`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -39,7 +38,7 @@ def _moved_to_reference(module: str, names: set[str]):
 
 
 __getattr__ = _moved_to_reference(__name__, {
-    "MatQ", "RrefResult", "as_vec", "kernel_basis", "rref", "zero_vec"})
+    "MatQ", "RowSpace", "RrefResult", "as_vec", "kernel_basis", "rref", "zero_vec"})
 
 
 def unit_vec(n: int, i: int) -> Vec:
@@ -66,18 +65,26 @@ def rank(rows: Iterable[Sequence]) -> int:
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of a matrix of integers, by fraction-free elimination.
+    """Rank of a matrix of integers: the number of its `integer_pivots`."""
+    return len(integer_pivots(rows))
+
+
+def integer_pivots(rows: Iterable[Sequence[int]]) -> list[int]:
+    """Pivot columns, in increasing order, of a matrix of integers: the
+    columns where some vector of its row space has its first nonzero entry.
 
     Bareiss's one-step elimination (Math. Comp. 22, 1968): after k pivots
     every remaining entry is a (k+1)-minor, so each division by the previous
     pivot is exact and no `Fraction` is built.  A row with a zero in the
     pivot column is only rescaled by pivot / previous pivot, which changes
     nothing but a sign when the two agree up to sign, so that step is
-    skipped: every later row then differs from Bareiss's by a sign only.
+    skipped: every later row then differs from Bareiss's by a sign only,
+    and the pivots stay the same.
     """
     work = [list(row) for row in rows if any(row)]
-    rank, previous = 0, 1
+    pivots, previous = [], 1
     for c in range(len(work[0]) if work else 0):
+        rank = len(pivots)
         p = next((i for i in range(rank, len(work)) if work[i][c]), None)
         if p is None:
             continue
@@ -93,54 +100,7 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
             elif rescale:
                 work[i] = [pivot * x // previous for x in row]
         previous = pivot
-        rank += 1
-        if rank == len(work):
+        pivots.append(c)
+        if len(pivots) == len(work):
             break
-    return rank
-
-
-class RowSpace:
-    """Mutable row span kept in reduced echelon form.
-
-    Work structure for growing subspaces one vector at a time; the stored
-    rows are a canonical (RREF) basis of everything added so far.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[Vec] = []
-        self.pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, v: Sequence) -> list[Fraction]:
-        out = [Fraction(x) for x in v]
-        for row, p in zip(self.rows, self.pivots):
-            c = out[p]
-            if c != 0:
-                for j in range(p, self.dim):
-                    out[j] -= c * row[j]
-        return out
-
-    def add(self, v: Sequence) -> Optional[Vec]:
-        """Insert v's residue mod the current span.
-
-        Returns the canonical new row (pivot normalized to 1) when v
-        enlarges the span, else None.
-        """
-        red = self.reduce(v)
-        p = next((j for j, x in enumerate(red) if x != 0), None)
-        if p is None:
-            return None
-        inv = ONE / red[p]
-        new_row = tuple(x * inv for x in red)
-        for i, row in enumerate(self.rows):
-            c = row[p]
-            if c != 0:
-                self.rows[i] = tuple(a - c * b for a, b in zip(row, new_row))
-        where = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(where, new_row)
-        self.pivots.insert(where, p)
-        return new_row
+    return pivots

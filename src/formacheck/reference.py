@@ -1,9 +1,12 @@
 """The degree-by-degree reference: the model's monomial basis, its matrix
 of d, phi~, and the cohomology and induced map computed from them, on
-dense matrices over Q.
+dense matrices over Q, with the one reduced echelon form (`RowSpace`)
+that `rref` and the cohomology basis grow.
 
 `check` never runs this code.  `verify_quasi_iso` reads the same numbers
-off the complexes Δ_α and the family E, and the tests compare the two.
+off the complexes Δ_α and the family E, and the tests compare the two;
+`choose_generators` reads its generators off `linalg.integer_pivots`, and
+the tests compare them with the greedy `RowSpace` rule.
 No module that `check` loads imports this one, so a `check` process
 neither compiles nor loads it.  `formacheck`, `formacheck.linalg`,
 `formacheck.model` and `formacheck.cohomology` still give its public names
@@ -15,15 +18,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import GradedAlgebra
 from .cohomology import DegreeReport
-from .linalg import ONE, ZERO, RowSpace, Vec, rank, unit_vec, vec_is_zero
+from .linalg import ONE, ZERO, Vec, rank, unit_vec, vec_is_zero
 from .model import EvenPart, Model, Monomial, _exponents, _pack, multidegree
 
 
-# dense matrices (from `linalg`)
+# dense matrices and the reduced echelon form (from `linalg`)
 
 def _coerce(x) -> Fraction:
     # floats are rejected to keep certificates exact by construction
@@ -100,6 +103,53 @@ class MatQ(_MatQ):
 
     def is_zero(self) -> bool:
         return all(vec_is_zero(row) for row in self.entries)
+
+
+class RowSpace:
+    """Mutable row span kept in reduced echelon form.
+
+    Work structure for growing subspaces one vector at a time; the stored
+    rows are a canonical (RREF) basis of everything added so far.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: list[Vec] = []
+        self.pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: Sequence) -> list[Fraction]:
+        out = [Fraction(x) for x in v]
+        for row, p in zip(self.rows, self.pivots):
+            c = out[p]
+            if c != 0:
+                for j in range(p, self.dim):
+                    out[j] -= c * row[j]
+        return out
+
+    def add(self, v: Sequence) -> Optional[Vec]:
+        """Insert v's residue mod the current span.
+
+        Returns the canonical new row (pivot normalized to 1) when v
+        enlarges the span, else None.
+        """
+        red = self.reduce(v)
+        p = next((j for j, x in enumerate(red) if x != 0), None)
+        if p is None:
+            return None
+        inv = ONE / red[p]
+        new_row = tuple(x * inv for x in red)
+        for i, row in enumerate(self.rows):
+            c = row[p]
+            if c != 0:
+                self.rows[i] = tuple(a - c * b for a, b in zip(row, new_row))
+        where = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
+        self.rows.insert(where, new_row)
+        self.pivots.insert(where, p)
+        return new_row
 
 
 class RrefResult(NamedTuple):

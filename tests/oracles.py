@@ -7,6 +7,9 @@ the exponent tuples of the differentials) is shared with the code under
 test.  The reference validator and the good-object walk read the
 multiplication table only through `GradedAlgebra.mul` on dense vectors.
 
+The greedy generator rule grows a `reference.RowSpace` of the
+decomposables, which it builds from `GradedAlgebra.mul` on basis vectors.
+
 The last section keeps small helpers that only the tests use: the product
 of model monomials, a linear solver, a matrix-vector product and bases of
 the decomposables.
@@ -17,10 +20,10 @@ from typing import Optional, Sequence
 
 import sympy
 
-from formacheck.algebra import GradedAlgebra, ValidationReport, _decomposable_spans
-from formacheck.linalg import ZERO, MatQ, Vec, rref
+from formacheck.algebra import Generator, GradedAlgebra, ValidationReport
+from formacheck.linalg import ZERO, Vec, unit_vec
 from formacheck.model import EEntry, GoodObject, Monomial
-from formacheck.reference import _merge_even, as_vec
+from formacheck.reference import MatQ, RowSpace, _merge_even, as_vec, rref
 
 
 def raw_model(model):
@@ -174,6 +177,35 @@ def brute_validate(h):
     )
 
 
+def decomposable_spans(h):
+    """The span of the degree-n terms of the products e_i e_j of
+    positive-degree classes, in each degree n of 1..top_degree, as a
+    `RowSpace` in that degree's coordinates (basis order)."""
+    positive = [i for i in range(h.dim) if h.degrees[i] > 0]
+    products = [(h.degrees[i] + h.degrees[j], h.mul(h.basis_vector(i), h.basis_vector(j)))
+                for i in positive for j in positive]
+    spans = {}
+    for n in range(1, h.top_degree + 1):
+        idx = h.degree_indices(n)
+        spans[n] = RowSpace(len(idx))
+        for degree, value in products:
+            if degree == n:
+                spans[n].add([value[k] for k in idx])
+    return spans
+
+
+def brute_generators(h):
+    """Reference for `formacheck.choose_generators`: the greedy rule.  In
+    each degree the basis classes are added in basis order to the span of
+    the decomposables, and each class that enlarges it is a generator."""
+    gens = []
+    for n, span in decomposable_spans(h).items():
+        for slot, i in enumerate(h.degree_indices(n)):
+            if span.add(unit_vec(span.dim, slot)) is not None:
+                gens.append(Generator(f"v{len(gens) + 1}", n, h.basis_vector(i)))
+    return tuple(gens)
+
+
 def _image(h, gens, exps):
     """Product in h of the generator classes with these exponents, one
     factor at a time."""
@@ -283,12 +315,12 @@ def solve(m: MatQ, b: Sequence) -> Optional[Vec]:
 def decomposables(h: GradedAlgebra) -> dict[int, list[Vec]]:
     """Degreewise bases of the span of products of positive-degree classes.
 
-    Returns the canonical (RREF) basis of `_decomposable_spans` in each
+    Returns the canonical (RREF) basis of `decomposable_spans` in each
     degree 1..top_degree as full-length vectors; degree 0 is excluded by
     definition.
     """
     out = {}
-    for n, span in _decomposable_spans(h).items():
+    for n, span in decomposable_spans(h).items():
         idx = h.degree_indices(n)
         full = []
         for row in span.rows:

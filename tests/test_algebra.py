@@ -12,7 +12,7 @@ from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import parse_algebra_json
 from formacheck.reference import zero_vec
 
-from oracles import brute_validate, decomposables
+from oracles import brute_generators, brute_validate, decomposables
 from util import corpus_objects, cp2, cp3, embed, in_basis, s2, wedge_s2_s2
 
 
@@ -221,6 +221,7 @@ def test_validate_matches_brute_on_broken_tables(k, rebase, fault, seed):
     h = broken_table(rebased(h, rng) if rebase else h, fault, rng)
     report = fc.validate(h)
     assert report == brute_validate(h)
+    assert fc.choose_generators(h) == brute_generators(h)
     if fault == "none":
         assert report.structure_ok
     elif "coefficient" not in fault:  # a changed coefficient can keep the laws
@@ -332,6 +333,11 @@ def test_generators_follow_the_greedy_rule_in_any_basis(k):
     gens = fc.choose_generators(h)
     assert [(g.degree, g.class_vector) for g in gens] == expected
     assert [g.label for g in gens] == [f"v{j + 1}" for j in range(len(gens))]
+    assert gens == brute_generators(h)
+    # rows of several terms with several denominators each
+    for seed in range(3):
+        h = scaled(h, random.Random(seed))
+        assert fc.choose_generators(h) == brute_generators(h)
 
 
 def phi(h, gens, *indices):

@@ -205,6 +205,15 @@ def test_check_cap_below_top_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cap 2 is below the top degree 4\n"
 
 
+@pytest.mark.parametrize("cap", [sys.maxsize, 10 ** 20])
+def test_check_cap_too_large_rejected(tmp_path, capsys, cap):
+    # one list entry per degree up to the cap: no list has sys.maxsize + 1
+    path = write_json(tmp_path / "point.json", {"name": "point", "unit": "1", "products": [],
+                                                "basis": [{"label": "1", "degree": 0}]})
+    assert main(["check", path, "--cap", str(cap)]) == 1
+    assert capsys.readouterr().err == f"error: cap {cap} is too large\n"
+
+
 def test_check_result_too_long_to_print(tmp_path, capsys):
     # valid input whose E-family entry x^3 = c^2 z has 7999 digits
     c = "1" + "0" * 3999

@@ -7,8 +7,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formacheck.linalg import (ZERO, MatQ, RowSpace, integer_rank, kernel_basis, rank, rref,
-                               unit_vec, vec_is_zero)
+from formacheck.linalg import (ZERO, MatQ, RowSpace, integer_pivots, integer_rank, kernel_basis,
+                               rank, rref, unit_vec, vec_is_zero)
 
 from oracles import matvec, solve
 from util import frac_matrix
@@ -215,6 +215,41 @@ def test_integer_rank_matches_rref_and_sympy(drawn):
     assert out.pivot_cols == pivots
     assert [list(row) for row in out.rref.entries] == \
         [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(rows))]
+
+
+@st.composite
+def integer_matrices(draw):
+    """(rows, cols): small integer entries, some rows and columns zeroed,
+    and some rows repeated, as they are or negated."""
+    cols = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                         max_size=7))
+    zero_rows, zero_cols = draw(st.sets(st.integers(0, 6))), draw(st.sets(st.integers(0, 6)))
+    rows = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+    if rows:
+        copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.sampled_from((1, -1))),
+                               max_size=3))
+        rows += [[sign * x for x in rows[i]] for i, sign in copies]
+    return rows, cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(integer_matrices())
+@example(([], 0))                       # empty
+@example(([], 4))                       # no rows
+@example(([[], [], []], 0))             # no columns
+@example(([[0, 0, 0]] * 4, 3))          # zero
+@example(([[0, 2, 0, 1], [0, 2, 0, 1], [0, -2, 0, -1]], 4))  # repeated rows, zero columns
+# pivots 1 and then -1: the rescale of the row [0, 0, 2, 1], whose entry in
+# the second pivot column is zero, is skipped
+@example(([[1, 0, 0, 1], [1, -1, 0, 0], [0, 0, 2, 1]], 4))
+@example(([[0, -2, 1], [-2, -2, -1], [0, -1, 1]], 3))  # a pivot of -2 above a zero
+def test_integer_pivots_match_sympy(drawn):
+    rows, cols = drawn
+    pivots = integer_pivots(rows)
+    assert tuple(pivots) == sympy_matrix(rows, cols).rref()[1]
+    assert integer_rank(rows) == len(pivots)
 
 
 def boundary_rows(faces, s):

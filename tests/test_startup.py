@@ -90,9 +90,10 @@ def test_corpus_run_loads_no_unneeded_stdlib_module(tmp_path):
 
 # the public names that moved to `reference`, by the module that still gives them
 MOVED = {
-    "formacheck": ("MatQ", "cohomology_basis", "differential_matrix", "induced_map",
-                   "kernel_basis", "monomials_of_degree", "phi_tilde", "rref"),
-    "formacheck.linalg": ("MatQ", "RrefResult", "as_vec", "kernel_basis", "rref", "zero_vec"),
+    "formacheck": ("MatQ", "RowSpace", "cohomology_basis", "differential_matrix",
+                   "induced_map", "kernel_basis", "monomials_of_degree", "phi_tilde", "rref"),
+    "formacheck.linalg": ("MatQ", "RowSpace", "RrefResult", "as_vec", "kernel_basis", "rref",
+                          "zero_vec"),
     "formacheck.model": ("blocks_of_degree", "differential_matrix", "differentiate",
                          "monomials_of_degree", "phi_tilde"),
     "formacheck.cohomology": ("cohomology_basis", "induced_map"),

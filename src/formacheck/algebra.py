@@ -295,12 +295,14 @@ def choose_generators(h: GradedAlgebra) -> tuple[Generator, ...]:
     fails to enlarge D + span(e_<s) exactly when some element of D has its
     last nonzero coordinate at s.  So, with the columns in reverse basis
     order, the generators are the non-pivot columns of D's rows, each row
-    scaled by the lcm of its denominators: one `integer_pivots` per degree.
-    They come ordered by (degree, basis index), reproducibly.
+    scaled by the lcm of its denominators: one `integer_pivots` per degree,
+    of the distinct rows, as pivots depend only on the row space (a product
+    and its even mirror are one row).  They come ordered by (degree, basis
+    index), reproducibly.
     """
     deg = h.degrees
     column = {k: len(idx) - 1 - s for idx in h._by_degree.values() for s, k in enumerate(idx)}
-    rows: dict[int, list] = {n: [] for n in range(1, h.top_degree + 1)}
+    rows: dict[int, set] = {n: set() for n in range(1, h.top_degree + 1)}
     for (i, j), prod in h.mult.items():
         n = deg[i] + deg[j]
         terms = [(column[k], c) for k, c in prod if deg[k] == n]
@@ -309,7 +311,7 @@ def choose_generators(h: GradedAlgebra) -> tuple[Generator, ...]:
             row = [0] * h.dim_in_degree(n)
             for col, c in terms:
                 row[col] = c.numerator * (scale // c.denominator)
-            rows[n].append(row)
+            rows[n].add(tuple(row))
     free = []
     for n, degree_rows in rows.items():
         pivots = set(integer_pivots(degree_rows))

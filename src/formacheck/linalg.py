@@ -22,11 +22,11 @@ ONE = Fraction(1)
 
 def _moved_to_reference(module: str, names: set[str]):
     """A module `__getattr__` (PEP 562) for the `names` that moved from
-    `module` to `reference`.  It imports `reference` on the first lookup
-    and returns the name from there, so the old addresses keep working
-    while a `check` process, which looks none of them up, never compiles
-    or loads it.  Any other name raises `AttributeError`, as it would
-    without the hook."""
+    `module` to `reference` and that `perfbench/tracer.py` still looks up
+    there.  It imports `reference` on the first lookup and returns the name
+    from there, so a `check` process, which looks none of them up, never
+    compiles or loads it.  Any other name raises `AttributeError`, as it
+    would without the hook."""
 
     def __getattr__(name: str):
         if name in names:
@@ -37,8 +37,7 @@ def _moved_to_reference(module: str, names: set[str]):
     return __getattr__
 
 
-__getattr__ = _moved_to_reference(__name__, {
-    "MatQ", "RowSpace", "RrefResult", "as_vec", "kernel_basis", "rref", "zero_vec"})
+__getattr__ = _moved_to_reference(__name__, {"kernel_basis", "rref"})
 
 
 def unit_vec(n: int, i: int) -> Vec:

@@ -13,14 +13,13 @@ live in `reference`.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .algebra import Generator, GradedAlgebra
 from .linalg import Vec, _moved_to_reference, vec_is_zero
 
 __getattr__ = _moved_to_reference(__name__, {
-    "blocks_of_degree", "differential_matrix", "differentiate", "monomials_of_degree",
-    "phi_tilde"})
+    "differential_matrix", "monomials_of_degree", "phi_tilde"})
 
 EvenPart = tuple[tuple[int, int], ...]  # (generator index, exponent > 0), ascending
 
@@ -45,11 +44,7 @@ class Monomial(_Monomial):
 
     @property
     def length(self) -> int:
-        return self.even_length + len(self.odd)
-
-    @property
-    def even_length(self) -> int:
-        return sum(e for _, e in self.even)
+        return sum(e for _, e in self.even) + len(self.odd)
 
     def sort_key(self):
         return (self.degree, self.even, self.odd)
@@ -156,23 +151,20 @@ def compute_E(h: GradedAlgebra, gens: tuple[Generator, ...]) -> tuple[EEntry, ..
     return tuple(entries)
 
 
-def good_objects(h: GradedAlgebra, gens: tuple[Generator, ...],
-                 e: Optional[tuple[EEntry, ...]] = None) -> list[GoodObject]:
+def good_objects(gens: tuple[Generator, ...], e: tuple[EEntry, ...]) -> list[GoodObject]:
     """Monomials with zero image whose proper divisors (>= 2 factors) all
-    have nonzero image, read off the family E.
+    have nonzero image, read off the family E = `compute_E(h, gens)`.
 
-    `e` is `compute_E(h, gens)`, passed in by a caller that already has it
-    (as `certify` does) and computed here when omitted.  The nonzero
-    monomials N = E plus the single generators are closed under division,
-    so the good objects are the minimal monomials outside N (the minimal
-    generators of the complementary monomial ideal): one factor more than a
-    member of N, not in N, and in N whenever any one factor is removed.
-    The divisor witnesses of a good object are the entries of E that divide
-    it.
+    The nonzero monomials N = E plus the single generators are closed under
+    division, so the good objects are the minimal monomials outside N (the
+    minimal generators of the complementary monomial ideal): one factor more
+    than a member of N, not in N, and in N whenever any one factor is
+    removed.  The divisor witnesses of a good object are the entries of E
+    that divide it.
     """
     n = len(gens)
     entries = {}  # dense exponent tuple -> entry of E
-    for entry in compute_E(h, gens) if e is None else e:
+    for entry in e:
         exps = [0] * n
         for i, power in entry.monomial.even:
             exps[i] = power
@@ -194,12 +186,9 @@ def good_objects(h: GradedAlgebra, gens: tuple[Generator, ...],
     return goods
 
 
-def build_model(h: GradedAlgebra, gens: tuple[Generator, ...],
-                goods: Optional[list[GoodObject]] = None) -> Model:
+def build_model(gens: tuple[Generator, ...], goods: list[GoodObject]) -> Model:
     """One-stage model: d(v) = 0 and one w per good object with d(w) = m."""
     _require_even(gens)
-    if goods is None:
-        goods = good_objects(h, gens)
     odd = tuple(
         OddGenerator(label=f"w{k + 1}", degree=g.monomial.degree - 1, target=g.monomial)
         for k, g in enumerate(goods))

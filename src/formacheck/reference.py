@@ -8,10 +8,11 @@ off the complexes Δ_α and the family E, and the tests compare the two;
 `choose_generators` reads its generators off `linalg.integer_pivots`, and
 the tests compare them with the greedy `RowSpace` rule.
 No module that `check` loads imports this one, so a `check` process
-neither compiles nor loads it.  `formacheck`, `formacheck.linalg`,
-`formacheck.model` and `formacheck.cohomology` still give its public names
-at their old addresses: each imports this module on the first such lookup
-(`linalg._moved_to_reference`).
+neither compiles nor loads it.  Import its names from here; only the seven
+that `perfbench/tracer.py` looks up (`rref`, `kernel_basis`,
+`monomials_of_degree`, `differential_matrix`, `phi_tilde`,
+`cohomology_basis`, `induced_map`) still resolve at their old addresses in
+`linalg`, `model` and `cohomology`, through `linalg._moved_to_reference`.
 """
 
 from __future__ import annotations

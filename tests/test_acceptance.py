@@ -16,6 +16,8 @@ from formacheck.cli import main
 from formacheck.corpus import even_sphere, truncated_poly, wedge
 from formacheck.duality import duality_check
 from formacheck.formality import DegreeSet
+from formacheck.model import build_model, good_objects
+from formacheck.reference import differential_matrix, monomials_of_degree, phi_tilde
 
 import oracles
 from util import (algebra, corpus_objects, pipeline, random_chain_complex,
@@ -113,16 +115,16 @@ def test_criterion_4_differential_identities():
     for obj in objs:
         h = algebra(obj)
         gens = fc.choose_generators(h)
-        model = fc.build_model(h, gens)
+        model = build_model(gens, good_objects(gens, fc.compute_E(h, gens)))
         cap = 2 * h.top_degree + 1
         for n in range(cap + 1):
-            d_n = fc.differential_matrix(model, n)
-            ok = ok and fc.differential_matrix(model, n + 1).matmul(d_n).is_zero()
-            basis_next = fc.monomials_of_degree(model, n + 1)
+            d_n = differential_matrix(model, n)
+            ok = ok and differential_matrix(model, n + 1).matmul(d_n).is_zero()
+            basis_next = monomials_of_degree(model, n + 1)
             for j in range(d_n.cols):
                 combo = {basis_next[i]: d_n.entries[i][j]
                          for i in range(d_n.rows) if d_n.entries[i][j] != 0}
-                image = fc.phi_tilde(model, h, combo)
+                image = phi_tilde(model, h, combo)
                 ok = ok and all(c == 0 for c in image)
     conclude("criterion 4: d^2 = 0 and phi~ o d = 0 on every corpus model",
              ok, f"{len(objs)} algebras")
@@ -210,7 +212,7 @@ def test_criterion_8_good_object_degree_bound():
         rng = random.Random(seed)
         h = random_even_monomial_algebra(rng)
         gens = fc.choose_generators(h)
-        goods = fc.good_objects(h, gens)  # termination: this returns
+        goods = good_objects(gens, fc.compute_E(h, gens))  # termination: this returns
         for g in goods:
             worst = max(worst, g.monomial.degree - 2 * h.top_degree)
             ok = ok and g.monomial.degree <= 2 * h.top_degree

@@ -165,10 +165,11 @@ def test_check_hypothesis_violated_exit(tmp_path):
         "products": [],
     }
     path = write_json(tmp_path / "odd.json", obj)
-    report = tmp_path / "c.json"
-    assert main(["check", path, "--report", str(report)]) == 3
+    report, model = tmp_path / "c.json", tmp_path / "m.json"
+    assert main(["check", path, "--report", str(report), "--emit-model", str(model)]) == 3
     cert = json.loads(report.read_text())
     assert cert["model"] is None
+    assert not model.exists()  # no model is built, so none is written
     assert cert["verdict"]["classification"] == "HYPOTHESIS_VIOLATED"
     assert cert["generators"]  # the odd generator is still listed
 

@@ -7,8 +7,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formacheck.linalg import (ZERO, MatQ, RowSpace, integer_pivots, integer_rank, kernel_basis,
-                               rank, rref, unit_vec, vec_is_zero)
+from formacheck.linalg import ZERO, integer_pivots, integer_rank, rank, unit_vec, vec_is_zero
+from formacheck.reference import MatQ, RowSpace, kernel_basis, rref
 
 from oracles import matvec, solve
 from util import frac_matrix

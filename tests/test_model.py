@@ -5,8 +5,8 @@ import pytest
 
 import formacheck as fc
 from formacheck.algebra import GradedAlgebra
-from formacheck.model import Monomial, format_monomial, multidegree
-from formacheck.reference import zero_vec
+from formacheck.model import Monomial, build_model, format_monomial, good_objects, multidegree
+from formacheck.reference import differential_matrix, monomials_of_degree, phi_tilde, zero_vec
 
 from oracles import brute_E, brute_good_objects, multiply
 from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,
@@ -16,7 +16,7 @@ from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,
 
 def model_of(h):
     gens = fc.choose_generators(h)
-    return fc.build_model(h, gens)
+    return build_model(gens, good_objects(gens, fc.compute_E(h, gens)))
 
 
 def texts(model, monos):
@@ -29,28 +29,28 @@ def texts(model, monos):
 
 def test_monomials_sphere_degree_6():
     model = model_of(s2())
-    assert texts(model, fc.monomials_of_degree(model, 6)) == ["v1^3"]
+    assert texts(model, monomials_of_degree(model, 6)) == ["v1^3"]
 
 
 def test_monomials_sphere_degree_5():
     model = model_of(s2())
-    assert texts(model, fc.monomials_of_degree(model, 5)) == ["v1*w1"]
+    assert texts(model, monomials_of_degree(model, 5)) == ["v1*w1"]
 
 
 def test_monomials_degree_1_empty():
     model = model_of(s2())
-    assert fc.monomials_of_degree(model, 1) == []
+    assert monomials_of_degree(model, 1) == []
 
 
 def test_monomials_degree_0_is_unit():
     model = model_of(s2())
-    monos = fc.monomials_of_degree(model, 0)
+    monos = monomials_of_degree(model, 0)
     assert monos == [Monomial((), (), 0)]
 
 
 def test_no_repeated_odd_factor():
     model = model_of(wedge_s2_s2())  # three odd generators of degree 3
-    for m in fc.monomials_of_degree(model, 6):
+    for m in monomials_of_degree(model, 6):
         assert len(set(m.odd)) == len(m.odd)
 
 
@@ -98,7 +98,7 @@ def test_multiply_odd_square_is_zero():
 def test_multiply_associative_up_to_sign(obj_index):
     h = algebra(corpus_objects()[obj_index])
     model = model_of(h)
-    pool = fc.monomials_of_degree(model, 4) + fc.monomials_of_degree(model, 5)
+    pool = monomials_of_degree(model, 4) + monomials_of_degree(model, 5)
     for a in pool[:4]:
         for b in pool[:4]:
             for c in pool[:4]:
@@ -144,14 +144,16 @@ def test_e_family_requires_even_generators():
 
 def test_good_objects_sphere():
     h = s2()
-    goods = fc.good_objects(h, fc.choose_generators(h))
+    gens = fc.choose_generators(h)
+    goods = good_objects(gens, fc.compute_E(h, gens))
     assert [g.monomial.even for g in goods] == [((0, 2),)]
     assert goods[0].divisor_witnesses == ()  # length 2: divisor condition vacuous
 
 
 def test_good_objects_cp2_excludes_v4():
     h = cp2()
-    goods = fc.good_objects(h, fc.choose_generators(h))
+    gens = fc.choose_generators(h)
+    goods = good_objects(gens, fc.compute_E(h, gens))
     assert [g.monomial.even for g in goods] == [((0, 3),)]
     witness = goods[0].divisor_witnesses
     assert [w.monomial.even for w in witness] == [((0, 2),)]
@@ -160,7 +162,8 @@ def test_good_objects_cp2_excludes_v4():
 
 def test_good_objects_wedge():
     h = wedge_s2_s2()
-    goods = fc.good_objects(h, fc.choose_generators(h))
+    gens = fc.choose_generators(h)
+    goods = good_objects(gens, fc.compute_E(h, gens))
     assert sorted(g.monomial.even for g in goods) == \
         [((0, 1), (1, 1)), ((0, 2),), ((1, 2),)]
 
@@ -171,7 +174,7 @@ def test_good_object_degree_bound_and_divisors_in_E(obj_index):
     gens = fc.choose_generators(h)
     e = fc.compute_E(h, gens)
     e_monos = {entry.monomial for entry in e}
-    goods = fc.good_objects(h, gens)
+    goods = good_objects(gens, e)
     for g in goods:
         assert g.monomial.degree <= 2 * h.top_degree
         # every divisor with one factor removed lies in E
@@ -199,8 +202,9 @@ NAMED_INPUTS = {
 
 def assert_goods_match_oracle(h):
     gens = fc.choose_generators(h)
-    assert fc.compute_E(h, gens) == brute_E(h, gens)
-    goods = fc.good_objects(h, gens)
+    e = fc.compute_E(h, gens)
+    assert e == brute_E(h, gens)
+    goods = good_objects(gens, e)
     assert goods == brute_good_objects(h, gens)
     return goods
 
@@ -240,7 +244,7 @@ def test_least_zero_power_of_each_generator_is_good(case):
         h = random_even_monomial_algebra(random.Random(7300 + int(index)))
     for ring in (h, change_basis(h, random.Random(int(index)))):
         gens = fc.choose_generators(ring)
-        goods = [g.monomial for g in fc.good_objects(ring, gens)]
+        goods = [g.monomial for g in good_objects(gens, fc.compute_E(ring, gens))]
         for i, g in enumerate(gens):
             power, k = g.class_vector, 1
             while any(power):
@@ -254,7 +258,7 @@ def test_empty_E_forces_length_two_goods():
         h = algebra(obj)
         gens = fc.choose_generators(h)
         if not fc.compute_E(h, gens):
-            assert all(g.monomial.length == 2 for g in fc.good_objects(h, gens))
+            assert all(g.monomial.length == 2 for g in good_objects(gens, ()))
 
 
 # ---- model construction ----
@@ -279,28 +283,37 @@ def test_build_model_no_goods():
     # an algebra with no generators at all instead.
     h = GradedAlgebra.from_products([("1", 0)], "1", {})
     gens = fc.choose_generators(h)
-    model = fc.build_model(h, gens)
+    model = build_model(gens, good_objects(gens, fc.compute_E(h, gens)))
     assert model.odd_generators == ()
-    assert fc.monomials_of_degree(model, 0) == [Monomial((), (), 0)]
+    assert monomials_of_degree(model, 0) == [Monomial((), (), 0)]
+
+
+def test_algebra_first_calls_give_the_stages():
+    # the call shapes `perfbench/selftest.py` uses at the package level
+    for h in (cp2(), wedge_s2_s2(), s2_power_4()):
+        gens = fc.choose_generators(h)
+        goods = good_objects(gens, fc.compute_E(h, gens))
+        assert fc.good_objects(h, gens) == goods
+        assert fc.build_model(h, gens, goods) == build_model(gens, goods)
 
 
 # ---- differential ----
 
 def test_differential_on_generator():
     model = model_of(s2())
-    m = fc.differential_matrix(model, 3)  # basis {w}, image basis {v^2}
+    m = differential_matrix(model, 3)  # basis {w}, image basis {v^2}
     assert m.entries == ((Fraction(1),),)
 
 
 def test_differential_leibniz_sign():
     model = model_of(s2())
-    m = fc.differential_matrix(model, 5)  # d(v*w) = v^3, |v| even
+    m = differential_matrix(model, 5)  # d(v*w) = v^3, |v| even
     assert m.entries == ((Fraction(1),),)
 
 
 def test_differential_degree_zero():
     model = model_of(s2())
-    assert fc.differential_matrix(model, 0).is_zero()
+    assert differential_matrix(model, 0).is_zero()
 
 
 def test_differential_odd_pair_signs():
@@ -308,9 +321,9 @@ def test_differential_odd_pair_signs():
     # sign of moving d past the odd factor w_a
     h = wedge_s2_s2()
     model = model_of(h)
-    basis6 = fc.monomials_of_degree(model, 6)
-    basis7 = fc.monomials_of_degree(model, 7)
-    m = fc.differential_matrix(model, 6)
+    basis6 = monomials_of_degree(model, 6)
+    basis7 = monomials_of_degree(model, 7)
+    m = differential_matrix(model, 6)
     pair = next(i for i, mono in enumerate(basis6) if mono.odd == (0, 1))
     targets = {}
     for r, mono in enumerate(basis7):
@@ -325,8 +338,8 @@ def test_d_squared_zero(obj_index):
     model = model_of(h)
     cap = 2 * h.top_degree + 1
     for n in range(cap + 1):
-        d_n = fc.differential_matrix(model, n)
-        d_next = fc.differential_matrix(model, n + 1)
+        d_n = differential_matrix(model, n)
+        d_next = differential_matrix(model, n + 1)
         assert d_next.matmul(d_n).is_zero()
 
 
@@ -335,9 +348,9 @@ def test_differential_preserves_multidegree(obj_index):
     h = algebra(corpus_objects()[obj_index])
     model = model_of(h)
     for n in range(2 * h.top_degree + 2):
-        d_n = fc.differential_matrix(model, n)
-        cols = [multidegree(model, m) for m in fc.monomials_of_degree(model, n)]
-        rows = [multidegree(model, m) for m in fc.monomials_of_degree(model, n + 1)]
+        d_n = differential_matrix(model, n)
+        cols = [multidegree(model, m) for m in monomials_of_degree(model, n)]
+        rows = [multidegree(model, m) for m in monomials_of_degree(model, n + 1)]
         for i, row in enumerate(d_n.entries):
             for j, c in enumerate(row):
                 if c != 0:
@@ -356,12 +369,12 @@ def test_phi_tilde_is_cochain_map(obj_index):
     model = model_of(h)
     cap = 2 * h.top_degree + 1
     for n in range(cap + 1):
-        d_n = fc.differential_matrix(model, n)
-        basis_next = fc.monomials_of_degree(model, n + 1)
-        for j, mono in enumerate(fc.monomials_of_degree(model, n)):
+        d_n = differential_matrix(model, n)
+        basis_next = monomials_of_degree(model, n + 1)
+        for j, mono in enumerate(monomials_of_degree(model, n)):
             combo = {basis_next[i]: d_n.entries[i][j]
                      for i in range(d_n.rows) if d_n.entries[i][j] != 0}
-            image = fc.phi_tilde(model, h, combo)
+            image = phi_tilde(model, h, combo)
             assert all(c == 0 for c in image)
 
 
@@ -377,11 +390,11 @@ def test_phi_tilde_values():
     unit = Monomial((), (), 0)
     x = h.basis_vector(h.labels.index("x"))
     x2 = h.basis_vector(h.labels.index("x^2"))
-    assert fc.phi_tilde(model, h, {v: Fraction(1)}) == x
-    assert fc.phi_tilde(model, h, {v2: Fraction(1)}) == x2
-    assert fc.phi_tilde(model, h, {w: Fraction(1)}) == zero_vec(h.dim)
-    assert fc.phi_tilde(model, h, {vw: Fraction(1)}) == zero_vec(h.dim)
-    assert fc.phi_tilde(model, h, {unit: Fraction(1)}) == h.unit()
+    assert phi_tilde(model, h, {v: Fraction(1)}) == x
+    assert phi_tilde(model, h, {v2: Fraction(1)}) == x2
+    assert phi_tilde(model, h, {w: Fraction(1)}) == zero_vec(h.dim)
+    assert phi_tilde(model, h, {vw: Fraction(1)}) == zero_vec(h.dim)
+    assert phi_tilde(model, h, {unit: Fraction(1)}) == h.unit()
 
 
 def test_phi_tilde_requires_homogeneous():
@@ -390,4 +403,4 @@ def test_phi_tilde_requires_homogeneous():
     v = Monomial(((0, 1),), (), 2)
     v2 = Monomial(((0, 2),), (), 4)
     with pytest.raises(ValueError):
-        fc.phi_tilde(model, h, {v: Fraction(1), v2: Fraction(1)})
+        phi_tilde(model, h, {v: Fraction(1), v2: Fraction(1)})

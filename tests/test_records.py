@@ -12,7 +12,7 @@ import formacheck as fc
 from formacheck.corpus import product, truncated_poly
 from formacheck.duality import ChainComplexQ, duality_check
 from formacheck.formality import DegreeSet
-from formacheck.linalg import MatQ
+from formacheck.reference import MatQ
 
 from util import algebra, cp2, pipeline
 

@@ -1,9 +1,9 @@
 """What a `check` process loads: `import formacheck.cli`, and a whole
 `check` run, pull in the modules the check path runs and nothing else.
-The degree-by-degree `reference` stays out, though its public names still
-resolve at their old addresses, and so does OpenSSL: `formats` takes its
-sha256 from `_sha256` where Python has it, and from `hashlib` otherwise,
-with the same digests.  The certificate's timestamp comes from `time`, not
+The degree-by-degree `reference` stays out, though the names of it that
+the tracer looks up still resolve at their old addresses, and so does
+OpenSSL: `formats` takes its sha256 from `_sha256` where Python has it, and
+from `hashlib` otherwise, with the same digests.  The certificate's timestamp comes from `time`, not
 `datetime`.  No command loads argparse (or the gettext it brings): `cli`
 reads the command line by hand.  And how it ends: `cli.entrypoint` flushes
 and leaves by `os._exit`, so no `atexit` hook runs, with `main`'s exit code
@@ -28,6 +28,7 @@ from formacheck.cli import main
 from formacheck.corpus import even_sphere, truncated_poly, wedge
 from formacheck.formats import load_algebra_file
 
+from test_tracer import load_tracer
 from util import (cp2_power_3, dependent_family, s2_power_4, serialize_algebra,
                   sphere_wedge_8)
 
@@ -88,26 +89,24 @@ def test_corpus_run_loads_no_unneeded_stdlib_module(tmp_path):
         assert not set(names) & set(OPENSSL)
 
 
-# the public names that moved to `reference`, by the module that still gives them
-MOVED = {
-    "formacheck": ("MatQ", "RowSpace", "cohomology_basis", "differential_matrix",
-                   "induced_map", "kernel_basis", "monomials_of_degree", "phi_tilde", "rref"),
-    "formacheck.linalg": ("MatQ", "RowSpace", "RrefResult", "as_vec", "kernel_basis", "rref",
-                          "zero_vec"),
-    "formacheck.model": ("blocks_of_degree", "differential_matrix", "differentiate",
-                         "monomials_of_degree", "phi_tilde"),
-    "formacheck.cohomology": ("cohomology_basis", "induced_map"),
-}
+# the public names defined in `reference`, and the modules they used to be in
+DEFINED = sorted(name for name, value in vars(reference).items()
+                 if not name.startswith("_")
+                 and getattr(value, "__module__", None) == reference.__name__)
+OLD_HOMES = ("formacheck", "formacheck.linalg", "formacheck.model", "formacheck.cohomology")
+# the old addresses of those names that `perfbench/tracer.py` looks up
+TRACED = sorted((f"formacheck.{module}", name) for module, name, _ in load_tracer().SPANNED
+                if name in DEFINED)
 
 
-def test_every_public_name_of_the_reference_has_an_old_address():
-    defined = {name for name, value in vars(reference).items()
-               if not name.startswith("_") and getattr(value, "__module__", None) == reference.__name__}
-    assert defined == {name for names in MOVED.values() for name in names}
+def test_reference_names_resolve_only_at_the_tracers_old_addresses():
+    for module in OLD_HOMES:
+        old = importlib.import_module(module)
+        assert [name for name in DEFINED if hasattr(old, name)] == \
+            [name for home, name in TRACED if home == module]
 
 
-@pytest.mark.parametrize("module, name", [(module, name) for module, names in MOVED.items()
-                                          for name in names])
+@pytest.mark.parametrize("module, name", TRACED)
 def test_moved_name_resolves_at_its_old_address(module, name):
     assert getattr(importlib.import_module(module), name) is getattr(reference, name)
     namespace = {}
@@ -115,7 +114,7 @@ def test_moved_name_resolves_at_its_old_address(module, name):
     assert namespace[name] is getattr(reference, name)
 
 
-@pytest.mark.parametrize("module", MOVED)
+@pytest.mark.parametrize("module", OLD_HOMES)
 def test_unknown_name_still_raises(module):
     old = importlib.import_module(module)
     for name in ("no_such_name", "_merge_even", "_monomials_cached", "_coerce"):

@@ -6,6 +6,7 @@ import formacheck as fc
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.duality import ChainComplexQ
 from formacheck.formats import format_rational, parse_algebra_json
+from formacheck.reference import MatQ
 
 
 def algebra(obj):
@@ -115,7 +116,7 @@ def pipeline(h, cap=None):
 
 
 def frac_matrix(rows):
-    return fc.MatQ.from_rows([[Fraction(x) for x in row] for row in rows])
+    return MatQ.from_rows([[Fraction(x) for x in row] for row in rows])
 
 
 def random_invertible(rng, n):
@@ -136,9 +137,9 @@ def random_invertible(rng, n):
             t[i], t[j] = t[j], t[i]
             for row in tinv:
                 row[i], row[j] = row[j], row[i]
-    left = fc.MatQ.from_rows(t, cols=n)
-    right = fc.MatQ.from_rows(tinv, cols=n)
-    assert left.matmul(right) == fc.MatQ.identity(n)
+    left = MatQ.from_rows(t, cols=n)
+    right = MatQ.from_rows(tinv, cols=n)
+    assert left.matmul(right) == MatQ.identity(n)
     return left, right
 
 
@@ -198,7 +199,7 @@ def random_chain_complex(rng, max_dim=5, max_deg=6):
         rows = [[Fraction(0)] * dims[n] for _ in range(dims[n - 1])]
         for j in range(ranks[n]):
             rows[ranks[n - 1] + j][j] = Fraction(1)
-        canonical.append(fc.MatQ.from_rows(rows, cols=dims[n]))
+        canonical.append(MatQ.from_rows(rows, cols=dims[n]))
     base_change = [random_invertible(rng, dims[n]) for n in range(top + 1)]
     boundaries = tuple(
         base_change[n - 1][0].matmul(canonical[n - 1]).matmul(base_change[n][1])

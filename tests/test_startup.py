@@ -89,14 +89,30 @@ def test_corpus_run_loads_no_unneeded_stdlib_module(tmp_path):
         assert not set(names) & set(OPENSSL)
 
 
-# the public names defined in `reference`, and the modules they used to be in
+# the public names that moved to `reference`, by the module they used to be in
+MOVED = {
+    "formacheck": ("MatQ", "RowSpace", "cohomology_basis", "differential_matrix",
+                   "induced_map", "kernel_basis", "monomials_of_degree", "phi_tilde", "rref"),
+    "formacheck.linalg": ("MatQ", "RowSpace", "RrefResult", "as_vec", "kernel_basis", "rref",
+                          "zero_vec"),
+    "formacheck.model": ("blocks_of_degree", "differential_matrix", "differentiate",
+                         "monomials_of_degree", "phi_tilde"),
+    "formacheck.cohomology": ("cohomology_basis", "induced_map"),
+}
+# the public names defined in `reference`
 DEFINED = sorted(name for name, value in vars(reference).items()
                  if not name.startswith("_")
                  and getattr(value, "__module__", None) == reference.__name__)
-OLD_HOMES = ("formacheck", "formacheck.linalg", "formacheck.model", "formacheck.cohomology")
+OLD_HOMES = tuple(MOVED)
 # the old addresses of those names that `perfbench/tracer.py` looks up
 TRACED = sorted((f"formacheck.{module}", name) for module, name, _ in load_tracer().SPANNED
                 if name in DEFINED)
+
+
+def test_every_public_name_of_the_reference_has_an_old_address():
+    assert set(DEFINED) == {name for names in MOVED.values() for name in names}
+    assert {name for _, name in TRACED} <= set(DEFINED)
+    assert all(name in MOVED[module] for module, name in TRACED)
 
 
 def test_reference_names_resolve_only_at_the_tracers_old_addresses():
@@ -106,12 +122,24 @@ def test_reference_names_resolve_only_at_the_tracers_old_addresses():
             [name for home, name in TRACED if home == module]
 
 
-@pytest.mark.parametrize("module, name", TRACED)
+@pytest.mark.parametrize("module, name", [(module, name) for module, names in MOVED.items()
+                                          for name in names])
 def test_moved_name_resolves_at_its_old_address(module, name):
-    assert getattr(importlib.import_module(module), name) is getattr(reference, name)
-    namespace = {}
-    exec(f"from {module} import {name}", namespace)
-    assert namespace[name] is getattr(reference, name)
+    """An old address the tracer looks up still gives the `reference` object,
+    by attribute and by `from`-import; any other is gone, and fails as an
+    unknown name does, while the name itself lives on in `reference`."""
+    old = importlib.import_module(module)
+    assert callable(getattr(reference, name))
+    if (module, name) in TRACED:
+        assert getattr(old, name) is getattr(reference, name)
+        namespace = {}
+        exec(f"from {module} import {name}", namespace)
+        assert namespace[name] is getattr(reference, name)
+    else:
+        with pytest.raises(AttributeError, match=re.escape(f"module {module!r} has no attribute")):
+            getattr(old, name)
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})
 
 
 @pytest.mark.parametrize("module", OLD_HOMES)

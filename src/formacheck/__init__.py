@@ -3,7 +3,7 @@ commutative algebras over Q."""
 
 __version__ = "0.1.0"
 
-from .linalg import Vec
+from .linalg import Row
 from .algebra import (AlgebraStructureError, Generator, GradedAlgebra,
                       ValidationReport, choose_generators, validate)
 from . import model
@@ -28,7 +28,7 @@ def build_model(*h_gens_goods) -> Model:
 
 __all__ = [
     "__version__",
-    "Vec",
+    "Row",
     "GradedAlgebra", "Generator", "ValidationReport",
     "AlgebraStructureError", "validate", "choose_generators",
     "Monomial", "Model", "OddGenerator", "GoodObject",

@@ -5,9 +5,10 @@ Only the half with left index <= right index is supplied; the mirror entry
 is synthesized with the sign (-1)^(pq), which makes graded commutativity
 structural wherever it can be.
 
-The table is stored sparse: `mult[(i, j)]` is a `Row`, the nonzero terms
-(k, c) of e_i * e_j in increasing k, and pairs with a zero product are
-absent.  Elements passed to and returned by `GradedAlgebra.mul` stay dense.
+The table is stored sparse: `mult[(i, j)]` is a `linalg.Row`, the nonzero
+terms (k, c) of e_i * e_j in increasing k, and pairs with a zero product
+are absent.  Every element is such a row: `GradedAlgebra.mul` takes and
+returns rows, and a basis vector or a generator's class is a one-term row.
 The generators are the non-pivots of one integer elimination per degree.
 """
 
@@ -19,9 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .linalg import ONE, Vec, integer_pivots, unit_vec
-
-Row = tuple[tuple[int, Fraction], ...]  # sparse vector: nonzero (k, c), k increasing
+from .linalg import ONE, Row, integer_pivots, integer_row
 
 
 class AlgebraStructureError(ValueError):
@@ -60,26 +59,15 @@ class GradedAlgebra(_GradedAlgebra):
     def dim_in_degree(self, n: int) -> int:
         return len(self.degree_indices(n))
 
-    def basis_vector(self, i: int) -> Vec:
-        return unit_vec(self.dim, i)
+    def basis_vector(self, i: int) -> Row:
+        return ((i, ONE),)
 
-    def unit(self) -> Vec:
+    def unit(self) -> Row:
         return self.basis_vector(self.unit_index)
 
-    def mul(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-        out = [Fraction(0)] * self.dim
-        b_terms = [(j, cb) for j, cb in enumerate(b) if cb]
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in b_terms:
-                row = self.mult.get((i, j))
-                if row is None:
-                    continue
-                c = ca * cb
-                for k, ck in row:
-                    out[k] += c * ck
-        return tuple(out)
+    def mul(self, a: Row, b: Row) -> Row:
+        terms = ((ca * cb, self.mult.get((i, j), ())) for i, ca in a for j, cb in b)
+        return tuple(sorted(_combine(terms).items()))
 
     @classmethod
     def from_products(cls, basis: Sequence[tuple[str, int]], unit: str,
@@ -283,7 +271,7 @@ def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool):
 class Generator(NamedTuple):
     label: str
     degree: int
-    class_vector: Vec
+    class_vector: Row
 
 
 def choose_generators(h: GradedAlgebra) -> tuple[Generator, ...]:
@@ -305,12 +293,11 @@ def choose_generators(h: GradedAlgebra) -> tuple[Generator, ...]:
     rows: dict[int, set] = {n: set() for n in range(1, h.top_degree + 1)}
     for (i, j), prod in h.mult.items():
         n = deg[i] + deg[j]
-        terms = [(column[k], c) for k, c in prod if deg[k] == n]
+        terms = tuple((k, c) for k, c in prod if deg[k] == n)
         if deg[i] > 0 and deg[j] > 0 and terms:  # then 1 < n <= top degree
-            scale = math.lcm(*(c.denominator for _, c in terms))
             row = [0] * h.dim_in_degree(n)
-            for col, c in terms:
-                row[col] = c.numerator * (scale // c.denominator)
+            for k, c in integer_row(terms):
+                row[column[k]] = c
             rows[n].add(tuple(row))
     free = []
     for n, degree_rows in rows.items():

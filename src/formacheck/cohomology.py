@@ -15,10 +15,10 @@ numbers degree by degree from the monomial basis; they are the reference
 the tests compare against.
 
 Every rank is an integer rank: `linalg.integer_rank` takes the ±1
-boundaries of the Δ_α, and `linalg.rank` the induced map's rows, scaled to
-integers; no float is involved.  A degree is "bijective" only when the
-induced map has full rank on both sides.  The verdict never claims
-anything beyond the configured degree cap.
+boundaries of the Δ_α, and `linalg.rank` the classes that give the induced
+map, scaled to integers; no float is involved.  A degree is "bijective"
+only when the induced map has full rank on both sides.  The verdict never
+claims anything beyond the configured degree cap.
 """
 
 from __future__ import annotations
@@ -149,8 +149,10 @@ def verify_quasi_iso(model: Model, h: GradedAlgebra, e: tuple[EEntry, ...],
     the generators and E in degree n, and its rank is the induced map's.
     The one precondition is that every target is zero in H (phi~ is a
     cochain map), which holds for `build_model` and any subset of its good
-    objects.  The report is explicitly capped: no claim is made beyond the
-    checked range.
+    objects.  h is graded (`validate` ensures it), so the classes of degree
+    n lie in H^n, and are ranked as they are, on the columns they touch.
+    The report is explicitly capped: no claim is made beyond the checked
+    range.
     """
     if cap < h.top_degree:
         raise ValueError(
@@ -165,15 +167,15 @@ def verify_quasi_iso(model: Model, h: GradedAlgebra, e: tuple[EEntry, ...],
     nonzero += [(entry.monomial.degree, entry.class_vector) for entry in e]
     reports = []
     for n in range(cap + 1):
-        idx = h.degree_indices(n)
-        mapped = rank([v[k] for k in idx] for degree, v in nonzero if degree == n)
+        target = h.dim_in_degree(n)
+        mapped = rank(v for degree, v in nonzero if degree == n)
         reports.append(DegreeReport(
             degree=n,
             model_cohomology_dim=dims[n],
-            target_dim=len(idx),
+            target_dim=target,
             induced_map_rank=mapped,
             injective=mapped == dims[n],
-            surjective=mapped == len(idx),
+            surjective=mapped == target,
         ))
     failing = [r.degree for r in reports if not r.bijective]
     return QuasiIsoReport(

@@ -10,7 +10,7 @@ from typing import NamedTuple, Optional
 
 from .formats import InputError, _optional_list, _read_json, _require, parse_rational
 from .linalg import rank
-from .reference import MatQ
+from .reference import MatQ, as_row
 
 
 class ChainComplexError(ValueError):
@@ -70,8 +70,8 @@ def duality_check(c: ChainComplexQ) -> list[DualityRow]:
     the input construction).
     """
     validate_square_zero(c)
-    homology_rank = {n: rank(c.boundaries[n - 1].entries) for n in range(1, c.top + 1)}
-    dual_rank = {n: rank(c.boundaries[n].transpose().entries) for n in range(c.top)}
+    homology_rank = {n + 1: rank(map(as_row, b.entries)) for n, b in enumerate(c.boundaries)}
+    dual_rank = {n: rank(map(as_row, b.transpose().entries)) for n, b in enumerate(c.boundaries)}
     rows = []
     for n in range(c.top + 1):
         hom = c.dims[n] - homology_rank.get(n, 0) - homology_rank.get(n + 1, 0)

@@ -19,7 +19,7 @@ except ImportError:
 from .algebra import (AlgebraStructureError, GradedAlgebra, ValidationReport,
                       validate)
 from .formality import Certificate, DegreeSet
-from .linalg import Vec
+from .linalg import Row
 from .model import Monomial, format_monomial
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
@@ -174,8 +174,8 @@ def certificate_json(cert: Certificate, raw_obj, digest: str) -> dict:
     h, gens, verdict, quasi = cert.algebra, cert.generators, cert.verdict, cert.quasi_isomorphism
     labels = tuple(g.label for g in gens)
 
-    def sparse(v: Vec) -> dict:
-        return {h.labels[k]: format_rational(c) for k, c in enumerate(v) if c != 0}
+    def sparse(v: Row) -> dict:
+        return {h.labels[k]: format_rational(c) for k, c in v}
 
     return {
         "input": raw_obj,

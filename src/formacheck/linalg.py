@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Vectors carry `fractions.Fraction` entries; no float is allowed anywhere.
-The check path has one elimination, the fraction-free `integer_pivots`:
-`rank` scales rows to integers for it, and the generator choice reads its
-pivot columns.  The dense matrices and the reduced echelon form (`MatQ`,
-`RowSpace`, `rref`, `kernel_basis`), which only the degree-by-degree
-reference, `duality` and the tests use, live in `reference`.
+A vector is a sparse `Row` with `fractions.Fraction` coefficients; no float
+is allowed anywhere.  The check path has one elimination, the fraction-free
+`integer_pivots`: `rank` scales rows to integers for it, and the generator
+choice reads its pivot columns.  Dense vectors and matrices and the reduced
+echelon form (`MatQ`, `RowSpace`, `rref`, `kernel_basis`), which only the
+degree-by-degree reference, `duality` and the tests use, live in `reference`.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Vec = tuple[Fraction, ...]
+Row = tuple[tuple[int, Fraction], ...]  # sparse vector: nonzero (k, c), k increasing
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -40,27 +39,23 @@ def _moved_to_reference(module: str, names: set[str]):
 __getattr__ = _moved_to_reference(__name__, {"kernel_basis", "rref"})
 
 
-def unit_vec(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+def integer_row(row: Row) -> list[tuple[int, int]]:
+    """The row times the lcm of its denominators: the same line, in integers."""
+    scale = math.lcm(*(c.denominator for _, c in row))
+    return [(k, c.numerator * (scale // c.denominator)) for k, c in row]
 
 
-def vec_is_zero(v: Sequence[Fraction]) -> bool:
-    return not any(v)
-
-
-def rank(rows: Iterable[Sequence]) -> int:
-    """Rank over Q: each row times the lcm of its denominators spans the same
-    line, so this is `integer_rank` of the scaled rows.  Only the nonzero
-    entries are scaled: a class vector has one among hundreds."""
-    scaled = []
-    for row in rows:
-        nonzero = [(k, x) for k, x in enumerate(row) if x]
-        scale = math.lcm(*(x.denominator for _, x in nonzero))
-        out = [0] * len(row)
-        for k, x in nonzero:
-            out[k] = x.numerator * (scale // x.denominator)
-        scaled.append(out)
-    return integer_rank(scaled)
+def rank(rows: Iterable[Row]) -> int:
+    """Rank over Q of sparse rows: `integer_rank` of the rows scaled by
+    `integer_row`.  Zero columns and the order of the columns do not change
+    a rank, so the matrix holds only the columns that some row touches."""
+    rows = [integer_row(row) for row in rows]
+    column = {k: i for i, k in enumerate(sorted({k for row in rows for k, _ in row}))}
+    dense = [[0] * len(column) for _ in rows]
+    for out, row in zip(dense, rows):
+        for k, c in row:
+            out[column[k]] = c
+    return integer_rank(dense)
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:

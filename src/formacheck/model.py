@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .algebra import Generator, GradedAlgebra
-from .linalg import Vec, _moved_to_reference, vec_is_zero
+from .linalg import Row, _moved_to_reference
 
 __getattr__ = _moved_to_reference(__name__, {
     "differential_matrix", "monomials_of_degree", "phi_tilde"})
@@ -68,7 +68,7 @@ class EEntry(NamedTuple):
     """A nonzero product of >= 2 generators: its monomial and its class."""
 
     monomial: Monomial
-    class_vector: Vec
+    class_vector: Row
 
 
 class GoodObject(NamedTuple):
@@ -145,7 +145,7 @@ def compute_E(h: GradedAlgebra, gens: tuple[Generator, ...]) -> tuple[EEntry, ..
             if rest is None:
                 continue
             value = h.mul(gens[i].class_vector, rest)
-            if not vec_is_zero(value):
+            if value:
                 nonzero[exps] = value
                 entries.append(EEntry(Monomial(_pack(exps), (), degree), value))
     return tuple(entries)

@@ -23,11 +23,15 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import GradedAlgebra
 from .cohomology import DegreeReport
-from .linalg import ONE, ZERO, Vec, rank, unit_vec, vec_is_zero
+from .linalg import ONE, Row, rank
 from .model import EvenPart, Model, Monomial, _exponents, _pack, multidegree
 
 
-# dense matrices and the reduced echelon form (from `linalg`)
+# dense vectors and matrices and the reduced echelon form (from `linalg`)
+
+Vec = tuple[Fraction, ...]
+ZERO = Fraction(0)
+
 
 def _coerce(x) -> Fraction:
     # floats are rejected to keep certificates exact by construction
@@ -42,6 +46,19 @@ def as_vec(values: Iterable) -> Vec:
 
 def zero_vec(n: int) -> Vec:
     return (ZERO,) * n
+
+
+def unit_vec(n: int, i: int) -> Vec:
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def vec_is_zero(v: Sequence[Fraction]) -> bool:
+    return not any(v)
+
+
+def as_row(v: Sequence[Fraction]) -> Row:
+    """The dense vector v as a `linalg.Row`, for `linalg.rank`."""
+    return tuple((k, c) for k, c in enumerate(v) if c)
 
 
 class _MatQ(NamedTuple):
@@ -299,9 +316,8 @@ def phi_tilde(model: Model, h: GradedAlgebra,
         for i, e in m.even:
             for _ in range(e):
                 value = h.mul(model.generators[i].class_vector, value)
-        for k, c in enumerate(value):
-            if c != 0:
-                out[k] += coeff * c
+        for k, c in value:
+            out[k] += coeff * c
     return tuple(out)
 
 
@@ -364,20 +380,19 @@ def induced_map(model: Model, h: GradedAlgebra, n: int) -> DegreeReport:
     phi(v^alpha).
     """
     dim_model, reps = cohomology_basis(model, n)
-    idx = h.degree_indices(n)
+    target = h.dim_in_degree(n)
     basis_n = monomials_of_degree(model, n)
     pure_even = [i for i, m in enumerate(basis_n) if not m.odd]
     columns = []
     for rep in reps:
         combo = {basis_n[i]: rep[i] for i in pure_even if rep[i] != 0}
-        image = phi_tilde(model, h, combo)
-        columns.append(tuple(image[k] for k in idx))
+        columns.append(as_row(phi_tilde(model, h, combo)))
     mapped = rank(columns)
     return DegreeReport(
         degree=n,
         model_cohomology_dim=dim_model,
-        target_dim=len(idx),
+        target_dim=target,
         induced_map_rank=mapped,
         injective=mapped == dim_model,
-        surjective=mapped == len(idx),
+        surjective=mapped == target,
     )

@@ -4,11 +4,12 @@ Everything here deliberately avoids the library's enumeration, matrix, and
 rank code: bases come from itertools-style search over raw exponent data,
 and ranks come from sympy.  Only the raw model data (generator degrees and
 the exponent tuples of the differentials) is shared with the code under
-test.  The reference validator and the good-object walk read the
-multiplication table only through `GradedAlgebra.mul` on dense vectors.
-
-The greedy generator rule grows a `reference.RowSpace` of the
-decomposables, which it builds from `GradedAlgebra.mul` on basis vectors.
+test.  Products come from `dense_mul`, a product of dense vectors read
+straight off the table `h.mult`, never from `GradedAlgebra.mul`: the
+reference validator, the greedy generator rule (which grows a
+`reference.RowSpace` of the decomposables) and the E and good-object walks
+all multiply with it, and convert the classes they return to rows with
+`reference.as_row`.
 
 The last section keeps small helpers that only the tests use: the product
 of model monomials, a linear solver, a matrix-vector product and bases of
@@ -21,9 +22,30 @@ from typing import Optional, Sequence
 import sympy
 
 from formacheck.algebra import Generator, GradedAlgebra, ValidationReport
-from formacheck.linalg import ZERO, Vec, unit_vec
 from formacheck.model import EEntry, GoodObject, Monomial
-from formacheck.reference import MatQ, RowSpace, _merge_even, as_vec, rref
+from formacheck.reference import (ZERO, MatQ, RowSpace, Vec, _merge_even, as_row, as_vec,
+                                  rref, unit_vec)
+
+
+def dense_mul(h, a: Sequence, b: Sequence) -> Vec:
+    """a * b in h for dense vectors a and b, read straight off `h.mult`."""
+    out = [ZERO] * h.dim
+    b_terms = [(j, cb) for j, cb in enumerate(b) if cb]
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in b_terms:
+            for k, c in h.mult.get((i, j), ()):
+                out[k] += ca * cb * c
+    return tuple(out)
+
+
+def dense(h, row) -> Vec:
+    """The row (nonzero (k, c) terms) of h as a dense vector."""
+    out = [ZERO] * h.dim
+    for k, c in row:
+        out[k] = c
+    return tuple(out)
 
 
 def raw_model(model):
@@ -111,9 +133,15 @@ def brute_validate(h):
             "degree 0 must contain exactly the unit; found "
             + ", ".join(h.labels[i] for i in degree_zero))
 
+    def e(i):
+        return unit_vec(h.dim, i)
+
+    def mul(a, b):
+        return dense_mul(h, a, b)
+
     graded = True
     for i, j in itertools.product(range(h.dim), repeat=2):
-        entry = h.mul(h.basis_vector(i), h.basis_vector(j))
+        entry = mul(e(i), e(j))
         expected = h.degrees[i] + h.degrees[j]
         bad = [k for k, c in enumerate(entry) if c != 0 and h.degrees[k] != expected]
         if bad:
@@ -124,10 +152,9 @@ def brute_validate(h):
             break
 
     unit_ok = True
-    u = h.unit()
+    u = e(h.unit_index)
     for j in range(h.dim):
-        e = h.basis_vector(j)
-        if h.mul(u, e) != e or h.mul(e, u) != e:
+        if mul(u, e(j)) != e(j) or mul(e(j), u) != e(j):
             unit_ok = False
             failures.append(f"unit law fails on {h.labels[j]}")
             break
@@ -135,9 +162,9 @@ def brute_validate(h):
     commutative = True
     for i in range(h.dim):
         for j in range(i, h.dim):
-            a, b = h.basis_vector(i), h.basis_vector(j)
-            ab = h.mul(a, b)
-            ba = h.mul(b, a)
+            a, b = e(i), e(j)
+            ab = mul(a, b)
+            ba = mul(b, a)
             sign = -1 if (h.degrees[i] % 2 and h.degrees[j] % 2) else 1
             if ab != tuple(sign * x for x in ba):
                 commutative = False
@@ -149,13 +176,13 @@ def brute_validate(h):
 
     associative = True
     for i in range(h.dim):
-        a = h.basis_vector(i)
+        a = e(i)
         for j in range(h.dim):
-            b = h.basis_vector(j)
-            ab = h.mul(a, b)
+            b = e(j)
+            ab = mul(a, b)
             for k in range(h.dim):
-                c = h.basis_vector(k)
-                if h.mul(ab, c) != h.mul(a, h.mul(b, c)):
+                c = e(k)
+                if mul(ab, c) != mul(a, mul(b, c)):
                     associative = False
                     failures.append(
                         f"associativity fails on ({h.labels[i]}, {h.labels[j]}, {h.labels[k]})")
@@ -182,7 +209,8 @@ def decomposable_spans(h):
     positive-degree classes, in each degree n of 1..top_degree, as a
     `RowSpace` in that degree's coordinates (basis order)."""
     positive = [i for i in range(h.dim) if h.degrees[i] > 0]
-    products = [(h.degrees[i] + h.degrees[j], h.mul(h.basis_vector(i), h.basis_vector(j)))
+    products = [(h.degrees[i] + h.degrees[j],
+                 dense_mul(h, unit_vec(h.dim, i), unit_vec(h.dim, j)))
                 for i in positive for j in positive]
     spans = {}
     for n in range(1, h.top_degree + 1):
@@ -202,17 +230,17 @@ def brute_generators(h):
     for n, span in decomposable_spans(h).items():
         for slot, i in enumerate(h.degree_indices(n)):
             if span.add(unit_vec(span.dim, slot)) is not None:
-                gens.append(Generator(f"v{len(gens) + 1}", n, h.basis_vector(i)))
+                gens.append(Generator(f"v{len(gens) + 1}", n, as_row(unit_vec(h.dim, i))))
     return tuple(gens)
 
 
 def _image(h, gens, exps):
     """Product in h of the generator classes with these exponents, one
-    factor at a time."""
-    out = h.unit()
+    factor at a time, as a dense vector."""
+    out = unit_vec(h.dim, h.unit_index)
     for g, e in zip(gens, exps):
         for _ in range(e):
-            out = h.mul(out, g.class_vector)
+            out = dense_mul(h, out, dense(h, g.class_vector))
     return out
 
 
@@ -230,7 +258,7 @@ def brute_E(h, gens):
         if any(value):
             found.append((degree, exps, value))
     return tuple(EEntry(Monomial(tuple((i, e) for i, e in enumerate(exps) if e), (), degree),
-                        value) for degree, exps, value in sorted(found))
+                        as_row(value)) for degree, exps, value in sorted(found))
 
 
 def brute_good_objects(h, gens):
@@ -257,7 +285,7 @@ def brute_good_objects(h, gens):
             value = _image(h, gens, div)
             if not any(value):
                 break
-            witnesses.append(EEntry(monomial(div), value))
+            witnesses.append(EEntry(monomial(div), as_row(value)))
         else:
             witnesses.sort(key=lambda w: w.monomial.sort_key())
             goods.append(GoodObject(monomial(exps), tuple(witnesses)))

@@ -10,14 +10,15 @@ import formacheck as fc
 from formacheck.algebra import AlgebraStructureError, GradedAlgebra
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import parse_algebra_json
-from formacheck.reference import phi_tilde, zero_vec
+from formacheck.reference import as_row, phi_tilde, unit_vec, zero_vec
 
-from oracles import brute_generators, brute_validate, decomposables
+from oracles import brute_generators, brute_validate, decomposables, dense, dense_mul
 from util import corpus_objects, cp2, cp3, embed, in_basis, s2, wedge_s2_s2
 
 
 def q_basis(h, label):
-    return h.basis_vector(h.labels.index(label))
+    """The basis element named `label`, as a dense vector."""
+    return unit_vec(h.dim, h.labels.index(label))
 
 
 def test_validate_sphere_all_pass():
@@ -123,7 +124,7 @@ def test_validate_matches_brute_on_corpus(k):
 def rebased(h, rng):
     """h in a random basis of each positive degree: still a valid table, but
     with rows of several terms whose products can cancel."""
-    new = [h.basis_vector(i) for i in range(h.dim)]  # new basis, old coordinates
+    new = [unit_vec(h.dim, i) for i in range(h.dim)]  # new basis, old coordinates
     old = list(new)  # old basis, new coordinates
     for n in set(h.degrees) - {0}:
         idx = h.degree_indices(n)
@@ -140,7 +141,7 @@ def rebased(h, rng):
 def scaled(h, rng):
     """h with each basis element but the unit divided by 2, 3 or 7, so
     that the table's coefficients have several distinct denominators."""
-    new = [h.basis_vector(i) for i in range(h.dim)]
+    new = [unit_vec(h.dim, i) for i in range(h.dim)]
     old = list(new)
     for i in range(h.dim):
         if i != h.unit_index:
@@ -231,6 +232,21 @@ def test_validate_matches_brute_on_broken_tables(k, rebase, fault, seed):
         assert not report.unit_law
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(0, len(BASES) - 1), rebase=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_mul_on_rows_matches_the_dense_product(k, rebase, seed, data):
+    # operands of up to five terms, in any degrees, and the unit on either side
+    h = parse_algebra_json(BASES[k])
+    h = rebased(h, random.Random(seed)) if rebase else h
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    terms = st.dictionaries(st.integers(0, h.dim - 1), coeff, max_size=5)
+    a, b = (tuple(sorted(data.draw(terms).items())) for _ in range(2))
+    for x, y in ((a, b), (b, a), (h.unit(), a), (b, h.unit()), (a, a)):
+        assert h.mul(x, y) == as_row(dense_mul(h, dense(h, x), dense(h, y)))
+    assert h.mul(h.unit(), a) == a == h.mul(a, h.unit())
+
+
 def test_validate_wrong_degree_term_after_a_right_one():
     h = GradedAlgebra.from_products(
         [("1", 0), ("x", 2), ("x^2", 4), ("x^3", 6)], "1",
@@ -246,7 +262,7 @@ def test_decomposables_span_products_in_any_basis(k):
     dec = decomposables(h)
     positive = [i for i in range(h.dim) if h.degrees[i] > 0]
     for n in range(1, h.top_degree + 1):
-        products = [h.mul(h.basis_vector(i), h.basis_vector(j))
+        products = [dense(h, h.mul(h.basis_vector(i), h.basis_vector(j)))
                     for i in positive for j in positive
                     if h.degrees[i] + h.degrees[j] == n]
         rank = sympy.Matrix(dec[n] + products or [[0]]).rank()
@@ -281,7 +297,7 @@ def test_choose_generators_sphere():
     h = s2()
     gens = fc.choose_generators(h)
     assert [(g.label, g.degree) for g in gens] == [("v1", 2)]
-    assert gens[0].class_vector == q_basis(h, "x")
+    assert gens[0].class_vector == as_row(q_basis(h, "x"))
 
 
 def test_choose_generators_cp2():
@@ -293,8 +309,8 @@ def test_choose_generators_wedge():
     h = wedge_s2_s2()
     gens = fc.choose_generators(h)
     assert [g.degree for g in gens] == [2, 2]
-    assert gens[0].class_vector == q_basis(h, "x")
-    assert gens[1].class_vector == q_basis(h, "x'")
+    assert gens[0].class_vector == as_row(q_basis(h, "x"))
+    assert gens[1].class_vector == as_row(q_basis(h, "x'"))
 
 
 def test_choose_generators_deterministic():
@@ -324,12 +340,12 @@ def test_generators_follow_the_greedy_rule_in_any_basis(k):
 
     expected = []
     for n in range(1, h.top_degree + 1):
-        rows = [h.mul(h.basis_vector(i), h.basis_vector(j))
+        rows = [dense(h, h.mul(h.basis_vector(i), h.basis_vector(j)))
                 for i in positive for j in positive if h.degrees[i] + h.degrees[j] == n]
         for i in h.degree_indices(n):
-            if rank(rows + [h.basis_vector(i)]) > rank(rows):
+            if rank(rows + [unit_vec(h.dim, i)]) > rank(rows):
                 expected.append((n, h.basis_vector(i)))
-            rows.append(h.basis_vector(i))
+            rows.append(unit_vec(h.dim, i))
     gens = fc.choose_generators(h)
     assert [(g.degree, g.class_vector) for g in gens] == expected
     assert [g.label for g in gens] == [f"v{j + 1}" for j in range(len(gens))]
@@ -368,4 +384,4 @@ def test_evaluate_phi_multiplicative():
     left = phi(h, gens, 0)
     right = phi(h, gens, 0, 0)
     both = phi(h, gens, 0, 0, 0)
-    assert h.mul(left, right) == both
+    assert h.mul(as_row(left), as_row(right)) == as_row(both)

@@ -6,19 +6,23 @@ the sha256 of its sorted JSON.  `GOLDEN` is taken at the default cap, and
 `GOLDEN_AT_CAP` at the caps the benchmark's workloads run.  A change that
 moves any field of any certificate (a value, an order, a key) moves its
 digest.
+The rebased inputs (`change_basis` with a seeded `random.Random`) have E
+classes with several terms and coefficients other than 1, so their digests
+pin how a class is written; a change in the rebasing moves them too.
 Regenerate a digest only for a change that means to alter the certificate.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 import formacheck as fc
 from formacheck.formats import certificate_json
 
-from util import (algebra, corpus_objects, cp2_power_3, dependent_family, s2_power_4,
-                  serialize_algebra, sphere_wedge_8)
+from util import (algebra, change_basis, corpus_objects, cp2_power_3, dependent_family,
+                  dependent_pair, s2_power_4, serialize_algebra, sphere_wedge_8)
 
 GOLDEN = {
     "even_sphere(2)": "032c5ae0e0c5dd831f118772135c6675ec3acceb793e4737018afdf5bd4243b1",
@@ -46,6 +50,19 @@ GOLDEN = {
         "f4771e775f63c086fd61b3795a4c3e88aadf7ed574422f7f94ebb281b06d68d9",
     "dependent_family": "5af5c217cc73f32fa13fe775012ef33f3a9602c53f987627c289c56d269dc8d8",
     "sphere_wedge_8": "9e02002f88111c80dcf64e7008464ddc7193170f5bcfa5a0a9992b6050d2726b",
+    "rebased(cp2_power_3,1)":
+        "057496a4980ede00702a42b403261ae3e4863e3975ac9a4b340986ac19291c68",
+    "rebased(dependent_family,1)":
+        "b0b6e6fabae6bbedeef6583288ff39ab21854b099468ee13954ba42916c258ab",
+    "rebased(dependent_pair,1)":
+        "4783090e061553e59f7fc711cf607eeb81ac2008bcb386dcf56875ac0066ff95",
+}
+
+# name -> (builder, seed) of the rebased inputs
+REBASED = {
+    "rebased(cp2_power_3,1)": (cp2_power_3, 1),
+    "rebased(dependent_family,1)": (dependent_family, 1),
+    "rebased(dependent_pair,1)": (dependent_pair, 1),
 }
 
 # (input, cap) -> digest
@@ -63,6 +80,8 @@ def inputs() -> dict:
     out["sphere_wedge_8"] = serialize_algebra(sphere_wedge_8(), name="sphere_wedge_8")
     out["s2_power_4"] = serialize_algebra(s2_power_4(), name="s2_power_4")
     out["cp2_power_3"] = serialize_algebra(cp2_power_3(), name="cp2_power_3")
+    for name, (build, seed) in REBASED.items():
+        out[name] = serialize_algebra(change_basis(build(), random.Random(seed)), name=name)
     return out
 
 

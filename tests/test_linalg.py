@@ -7,8 +7,9 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formacheck.linalg import ZERO, integer_pivots, integer_rank, rank, unit_vec, vec_is_zero
-from formacheck.reference import MatQ, RowSpace, kernel_basis, rref
+from formacheck.linalg import integer_pivots, integer_rank, integer_row, rank
+from formacheck.reference import (ZERO, MatQ, RowSpace, as_row, kernel_basis, rref, unit_vec,
+                                  vec_is_zero)
 
 from oracles import matvec, solve
 from util import frac_matrix
@@ -178,7 +179,7 @@ def sympy_matrix(rows, cols):
 
 def assert_ranks_agree(rows, cols):
     expected = sympy_matrix(rows, cols).rank()
-    assert rank(rows) == expected
+    assert rank(map(as_row, rows)) == expected
     assert rref(MatQ.from_rows(rows, cols=cols)).rank == expected
     if all(x.denominator == 1 for row in rows for x in row):
         assert integer_rank([[int(x) for x in row] for row in rows]) == expected
@@ -215,6 +216,43 @@ def test_integer_rank_matches_rref_and_sympy(drawn):
     assert out.pivot_cols == pivots
     assert [list(row) for row in out.rref.entries] == \
         [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(rows))]
+
+
+@st.composite
+def sparse_rows(draw):
+    """Rows as `linalg.Row`s over columns 0..39, each with at most five
+    terms, so most columns are skipped; some rows are empty, and some are
+    repeated, as they are or negated."""
+    entry = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4))
+    row = st.dictionaries(st.integers(0, 39), entry, max_size=5)
+    rows = [tuple(sorted(terms.items())) for terms in draw(st.lists(row, max_size=7))]
+    if rows:
+        copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.sampled_from((1, -1))),
+                               max_size=3))
+        rows += [tuple((k, sign * c) for k, c in rows[i]) for i, sign in copies]
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sparse_rows())
+@example([])                                          # no rows
+@example([(), (), ()])                                # empty rows only
+@example([((3, Fraction(1)),), ((3, Fraction(-2)),)])  # one column, a negated multiple
+@example([((0, Fraction(1, 2)), (39, Fraction(2))), ((39, Fraction(3)),),
+          ((0, Fraction(-1, 2)), (39, Fraction(-2)))])  # far apart columns, a negated row
+@example([((5, Fraction(1)), (9, Fraction(1, 3))), (), ((5, Fraction(1)), (9, Fraction(1, 3))),
+          ((2, Fraction(2, 3)),)])                     # a repeated row and an empty one
+def test_rank_of_sparse_rows_matches_sympy(rows):
+    # the columns a row skips count as zeros, wherever they fall
+    cols = 40
+    dense = [[dict(row).get(k, ZERO) for k in range(cols)] for row in rows]
+    assert rank(rows) == sympy_matrix(dense, cols).rank()
+    assert rank(rows) == rank(map(as_row, dense))
+    for row in rows:
+        scaled = integer_row(row)
+        assert [k for k, _ in scaled] == [k for k, _ in row]
+        assert all(isinstance(c, int) and c for _, c in scaled)
+        assert len({c / x for (_, c), (_, x) in zip(scaled, row)}) <= 1
 
 
 @st.composite

@@ -3,7 +3,11 @@ unused.  A name counts as used when the module reads it somewhere or lists
 it in `__all__`; `from __future__` imports are exempt.  No module-level
 private name (`_x`) defined in `src/formacheck` goes unread there either:
 some module of the package must read it, so a helper the package stopped
-calling is deleted rather than kept for the tests.  No function in
+calling is deleted rather than kept for the tests.  Every public
+module-level function or class of `src/formacheck` outside `reference` is
+read by a module of the package other than `reference`, or listed in
+`formacheck.__all__`: code that only the degree-by-degree reference uses
+lives in `reference`, off the check path.  No function in
 `src/formacheck` takes a parameter that its body never reads (`self` and
 `cls` are exempt).  Only `cli.entrypoint` calls `os._exit`: library code
 returns, it never ends the process."""
@@ -70,19 +74,40 @@ def private_definitions(tree: ast.Module):
                     if name.startswith("_") and not name.startswith("__"))
 
 
-def unread_private_names(sources: dict) -> list:
-    """(module, line, name) of every module-level private name that no module
-    in `sources` (module name -> source text) reads, by name or attribute."""
-    trees = {module: ast.parse(text) for module, text in sources.items()}
+def names_read(trees) -> set:
+    """Every name that the trees read, by name or attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
             elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 read.add(n.attr)
+    return read
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of every module-level private name that no module
+    in `sources` (module name -> source text) reads, by name or attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = names_read(trees.values())
     return sorted((module, line, name) for module, tree in trees.items()
                   for line, name in private_definitions(tree) if name not in read)
+
+
+def reference_only_names(sources: dict, reference: str, package: str) -> list:
+    """(module, line, name) of every public module-level def or class of a
+    module in `sources` other than `reference` that no module but
+    `reference` reads, by name or attribute, and that `package` does not
+    list in `__all__`."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = names_read(tree for module, tree in trees.items() if module != reference)
+    read |= exported(trees[package])
+    return sorted((module, node.lineno, node.name)
+                  for module, tree in trees.items() if module != reference
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in read)
 
 
 def unread_parameters(source: str) -> list:
@@ -186,3 +211,23 @@ def test_every_private_name_has_a_reader():
         with open(path, encoding="utf-8") as fh:
             sources[os.path.relpath(path, ROOT)] = fh.read()
     assert unread_private_names(sources) == []
+
+
+def test_checker_finds_public_names_only_the_reference_reads():
+    sources = {"__init__.py": "from .a import listed\n__all__ = ['listed']\n",
+               "a.py": ("def listed():\n    pass\ndef used():\n    pass\n"
+                        "def dense():\n    pass\nclass Old:\n    pass\n"
+                        "def _private():\n    pass\nvalue = used()\n"),
+               "b.py": "import a\nclass Kept:\n    pass\nx = a.listed, Kept\n",
+               "reference.py": ("from .a import Old, dense\n"
+                                "def helper():\n    return dense(Old)\n")}
+    assert reference_only_names(sources, "reference.py", "__init__.py") == \
+        [("a.py", 5, "dense"), ("a.py", 7, "Old")]
+
+
+def test_only_the_reference_keeps_code_for_itself():
+    sources = {}
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert reference_only_names(sources, "reference.py", "__init__.py") == []

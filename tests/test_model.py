@@ -6,7 +6,8 @@ import pytest
 import formacheck as fc
 from formacheck.algebra import GradedAlgebra
 from formacheck.model import Monomial, build_model, format_monomial, good_objects, multidegree
-from formacheck.reference import differential_matrix, monomials_of_degree, phi_tilde, zero_vec
+from formacheck.reference import (differential_matrix, monomials_of_degree, phi_tilde,
+                                  unit_vec, zero_vec)
 
 from oracles import brute_E, brute_good_objects, multiply
 from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,
@@ -247,7 +248,7 @@ def test_least_zero_power_of_each_generator_is_good(case):
         goods = [g.monomial for g in good_objects(gens, fc.compute_E(ring, gens))]
         for i, g in enumerate(gens):
             power, k = g.class_vector, 1
-            while any(power):
+            while power:
                 power, k = ring.mul(power, g.class_vector), k + 1
             assert k >= 2
             assert Monomial(((i, k),), (), k * g.degree) in goods
@@ -388,13 +389,13 @@ def test_phi_tilde_values():
     w = Monomial((), (0,), 5)
     vw = Monomial(((0, 1),), (0,), 7)
     unit = Monomial((), (), 0)
-    x = h.basis_vector(h.labels.index("x"))
-    x2 = h.basis_vector(h.labels.index("x^2"))
+    x = unit_vec(h.dim, h.labels.index("x"))
+    x2 = unit_vec(h.dim, h.labels.index("x^2"))
     assert phi_tilde(model, h, {v: Fraction(1)}) == x
     assert phi_tilde(model, h, {v2: Fraction(1)}) == x2
     assert phi_tilde(model, h, {w: Fraction(1)}) == zero_vec(h.dim)
     assert phi_tilde(model, h, {vw: Fraction(1)}) == zero_vec(h.dim)
-    assert phi_tilde(model, h, {unit: Fraction(1)}) == h.unit()
+    assert phi_tilde(model, h, {unit: Fraction(1)}) == unit_vec(h.dim, h.unit_index)
 
 
 def test_phi_tilde_requires_homogeneous():

@@ -6,7 +6,9 @@ import formacheck as fc
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.duality import ChainComplexQ
 from formacheck.formats import format_rational, parse_algebra_json
-from formacheck.reference import MatQ
+from formacheck.reference import MatQ, unit_vec
+
+from oracles import dense_mul
 
 
 def algebra(obj):
@@ -152,12 +154,13 @@ def embed(h, idx, local):
 
 
 def in_basis(h, new, old):
-    """h's table in the basis `new` (vectors in the old basis), where `old`
-    holds the old basis vectors in the new basis."""
+    """h's table in the basis `new` (dense vectors in the old basis), where
+    `old` holds the old basis vectors in the new basis; the products come
+    from `oracles.dense_mul`, not from the code under test."""
     table = {}
     for i in range(h.dim):
         for j in range(i, h.dim):
-            terms = [(k, c) for k, c in enumerate(h.mul(new[i], new[j])) if c]
+            terms = [(k, c) for k, c in enumerate(dense_mul(h, new[i], new[j])) if c]
             coords = [sum((c * old[k][m] for k, c in terms), Fraction(0))
                       for m in range(h.dim)]
             table[(h.labels[i], h.labels[j])] = {
@@ -170,7 +173,7 @@ def change_basis(h, rng):
     """h in a random basis of each positive degree, built with
     `random_invertible`: the same ring, but a product of basis elements may
     be a sum of several, so its relations need not be monomial."""
-    new = [h.basis_vector(i) for i in range(h.dim)]
+    new = [unit_vec(h.dim, i) for i in range(h.dim)]
     old = list(new)
     for n in sorted(set(h.degrees) - {0}):
         idx = h.degree_indices(n)

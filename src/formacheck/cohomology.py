@@ -1,9 +1,9 @@
 """Cohomology of the one-stage model.
 
-d preserves multidegree, and block α of the model is the augmented chain
-complex of the simplicial complex Δ_α of sets of odd generators whose
-targets sum to at most α.  `verify_quasi_iso` reads the model's cohomology
-off the reduced homology of these complexes, and the induced map off the
+d preserves the exponents α that count each w as its target, and block α
+of the model is the augmented chain complex of the simplicial complex Δ_α
+of sets of odd generators whose targets sum to at most α.  The model's
+cohomology is read off their reduced homology, and the induced map off the
 classes of 1, the generators and E: they are the nonzero monomials of the
 blocks with Δ_α = {∅}, the only blocks phi~ sees.  The least power of v_i
 that is zero in H is always a good object, and once α_i reaches T_i, the
@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import GradedAlgebra
 from .linalg import _moved_to_reference, integer_rank, rank
-from .model import EEntry, Model, _exponents, multidegree
+from .model import EEntry, Model, _exponents
 
 __getattr__ = _moved_to_reference(__name__, {"cohomology_basis", "induced_map"})
 
@@ -70,24 +70,26 @@ def blocks(model: Model, cap: int):
     every face of Δ_α: the complex is a cone, with no reduced homology and
     more than the empty face, so its block adds nothing to the model's
     cohomology or to the induced map, and coordinate i stops at T_i - 1.
-    A coordinate with no such target is bounded by degree alone.
+    A coordinate with no such target is bounded by degree alone.  No α of
+    the box lies above Σ_i bound_i·|v_i|, so the walk stops there.  A face
+    grows by j after a test of the support of the sparse target t_j only.
     """
     degrees = model.even_degrees
-    targets = [multidegree(model, w.target) for w in model.odd_generators]
-    supports = [_mask(t) for t in targets]
-    # (i, t_j[i]) over the support of each t_j: a face grows by j after a
-    # test of these coordinates only
-    terms = [[(i, e) for i, e in enumerate(t) if e] for t in targets]
+    targets = [w.target.even for w in model.odd_generators]
+    supports = [sum(1 << i for i, _ in t) for t in targets]
+    total = [0] * len(degrees)
+    for i, e in (term for t in targets for term in t):
+        total[i] += e
     reach = cap + sum(1 for low in accumulate(sorted(model.odd_degrees)) if low <= cap)
-    bound = tuple(sum(t[i] for t in targets) - 1 if (1 << i) in supports else reach // d
+    bound = tuple(total[i] - 1 if (1 << i) in supports else reach // d
                   for i, d in enumerate(degrees))
-    for n in range(reach + 1):
+    for n in range(min(reach, sum(b * d for b, d in zip(bound, degrees))) + 1):
         for alpha in _exponents(degrees, n, bound):
             # the support test is one integer operation and rejects most of
             # a wedge's targets before their exponents are compared
-            outside = ~_mask(alpha)
-            vertices = [(j, terms[j]) for j, support in enumerate(supports)
-                        if not support & outside and all(alpha[i] >= e for i, e in terms[j])]
+            outside = ~sum(1 << i for i, a in enumerate(alpha) if a)
+            vertices = [(j, targets[j]) for j, support in enumerate(supports)
+                        if not support & outside and all(alpha[i] >= e for i, e in targets[j])]
             yield n, alpha, faces(vertices, alpha)
 
 
@@ -129,11 +131,6 @@ def boundary_rank(levels: list[list[tuple[int, ...]]], s: int) -> int:
             row[row_of[face[:p] + face[p + 1:]]] = -1 if p % 2 else 1
         rows.append(row)
     return integer_rank(rows)
-
-
-def _mask(exponents: tuple[int, ...]) -> int:
-    """The support of an exponent vector as a bit mask."""
-    return sum(1 << i for i, e in enumerate(exponents) if e)
 
 
 def verify_quasi_iso(model: Model, h: GradedAlgebra, e: tuple[EEntry, ...],

@@ -4,7 +4,9 @@ Even generators v (polynomial part) come from the chosen generator set of
 the input ring; odd generators w (exterior part) are added one per good
 object m, with dw = m.  Monomials are kept in a canonical signed form:
 even factors and odd factors by strictly increasing generator index,
-sign +1.
+sign +1.  An even part is sparse, the (i, e) with e > 0 by ascending i:
+E, the good objects and the targets are built in that form, and only the
+walk over the blocks in `cohomology` reads dense exponent tuples.
 
 The model's monomial basis in each degree, the matrix of d on it and
 phi~ are the degree-by-degree reference, which `check` never runs; they
@@ -13,7 +15,8 @@ live in `reference`.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from bisect import bisect_left
+from typing import NamedTuple
 
 from .algebra import Generator, GradedAlgebra
 from .linalg import Row, _moved_to_reference
@@ -60,8 +63,13 @@ def format_monomial(m: Monomial, even_labels, odd_labels) -> str:
     return "*".join(parts)
 
 
-def _pack(exponents: Iterable[int]) -> EvenPart:
-    return tuple((i, e) for i, e in enumerate(exponents) if e)
+def _shift(even: EvenPart, i: int, by: int) -> EvenPart:
+    """`even` with the power of v_i moved by `by` (+1, or -1 if v_i divides it)."""
+    p = bisect_left(even, (i,))
+    if p < len(even) and even[p][0] == i:
+        e = even[p][1] + by
+        return even[:p] + (((i, e),) if e else ()) + even[p + 1:]
+    return even[:p] + ((i, by),) + even[p:]
 
 
 class EEntry(NamedTuple):
@@ -121,33 +129,34 @@ def _require_even(gens: tuple[Generator, ...]):
 
 def compute_E(h: GradedAlgebra, gens: tuple[Generator, ...]) -> tuple[EEntry, ...]:
     """All nonzero products of >= 2 generators, up to the top degree of h,
-    by degree and then lexicographically in the exponents.
+    by degree and then lexicographically in the dense exponents.
 
-    Products of degree beyond top_degree(h) are zero by grading, so the
-    enumeration bound loses nothing.  A product is its first generator
-    times the product with that factor removed, which has a lower degree,
-    so it is among the generators or the entries found before, or else it
-    is zero.  `verify_quasi_iso` reads the induced map off E as well.
+    The nonzero monomials N (the generators and E) grow degree by degree.
+    A candidate is v_j times a member x of N of lower degree with j at most
+    every index of x, so v_j is its first factor and x the product with it
+    removed; it joins E if g_j * x is nonzero.  Nothing past top_degree(h),
+    zero by grading, is formed.  `verify_quasi_iso` reads the induced map
+    off E as well.
     """
     _require_even(gens)
-    degrees = tuple(g.degree for g in gens)
-    bound = tuple(h.top_degree // d for d in degrees)
-    # dense exponent tuple -> nonzero class, for the generators and E so far
-    nonzero = {tuple(int(i == j) for j in range(len(gens))): g.class_vector
-               for i, g in enumerate(gens)}
+    # members of N by degree, as (sparse exponents, nonzero class)
+    level = [[] for _ in range(h.top_degree + 1)]
+    for i, g in enumerate(gens):
+        level[g.degree].append((((i, 1),), g.class_vector))
     entries = []
     for degree in range(h.top_degree + 1):
-        for exps in _exponents(degrees, degree, bound):
-            if sum(exps) < 2:
-                continue
-            i = next(k for k, e in enumerate(exps) if e)
-            rest = nonzero.get(exps[:i] + (exps[i] - 1,) + exps[i + 1:])
-            if rest is None:
-                continue
-            value = h.mul(gens[i].class_vector, rest)
-            if value:
-                nonzero[exps] = value
-                entries.append(EEntry(Monomial(_pack(exps), (), degree), value))
+        found = []
+        for j, g in enumerate(gens):
+            below = level[degree - g.degree] if g.degree < degree else ()
+            for even, rest in below:
+                if j <= even[0][0]:
+                    value = h.mul(g.class_vector, rest)
+                    if value:
+                        found.append((_shift(even, j, 1), value))
+        # in the dense order, the lower of two first differing indices ranks later
+        found.sort(key=lambda f: [(-i, e) for i, e in f[0]])
+        level[degree] += found
+        entries += [EEntry(Monomial(even, (), degree), value) for even, value in found]
     return tuple(entries)
 
 
@@ -159,29 +168,23 @@ def good_objects(gens: tuple[Generator, ...], e: tuple[EEntry, ...]) -> list[Goo
     division, so the good objects are the minimal monomials outside N (the
     minimal generators of the complementary monomial ideal): one factor more
     than a member of N, not in N, and in N whenever any one factor is
-    removed.  The divisor witnesses of a good object are the entries of E
-    that divide it.
+    removed.  Each candidate v_j * x is formed once, from its first factor
+    v_j and x in N.  Its divisor witnesses are the entries of E dividing it.
     """
-    n = len(gens)
-    entries = {}  # dense exponent tuple -> entry of E
-    for entry in e:
-        exps = [0] * n
-        for i, power in entry.monomial.even:
-            exps[i] = power
-        entries[tuple(exps)] = entry
-    nonzero = set(entries).union(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-    def shifted(exps, i, by):
-        return exps[:i] + (exps[i] + by,) + exps[i + 1:]
-
+    entries = {entry.monomial.even: entry for entry in e}
+    nonzero = set(entries).union(((i, 1),) for i in range(len(gens)))
     goods = []
-    for exps in {shifted(m, i, 1) for m in nonzero for i in range(n)} - nonzero:
-        if all(not e or shifted(exps, i, -1) in nonzero for i, e in enumerate(exps)):
+    for x in nonzero:
+        for j in range(x[0][0] + 1):
+            even = _shift(x, j, 1)
+            if even in nonzero or any(_shift(even, i, -1) not in nonzero for i, _ in even):
+                continue
+            powers = dict(even)
             witnesses = sorted((entry for div, entry in entries.items()
-                                if all(a <= b for a, b in zip(div, exps))),
+                                if all(powers.get(i, 0) >= p for i, p in div)),
                                key=lambda w: w.monomial.sort_key())
-            degree = sum(e * g.degree for e, g in zip(exps, gens))
-            goods.append(GoodObject(Monomial(_pack(exps), (), degree), tuple(witnesses)))
+            degree = sum(p * gens[i].degree for i, p in even)
+            goods.append(GoodObject(Monomial(even, (), degree), tuple(witnesses)))
     goods.sort(key=lambda g: g.monomial.sort_key())
     return goods
 
@@ -194,21 +197,3 @@ def build_model(gens: tuple[Generator, ...], goods: list[GoodObject]) -> Model:
         for k, g in enumerate(goods))
     assert all(w.degree % 2 == 1 for w in odd)
     return Model(generators=gens, odd_generators=odd)
-
-
-def multidegree(model: Model, m: Monomial) -> tuple[int, ...]:
-    """Even exponents of m plus the exponents of the targets of its odd
-    factors, as a dense tuple over the even generators.
-
-    With v_i in multidegree e_i and each w in the multidegree of its target,
-    d preserves multidegree, so the model is a direct sum of finite blocks.
-    """
-    out = [0] * len(model.generators)
-    for i, e in m.even:
-        out[i] += e
-    for oi in m.odd:
-        for i, e in model.odd_generators[oi].target.even:
-            out[i] += e
-    return tuple(out)
-
-

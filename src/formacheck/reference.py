@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .algebra import GradedAlgebra
 from .cohomology import DegreeReport
 from .linalg import ONE, Row, rank
-from .model import EvenPart, Model, Monomial, _exponents, _pack, multidegree
+from .model import EvenPart, Model, Monomial, _exponents
 
 
 # dense vectors and matrices and the reduced echelon form (from `linalg`)
@@ -209,6 +209,22 @@ def kernel_basis(m: MatQ) -> list[Vec]:
 
 
 # the model's monomial basis, d and phi~ (from `model`)
+
+def _pack(exponents: Iterable[int]) -> EvenPart:
+    return tuple((i, e) for i, e in enumerate(exponents) if e)
+
+
+def multidegree(model: Model, m: Monomial) -> tuple[int, ...]:
+    """Even exponents of m plus those of the targets of its odd factors, as a
+    dense tuple: d preserves it, so the model is a sum of finite blocks."""
+    out = [0] * len(model.generators)
+    for i, e in m.even:
+        out[i] += e
+    for oi in m.odd:
+        for i, e in model.odd_generators[oi].target.even:
+            out[i] += e
+    return tuple(out)
+
 
 def _merge_even(a: EvenPart, b: EvenPart) -> EvenPart:
     acc = dict(a)

@@ -11,12 +11,12 @@ from formacheck.cohomology import blocks, boundary_rank, faces
 from formacheck.corpus import even_sphere, wedge
 from formacheck.duality import (ChainComplexError, ChainComplexQ, duality_check,
                                 validate_square_zero)
-from formacheck.model import build_model, good_objects, multidegree
+from formacheck.model import build_model, good_objects
 from formacheck.reference import (MatQ, cohomology_basis, differential_matrix, induced_map,
-                                  monomials_of_degree, rref)
+                                  monomials_of_degree, multidegree, rref)
 
 import oracles
-from util import (algebra, corpus_objects, cp2, dependent_family, frac_matrix,
+from util import (algebra, corpus_objects, cp2, cp2_power_3, dependent_family, frac_matrix,
                   random_chain_complex, random_even_monomial_algebra, s2,
                   s2_power_4, sphere_wedge_8, wedge_s2_s2)
 
@@ -181,6 +181,17 @@ def test_table_matches_references_on_larger_inputs():
     assert cert.quasi_isomorphism.reports == block_reference(model, h, cert.cap)
     assert [r.model_cohomology_dim for r in cert.quasi_isomorphism.reports] == \
         oracles.brute_model_dims(model, cert.cap)
+
+    # caps far above the box degree B = sum_i (T_i - 1)|v_i|: the walk stops
+    # at B, and every row above it is zero on both sides
+    for h in (s2_power_4(), cp2_power_3(), dependent_family()):
+        model = model_of(h)
+        totals = [sum(column) for column in zip(*targets_of(model))]
+        box = sum((t - 1) * d for t, d in zip(totals, model.even_degrees))
+        report = verify(model, h, 3 * box + 7)
+        assert report.reports == block_reference(model, h, 3 * box + 7)
+        assert max(n for n, _, _ in blocks(model, 3 * box + 7)) == box
+        assert not any(r.model_cohomology_dim for r in report.reports[box + 1:])
 
 
 def s2_wedge(folds):

@@ -3,14 +3,14 @@ unused.  A name counts as used when the module reads it somewhere or lists
 it in `__all__`; `from __future__` imports are exempt.  No module-level
 private name (`_x`) defined in `src/formacheck` goes unread there either:
 some module of the package must read it, so a helper the package stopped
-calling is deleted rather than kept for the tests.  Every public
-module-level function or class of `src/formacheck` outside `reference` is
-read by a module of the package other than `reference`, or listed in
-`formacheck.__all__`: code that only the degree-by-degree reference uses
-lives in `reference`, off the check path.  No function in
-`src/formacheck` takes a parameter that its body never reads (`self` and
-`cls` are exempt).  Only `cli.entrypoint` calls `os._exit`: library code
-returns, it never ends the process."""
+calling is deleted rather than kept for the tests.  Every module-level
+function or class of `src/formacheck` outside `reference`, public or
+private (dunders aside), is read by a module of the package other than
+`reference`, or listed in `formacheck.__all__`: code that only the
+degree-by-degree reference uses lives in `reference`, off the check
+path.  No function in `src/formacheck` takes a parameter that its body
+never reads (`self` and `cls` are exempt).  Only `cli.entrypoint` calls
+`os._exit`: library code returns, it never ends the process."""
 
 import ast
 import glob
@@ -96,10 +96,10 @@ def unread_private_names(sources: dict) -> list:
 
 
 def reference_only_names(sources: dict, reference: str, package: str) -> list:
-    """(module, line, name) of every public module-level def or class of a
-    module in `sources` other than `reference` that no module but
-    `reference` reads, by name or attribute, and that `package` does not
-    list in `__all__`."""
+    """(module, line, name) of every module-level def or class, dunders
+    aside, of a module in `sources` other than `reference` that no module
+    but `reference` reads, by name or attribute, and that `package` does
+    not list in `__all__`."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     read = names_read(tree for module, tree in trees.items() if module != reference)
     read |= exported(trees[package])
@@ -107,7 +107,7 @@ def reference_only_names(sources: dict, reference: str, package: str) -> list:
                   for module, tree in trees.items() if module != reference
                   for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_") and node.name not in read)
+                  and not node.name.startswith("__") and node.name not in read)
 
 
 def unread_parameters(source: str) -> list:
@@ -217,12 +217,13 @@ def test_checker_finds_public_names_only_the_reference_reads():
     sources = {"__init__.py": "from .a import listed\n__all__ = ['listed']\n",
                "a.py": ("def listed():\n    pass\ndef used():\n    pass\n"
                         "def dense():\n    pass\nclass Old:\n    pass\n"
-                        "def _private():\n    pass\nvalue = used()\n"),
+                        "def _private():\n    pass\nvalue = used(_private)\n"
+                        "def _pack():\n    pass\ndef __getattr__(name):\n    pass\n"),
                "b.py": "import a\nclass Kept:\n    pass\nx = a.listed, Kept\n",
-               "reference.py": ("from .a import Old, dense\n"
-                                "def helper():\n    return dense(Old)\n")}
+               "reference.py": ("from .a import Old, _pack, dense\n"
+                                "def helper():\n    return dense(Old, _pack)\n")}
     assert reference_only_names(sources, "reference.py", "__init__.py") == \
-        [("a.py", 5, "dense"), ("a.py", 7, "Old")]
+        [("a.py", 5, "dense"), ("a.py", 7, "Old"), ("a.py", 12, "_pack")]
 
 
 def test_only_the_reference_keeps_code_for_itself():

@@ -1,13 +1,14 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import formacheck as fc
 from formacheck.algebra import GradedAlgebra
-from formacheck.model import Monomial, build_model, format_monomial, good_objects, multidegree
-from formacheck.reference import (differential_matrix, monomials_of_degree, phi_tilde,
-                                  unit_vec, zero_vec)
+from formacheck.model import Monomial, build_model, format_monomial, good_objects
+from formacheck.reference import (differential_matrix, monomials_of_degree, multidegree,
+                                  phi_tilde, unit_vec, zero_vec)
 
 from oracles import brute_E, brute_good_objects, multiply
 from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,
@@ -18,6 +19,12 @@ from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,
 def model_of(h):
     gens = fc.choose_generators(h)
     return build_model(gens, good_objects(gens, fc.compute_E(h, gens)))
+
+
+def s2_wedge(folds):
+    """The `folds`-fold wedge of S^2: the unit and `folds` degree-2 classes, no products."""
+    return GradedAlgebra.from_products(
+        [("1", 0)] + [(f"x{i}", 2) for i in range(folds)], "1", {})
 
 
 def texts(model, monos):
@@ -134,6 +141,12 @@ def test_e_family_wedge_empty():
     assert not fc.compute_E(h, fc.choose_generators(h))
 
 
+def test_e_family_of_a_wedge_beyond_the_recursion_limit():
+    # the walk forms nothing above the top degree and recurses nowhere
+    h = s2_wedge(sys.getrecursionlimit() + 100)
+    assert fc.compute_E(h, fc.choose_generators(h)) == ()
+
+
 def test_e_family_requires_even_generators():
     h = GradedAlgebra.from_products([("1", 0), ("z", 3)], "1", {})
     gens = fc.choose_generators(h)
@@ -167,6 +180,17 @@ def test_good_objects_wedge():
     goods = good_objects(gens, fc.compute_E(h, gens))
     assert sorted(g.monomial.even for g in goods) == \
         [((0, 1), (1, 1)), ((0, 2),), ((1, 2),)]
+    # past the brute oracle's reach: E is empty and the goods are exactly
+    # v_i*v_j (i < j) and v_i^2, each once
+    h = s2_wedge(60)
+    gens = fc.choose_generators(h)
+    assert fc.compute_E(h, gens) == ()
+    goods = good_objects(gens, ())
+    assert len(goods) == 1830
+    assert [g.monomial for g in goods] == sorted(
+        (Monomial(((i, 1), (j, 1)) if i < j else ((i, 2),), (), 4)
+         for i in range(60) for j in range(i, 60)), key=Monomial.sort_key)
+    assert all(g.divisor_witnesses == () for g in goods)
 
 
 @pytest.mark.parametrize("obj_index", range(len(corpus_objects())))

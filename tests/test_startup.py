@@ -96,7 +96,7 @@ MOVED = {
     "formacheck.linalg": ("MatQ", "RowSpace", "RrefResult", "as_vec", "kernel_basis", "rref",
                           "unit_vec", "vec_is_zero", "zero_vec"),
     "formacheck.model": ("blocks_of_degree", "differential_matrix", "differentiate",
-                         "monomials_of_degree", "phi_tilde"),
+                         "monomials_of_degree", "multidegree", "phi_tilde"),
     "formacheck.cohomology": ("cohomology_basis", "induced_map"),
 }
 # the public names of `reference` that never lived anywhere else

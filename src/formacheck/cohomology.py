@@ -146,10 +146,10 @@ def verify_quasi_iso(model: Model, h: GradedAlgebra, e: tuple[EEntry, ...],
     the generators and E in degree n, and its rank is the induced map's.
     The one precondition is that every target is zero in H (phi~ is a
     cochain map), which holds for `build_model` and any subset of its good
-    objects.  h is graded (`validate` ensures it), so the classes of degree
-    n lie in H^n, and are ranked as they are, on the columns they touch.
-    The report is explicitly capped: no claim is made beyond the checked
-    range.
+    objects.  h is graded (`validate` ensures it), so each class lies in the
+    degree of its first basis element; the classes are ranked by degree, on
+    the columns they touch, and a degree with no class has rank 0.  The
+    report is explicitly capped: no claim is made beyond the checked range.
     """
     if cap < h.top_degree:
         raise ValueError(
@@ -160,12 +160,13 @@ def verify_quasi_iso(model: Model, h: GradedAlgebra, e: tuple[EEntry, ...],
         ranks = [boundary_rank(levels, s) for s in range(low, len(levels) + 1)]
         for s in range(low, len(levels)):
             dims[n - s] += len(levels[s]) - ranks[s - low] - ranks[s - low + 1]
-    nonzero = [(0, h.unit())] + [(g.degree, g.class_vector) for g in model.generators]
-    nonzero += [(entry.monomial.degree, entry.class_vector) for entry in e]
+    classes = {}
+    for v in [h.unit()] + [g.class_vector for g in model.generators] + [x.class_vector for x in e]:
+        classes.setdefault(h.degrees[v[0][0]], []).append(v)
     reports = []
     for n in range(cap + 1):
         target = h.dim_in_degree(n)
-        mapped = rank(v for degree, v in nonzero if degree == n)
+        mapped = rank(classes[n]) if n in classes else 0
         reports.append(DegreeReport(
             degree=n,
             model_cohomology_dim=dims[n],

@@ -1,16 +1,16 @@
-"""The duality checker: homology of a finite chain complex over Q against
-the cohomology of its degreewise dual, and the chain complex file format.
-
-Only `formacheck duality` uses this module; `check` never imports it.
+"""The duality checker: homology of a finite chain complex over Q, whose
+boundaries are plain tuples of rows, against the cohomology of its
+degreewise dual, and the chain complex file format.  Only `formacheck
+duality` uses this module; `check` never imports it, nor it `reference`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .formats import InputError, _optional_list, _read_json, _require, parse_rational
-from .linalg import rank
-from .reference import MatQ, as_row
+from .linalg import as_row, rank
 
 
 class ChainComplexError(ValueError):
@@ -23,33 +23,33 @@ class ChainComplexError(ValueError):
 
 class _ChainComplexQ(NamedTuple):
     dims: tuple[int, ...]
-    boundaries: tuple[MatQ, ...]
+    boundaries: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
 class ChainComplexQ(_ChainComplexQ):
-    """Finite chain complex over Q: dims for C_0..C_N and boundaries
-    boundaries[k] = d_(k+1): C_(k+1) -> C_k."""
+    """Finite chain complex over Q: dims for C_0..C_N and boundaries[k] =
+    d_(k+1): C_(k+1) -> C_k, dims[k] rows of dims[k+1] ints or `Fraction`s."""
 
     __slots__ = ()
 
-    def __new__(cls, dims: tuple[int, ...], boundaries: tuple[MatQ, ...]):
+    def __new__(cls, dims: tuple[int, ...],
+                boundaries: tuple[tuple[tuple[Fraction, ...], ...], ...]):
         if len(boundaries) != max(len(dims) - 1, 0):
             raise ValueError("need exactly one boundary matrix per adjacent pair")
         for k, b in enumerate(boundaries):
-            if (b.rows, b.cols) != (dims[k], dims[k + 1]):
+            cols = next((len(row) for row in b if len(row) != dims[k + 1]), dims[k + 1])
+            if (len(b), cols) != (dims[k], dims[k + 1]):
                 raise ValueError(
-                    f"boundary {k + 1} has shape {b.rows}x{b.cols}, "
+                    f"boundary {k + 1} has shape {len(b)}x{cols}, "
                     f"expected {dims[k]}x{dims[k + 1]}")
+            if any(isinstance(x, float) for row in b for x in row):
+                raise TypeError("floating point entries are not allowed")
         return super().__new__(cls, dims, boundaries)
-
-    @property
-    def top(self) -> int:
-        return len(self.dims) - 1
 
 
 def validate_square_zero(c: ChainComplexQ):
-    for n in range(2, c.top + 1):
-        if not c.boundaries[n - 2].matmul(c.boundaries[n - 1]).is_zero():
+    for n, (left, right) in enumerate(zip(c.boundaries, c.boundaries[1:]), 2):
+        if any(sum(a * b for a, b in zip(row, col)) for row in left for col in zip(*right)):
             raise ChainComplexError(
                 n, f"boundary squared is nonzero: d_{n - 1} o d_{n} != 0")
 
@@ -70,10 +70,10 @@ def duality_check(c: ChainComplexQ) -> list[DualityRow]:
     the input construction).
     """
     validate_square_zero(c)
-    homology_rank = {n + 1: rank(map(as_row, b.entries)) for n, b in enumerate(c.boundaries)}
-    dual_rank = {n: rank(map(as_row, b.transpose().entries)) for n, b in enumerate(c.boundaries)}
+    homology_rank = {n + 1: rank(map(as_row, b)) for n, b in enumerate(c.boundaries)}
+    dual_rank = {n: rank(map(as_row, zip(*b))) for n, b in enumerate(c.boundaries)}
     rows = []
-    for n in range(c.top + 1):
+    for n in range(len(c.dims)):
         hom = c.dims[n] - homology_rank.get(n, 0) - homology_rank.get(n + 1, 0)
         coh = c.dims[n] - dual_rank.get(n, 0) - dual_rank.get(n - 1, 0)
         rows.append(DualityRow(n, hom, coh, hom == coh))
@@ -102,9 +102,9 @@ def parse_chain_complex_json(obj, source: str = "input") -> ChainComplexQ:
         for r, row in enumerate(mat):
             if not isinstance(row, list) or len(row) != dims[k + 1]:
                 raise InputError(f"{where}: row {r} must have {dims[k + 1]} entries")
-            rows.append([parse_rational(x, f"{where}[{r}][{c}]")
-                         for c, x in enumerate(row)])
-        boundaries.append(MatQ.from_rows(rows, cols=dims[k + 1]))
+            rows.append(tuple(parse_rational(x, f"{where}[{r}][{c}]")
+                              for c, x in enumerate(row)))
+        boundaries.append(tuple(rows))
     return ChainComplexQ(tuple(dims), tuple(boundaries))
 
 

@@ -3,9 +3,9 @@
 A vector is a sparse `Row` with `fractions.Fraction` coefficients; no float
 is allowed anywhere.  The check path has one elimination, the fraction-free
 `integer_pivots`: `rank` scales rows to integers for it, and the generator
-choice reads its pivot columns.  Dense vectors and matrices and the reduced
-echelon form (`MatQ`, `RowSpace`, `rref`, `kernel_basis`), which only the
-degree-by-degree reference, `duality` and the tests use, live in `reference`.
+choice reads its pivot columns; `as_row` turns a dense vector into a `Row`.
+Dense matrices and the reduced echelon form (`MatQ`, `RowSpace`, `rref`,
+`kernel_basis`), which only the reference and the tests use, live in `reference`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ def _moved_to_reference(module: str, names: set[str]):
 
 
 __getattr__ = _moved_to_reference(__name__, {"kernel_basis", "rref"})
+
+
+def as_row(v: Sequence[Fraction]) -> Row:
+    """The dense vector v as a `Row`, for `rank`."""
+    return tuple((k, c) for k, c in enumerate(v) if c)
 
 
 def integer_row(row: Row) -> list[tuple[int, int]]:

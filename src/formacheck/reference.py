@@ -6,13 +6,14 @@ that `rref` and the cohomology basis grow.
 `check` never runs this code.  `verify_quasi_iso` reads the same numbers
 off the complexes Δ_α and the family E, and the tests compare the two;
 `choose_generators` reads its generators off `linalg.integer_pivots`, and
-the tests compare them with the greedy `RowSpace` rule.
-No module that `check` loads imports this one, so a `check` process
-neither compiles nor loads it.  Import its names from here; only the seven
-that `perfbench/tracer.py` looks up (`rref`, `kernel_basis`,
+the tests compare them with the greedy `RowSpace` rule.  `MatQ` is the
+tests' dense matrix; `duality` ranks plain tuples of rows with `linalg.rank`.
+No command imports this module, so none compiles or loads it.  Only
+`linalg._moved_to_reference` imports it, for the seven names that
+`perfbench/tracer.py` looks up (`rref`, `kernel_basis`,
 `monomials_of_degree`, `differential_matrix`, `phi_tilde`,
-`cohomology_basis`, `induced_map`) still resolve at their old addresses in
-`linalg`, `model` and `cohomology`, through `linalg._moved_to_reference`.
+`cohomology_basis`, `induced_map`) at their old addresses in `linalg`,
+`model` and `cohomology`.  Import every other name from here.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import GradedAlgebra
 from .cohomology import DegreeReport
-from .linalg import ONE, Row, rank
+from .linalg import ONE, as_row, rank
 from .model import EvenPart, Model, Monomial, _exponents
 
 
-# dense vectors and matrices and the reduced echelon form (from `linalg`)
+# dense vectors and matrices and the reduced echelon form
 
 Vec = tuple[Fraction, ...]
 ZERO = Fraction(0)
@@ -54,11 +55,6 @@ def unit_vec(n: int, i: int) -> Vec:
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return not any(v)
-
-
-def as_row(v: Sequence[Fraction]) -> Row:
-    """The dense vector v as a `linalg.Row`, for `linalg.rank`."""
-    return tuple((k, c) for k, c in enumerate(v) if c)
 
 
 class _MatQ(NamedTuple):

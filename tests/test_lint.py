@@ -10,7 +10,10 @@ private (dunders aside), is read by a module of the package other than
 degree-by-degree reference uses lives in `reference`, off the check
 path.  No function in `src/formacheck` takes a parameter that its body
 never reads (`self` and `cls` are exempt).  Only `cli.entrypoint` calls
-`os._exit`: library code returns, it never ends the process."""
+`os._exit`: library code returns, it never ends the process.  No module of
+`src/formacheck` imports `reference`, at module level or in a function,
+but the hook `linalg._moved_to_reference`, with `from . import reference`:
+the tracer's old addresses need it, and no command does."""
 
 import ast
 import glob
@@ -143,6 +146,28 @@ def hard_exits(source: str) -> list:
     return found
 
 
+def reference_imports(source: str) -> list:
+    """(line, enclosing defs and classes or None, statement) of every import
+    of the `reference` module or of a name from it."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            names = [alias.name for alias in getattr(child, "names", ())]
+            if isinstance(child, ast.ImportFrom):
+                names.append(child.module or "")
+            if (isinstance(child, (ast.Import, ast.ImportFrom))
+                    and any(name.split(".")[-1] == "reference" for name in names)):
+                found.append((child.lineno, where, ast.unparse(child)))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+            else:
+                visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def test_checker_finds_unused_imports():
     source = ("from __future__ import annotations\n"
               "import os, os.path as p\n"
@@ -211,6 +236,34 @@ def test_every_private_name_has_a_reader():
         with open(path, encoding="utf-8") as fh:
             sources[os.path.relpath(path, ROOT)] = fh.read()
     assert unread_private_names(sources) == []
+
+
+def test_checker_finds_reference_imports():
+    source = ("from . import linalg, reference\n"
+              "from .reference import MatQ as M\n"
+              "import formacheck.reference\n"
+              "from .linalg import rank\n"
+              "from .references import other\n"
+              "from . import linalg as reference\n"
+              "name = 'reference'\n"
+              "def hook():\n    def __getattr__(name):\n        from . import reference\n"
+              "class C:\n    def m(self):\n        if self:\n"
+              "            from formacheck.reference import as_row\n")
+    assert reference_imports(source) == [
+        (1, None, "from . import linalg, reference"),
+        (2, None, "from .reference import MatQ as M"),
+        (3, None, "import formacheck.reference"),
+        (10, "hook.__getattr__", "from . import reference"),
+        (14, "C.m", "from formacheck.reference import as_row")]
+
+
+def test_only_the_tracer_hook_imports_the_reference():
+    found = []
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            module = os.path.basename(path)
+            found += [(module, *imported[1:]) for imported in reference_imports(fh.read())]
+    assert found == [("linalg.py", "_moved_to_reference.__getattr__", "from . import reference")]
 
 
 def test_checker_finds_public_names_only_the_reference_reads():

@@ -22,7 +22,7 @@ def sample_records():
     h = cp2()
     gens, e, goods, model, report = pipeline(h)
     verdict = fc.render_verdict(h, e, goods, report)
-    complex_q = ChainComplexQ((1, 1), (MatQ.identity(1),))
+    complex_q = ChainComplexQ((1, 1), (((1,),),))
     return [
         MatQ.identity(1), h, fc.validate(h), gens[0],
         goods[0].monomial, e[0], goods[0],

@@ -205,7 +205,7 @@ def random_chain_complex(rng, max_dim=5, max_deg=6):
         canonical.append(MatQ.from_rows(rows, cols=dims[n]))
     base_change = [random_invertible(rng, dims[n]) for n in range(top + 1)]
     boundaries = tuple(
-        base_change[n - 1][0].matmul(canonical[n - 1]).matmul(base_change[n][1])
+        base_change[n - 1][0].matmul(canonical[n - 1]).matmul(base_change[n][1]).entries
         for n in range(1, top + 1))
     homology = [dims[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
     return ChainComplexQ(tuple(dims), boundaries), homology

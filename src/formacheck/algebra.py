@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .linalg import ONE, Row, integer_pivots, integer_row
 
@@ -27,15 +28,10 @@ class AlgebraStructureError(ValueError):
     """Structurally malformed input: bad indices, degrees, or table shape."""
 
 
-class _GradedAlgebra(NamedTuple):
-    labels: tuple[str, ...]
-    degrees: tuple[int, ...]
-    unit_index: int
-    mult: dict  # (i, j) -> Row, both orders present, zero products omitted
-
-
-class GradedAlgebra(_GradedAlgebra):
-    # no __slots__ = (): the cached properties live in the instance __dict__
+class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult")):
+    """The basis `labels` and `degrees`, the `unit_index`, and `mult`, the table
+    (i, j) -> Row with both orders present and zero products omitted.  No
+    `__slots__ = ()`: the cached properties live in the instance `__dict__`."""
 
     @property
     def dim(self) -> int:
@@ -131,15 +127,12 @@ class GradedAlgebra(_GradedAlgebra):
         return cls(labels, degrees, u, mult)
 
 
-class ValidationReport(NamedTuple):
-    single_unit_in_degree_zero: bool
-    graded_multiplicativity: bool
-    unit_law: bool
-    associativity: bool
-    graded_commutativity: bool
-    finite_dimensional: bool
-    odd_degrees_vanish: bool
-    failures: tuple[str, ...]
+class ValidationReport(namedtuple("ValidationReport", (
+        "single_unit_in_degree_zero graded_multiplicativity unit_law associativity "
+        "graded_commutativity finite_dimensional odd_degrees_vanish failures"))):
+    """One flag per law of `validate`, and the failure messages in order."""
+
+    __slots__ = ()
 
     @property
     def structure_ok(self) -> bool:
@@ -268,10 +261,10 @@ def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool):
     return None
 
 
-class Generator(NamedTuple):
-    label: str
-    degree: int
-    class_vector: Row
+class Generator(namedtuple("Generator", "label degree class_vector")):
+    """A chosen generator: its label, degree and class (a one-term Row)."""
+
+    __slots__ = ()
 
 
 def choose_generators(h: GradedAlgebra) -> tuple[Generator, ...]:

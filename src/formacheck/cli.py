@@ -32,6 +32,7 @@ import time
 from typing import Optional
 
 from . import __version__
+from .cohomology import box
 from .formality import EXIT_INPUT_ERROR, EXIT_OK, certify
 from .formats import InputError, certificate_json, load_algebra_file
 
@@ -130,6 +131,11 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
                  f"{qreport.cap}" if qreport.overall
                  else f"first failing degree {qreport.first_failure}")
         summary.append(f"quasi-isomorphism check ({state})")
+        bound = box(cert.model)  # the model's cohomology vanishes above Σ_i bound_i·|v_i|
+        if None not in bound and qreport.cap >= (top := max(h.top_degree, sum(
+                b * d for b, d in zip(bound, cert.model.even_degrees)))):
+            summary.append(f"the check covers every degree: the model's cohomology and H "
+                           f"vanish above {top} = max(box degree, top degree)")
     if verdict.discrepancy:
         summary.append("DISCREPANCY: theorem-level verdict is formal, but the "
                        "capped quasi-isomorphism check failed")

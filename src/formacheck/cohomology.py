@@ -8,8 +8,10 @@ classes of 1, the generators and E: they are the nonzero monomials of the
 blocks with Δ_α = {∅}, the only blocks phi~ sees.  The least power of v_i
 that is zero in H is always a good object, and once α_i reaches T_i, the
 sum of the targets' exponents of v_i, its w joins every face: Δ_α is a
-cone and adds nothing.  So only the box α <= T - 1 is walked: 16 of the
-495 blocks of (S^2)^4 at cap 13, and 27 of 120 for (CP^2)^3 at cap 12.
+cone and adds nothing.  So only the box α <= T - 1 is walked, one block per
+twin orbit (`blocks`) times its size: 5 blocks for the 16 of the box of
+(S^2)^4 at cap 13 (of 495), 10 for the 27 of (CP^2)^3 at cap 12 (of 120),
+and 7 for the 165 of the 8-fold S^2 wedge at its default cap 5.
 `reference.cohomology_basis` and `reference.induced_map` compute the same
 numbers degree by degree from the monomial basis; they are the reference
 the tests compare against.
@@ -23,39 +25,47 @@ claims anything beyond the configured degree cap.
 
 from __future__ import annotations
 
+from collections import Counter, namedtuple
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from math import factorial, prod
 
 from .algebra import GradedAlgebra
 from .linalg import _moved_to_reference, integer_rank, rank
-from .model import EEntry, Model, _exponents
+from .model import EEntry, Model
 
 __getattr__ = _moved_to_reference(__name__, {"cohomology_basis", "induced_map"})
 
 
-class DegreeReport(NamedTuple):
-    degree: int
-    model_cohomology_dim: int
-    target_dim: int
-    induced_map_rank: int
-    injective: bool
-    surjective: bool
+class DegreeReport(namedtuple("DegreeReport", (
+        "degree model_cohomology_dim target_dim induced_map_rank injective surjective"))):
+    """One degree of the check: the model's cohomology, H, and the induced map's rank."""
+
+    __slots__ = ()
 
     @property
     def bijective(self) -> bool:
         return self.injective and self.surjective
 
 
-class QuasiIsoReport(NamedTuple):
-    cap: int
-    reports: tuple[DegreeReport, ...]
-    overall: bool
-    first_failure: Optional[int]
+class QuasiIsoReport(namedtuple("QuasiIsoReport", "cap reports overall first_failure")):
+    """The capped check: one `DegreeReport` per degree 0..cap, and the first failure."""
+
+    __slots__ = ()
+
+
+def box(model: Model) -> list:
+    """T_i - 1 for each coordinate i with a target that is a power of v_i
+    alone, T_i the sum of the targets' exponents of v_i; None for the others."""
+    total = [0] * len(model.generators)
+    for i, e in (term for w in model.odd_generators for term in w.target.even):
+        total[i] += e
+    pure = {w.target.even[0][0] for w in model.odd_generators if len(w.target.even) == 1}
+    return [t - 1 if i in pure else None for i, t in enumerate(total)]
 
 
 def blocks(model: Model, cap: int):
-    """(|α|, α, faces of Δ_α) for every block that can add to a degree <= cap,
-    by |α| and then lexicographically.
+    """(|α|, α, orbit size, faces of Δ_α) for one α per twin orbit of the
+    blocks that can add to a degree <= cap, lexicographically.
 
     Let t_j be the exponent vector of the target of w_j.  Block α of the
     model has one monomial v^(α - Σ_S t) · Π_(j∈S) w_j, in degree |α| - |S|,
@@ -69,28 +79,56 @@ def blocks(model: Model, cap: int):
     power of v_i alone, then once α_i >= T_i = Σ_j t_j[i] that w_j joins
     every face of Δ_α: the complex is a cone, with no reduced homology and
     more than the empty face, so its block adds nothing to the model's
-    cohomology or to the induced map, and coordinate i stops at T_i - 1.
-    A coordinate with no such target is bounded by degree alone.  No α of
-    the box lies above Σ_i bound_i·|v_i|, so the walk stops there.  A face
-    grows by j after a test of the support of the sparse target t_j only.
+    cohomology or to the induced map, and coordinate i stops at T_i - 1
+    (`box`).  A coordinate with no such target is bounded by degree alone.
+    No α of the box lies above Σ_i bound_i·|v_i|, so the walk stops there.
+    A face grows by j after a test of the support of the sparse target t_j.
+
+    Coordinates i and r are twins when |v_i| = |v_r| and the swap (i r) fixes
+    the set of targets; then their bounds agree, and Δ_α ≅ Δ_(i r)α.  Twins
+    form classes, as (i j) = (i r)(j r)(i r): i is tested against one member r
+    of each, on the targets meeting {i, r} only, since (i r) fixes the others.
     """
     degrees = model.even_degrees
     targets = [w.target.even for w in model.odd_generators]
     supports = [sum(1 << i for i, _ in t) for t in targets]
-    total = [0] * len(degrees)
-    for i, e in (term for t in targets for term in t):
-        total[i] += e
     reach = cap + sum(1 for low in accumulate(sorted(model.odd_degrees)) if low <= cap)
-    bound = tuple(total[i] - 1 if (1 << i) in supports else reach // d
-                  for i, d in enumerate(degrees))
-    for n in range(min(reach, sum(b * d for b, d in zip(bound, degrees))) + 1):
-        for alpha in _exponents(degrees, n, bound):
-            # the support test is one integer operation and rejects most of
-            # a wedge's targets before their exponents are compared
-            outside = ~sum(1 << i for i, a in enumerate(alpha) if a)
-            vertices = [(j, targets[j]) for j, support in enumerate(supports)
-                        if not support & outside and all(alpha[i] >= e for i, e in targets[j])]
-            yield n, alpha, faces(vertices, alpha)
+    bound = [reach // d if b is None else b for b, d in zip(box(model), degrees)]
+    known, meets, twin = set(targets), [[] for _ in degrees], []
+    for i, t in ((i, t) for t in targets for i, _ in t):  # meets[i]: the targets v_i divides
+        meets[i].append(t)
+    for i, d in enumerate(degrees):  # twin[i]: the first member of i's class
+        twin.append(next((r for r in dict.fromkeys(twin) if degrees[r] == d and all(
+            tuple(sorted(({i: r, r: i}.get(k, k), e) for k, e in t)) in known
+            for t in meets[i] + meets[r])), i))
+    limit = min(reach, sum(b * d for b, d in zip(bound, degrees)))
+    for n, alpha, size in orbits(degrees, bound, twin, limit):
+        # the support test is one integer operation and rejects most of
+        # a wedge's targets before their exponents are compared
+        outside = ~sum(1 << i for i, a in enumerate(alpha) if a)
+        vertices = [(j, targets[j]) for j, support in enumerate(supports)
+                    if not support & outside and all(alpha[i] >= e for i, e in targets[j])]
+        yield n, alpha, size, faces(vertices, alpha)
+
+
+def orbits(degrees, bound, twin, limit: int):
+    """(|α|, α, orbit size), lexicographically, for each α <= `bound` with |α| <= `limit`
+    that does not rise along a twin class (`twin[i]` names i's class): one per orbit."""
+    prev = [max((j for j in range(i) if twin[j] == c), default=-1) for i, c in enumerate(twin)]
+    group = prod(map(factorial, Counter(twin).values()))  # the orbit of α: group / stabilizer
+    alpha, n = [0] * len(degrees) + [max(bound, default=0)], 0  # alpha[-1] bounds any α_i
+    while True:
+        yield n, tuple(alpha[:-1]), group // prod(
+            map(factorial, Counter(zip(twin, alpha)).values()))
+        for i in reversed(range(len(degrees))):  # grow the last coordinate that can grow
+            if n + degrees[i] <= limit and alpha[i] < min(bound[i], alpha[prev[i]]):
+                alpha[i] += 1
+                n += degrees[i]
+                break
+            n -= alpha[i] * degrees[i]
+            alpha[i] = 0
+        else:
+            return
 
 
 def faces(vertices: list, alpha: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
@@ -155,11 +193,11 @@ def verify_quasi_iso(model: Model, h: GradedAlgebra, e: tuple[EEntry, ...],
         raise ValueError(
             f"cap {cap} is below the top degree {h.top_degree}; the check would be vacuous")
     dims = [0] * (cap + 1)
-    for n, _, levels in blocks(model, cap):
+    for n, _, size, levels in blocks(model, cap):
         low = max(0, n - cap)
         ranks = [boundary_rank(levels, s) for s in range(low, len(levels) + 1)]
         for s in range(low, len(levels)):
-            dims[n - s] += len(levels[s]) - ranks[s - low] - ranks[s - low + 1]
+            dims[n - s] += size * (len(levels[s]) - ranks[s - low] - ranks[s - low + 1])
     classes = {}
     for v in [h.unit()] + [g.class_vector for g in model.generators] + [x.class_vector for x in e]:
         classes.setdefault(h.degrees[v[0][0]], []).append(v)

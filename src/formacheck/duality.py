@@ -6,8 +6,9 @@ duality` uses this module; `check` never imports it, nor it `reference`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .formats import InputError, _optional_list, _read_json, _require, parse_rational
 from .linalg import as_row, rank
@@ -21,12 +22,7 @@ class ChainComplexError(ValueError):
         self.degree = degree
 
 
-class _ChainComplexQ(NamedTuple):
-    dims: tuple[int, ...]
-    boundaries: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-
-class ChainComplexQ(_ChainComplexQ):
+class ChainComplexQ(namedtuple("ChainComplexQ", "dims boundaries")):
     """Finite chain complex over Q: dims for C_0..C_N and boundaries[k] =
     d_(k+1): C_(k+1) -> C_k, dims[k] rows of dims[k+1] ints or `Fraction`s."""
 
@@ -54,11 +50,10 @@ def validate_square_zero(c: ChainComplexQ):
                 n, f"boundary squared is nonzero: d_{n - 1} o d_{n} != 0")
 
 
-class DualityRow(NamedTuple):
-    degree: int
-    homology_dim: int
-    dual_cohomology_dim: int
-    equal: bool
+class DualityRow(namedtuple("DualityRow", "degree homology_dim dual_cohomology_dim equal")):
+    """One degree: the homology, the dual's cohomology, and whether they agree."""
+
+    __slots__ = ()
 
 
 def duality_check(c: ChainComplexQ) -> list[DualityRow]:

@@ -9,12 +9,13 @@ quasi-isomorphism check fails is surfaced as a discrepancy, not reconciled.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from typing import Optional
 
-from .algebra import Generator, GradedAlgebra, ValidationReport, choose_generators
+from .algebra import GradedAlgebra, ValidationReport, choose_generators
 from .cohomology import QuasiIsoReport, verify_quasi_iso
 from .linalg import rank
-from .model import EEntry, GoodObject, Model, build_model, compute_E, good_objects
+from .model import EEntry, GoodObject, build_model, compute_E, good_objects
 
 FORMAL_BY_THEOREM = "FORMAL_BY_THEOREM"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -27,11 +28,7 @@ EXIT_HYPOTHESIS_VIOLATED = 3
 EXIT_DISCREPANCY = 4
 
 
-class _DegreeSet(NamedTuple):
-    degrees: tuple[int, ...]
-
-
-class DegreeSet(_DegreeSet):
+class DegreeSet(namedtuple("DegreeSet", "degrees")):
     """Strictly increasing positive degrees carrying nonzero cohomology."""
 
     __slots__ = ()
@@ -105,14 +102,14 @@ def _odd_degrees_vanish(h: GradedAlgebra) -> bool:
     return all(d % 2 == 0 for d in h.degrees)
 
 
-class Verdict(NamedTuple):
-    odd_degrees_vanish: bool  # the theorem's hypothesis
-    condition_i: Optional[bool]
-    condition_ii: Optional[bool]
-    corollary_integer: tuple[bool, ...]
-    corollary_nonnegative: tuple[bool, ...]
-    classification: str
-    discrepancy: bool
+class Verdict(namedtuple("Verdict", (
+        "odd_degrees_vanish condition_i condition_ii corollary_integer "
+        "corollary_nonnegative classification discrepancy"))):
+    """The classification and what it rests on: `odd_degrees_vanish` (the
+    theorem's hypothesis), the two conditions (None when it fails), the
+    corollary flags, and whether a formal verdict met a failing check."""
+
+    __slots__ = ()
 
 
 def render_verdict(h: GradedAlgebra, e: Optional[tuple[EEntry, ...]],
@@ -155,18 +152,12 @@ def render_verdict(h: GradedAlgebra, e: Optional[tuple[EEntry, ...]],
     )
 
 
-class Certificate(NamedTuple):
+class Certificate(namedtuple("Certificate", (
+        "algebra validation cap generators e_family good_objects model "
+        "quasi_isomorphism verdict"))):
     """One pipeline run; a stage that did not run is None."""
 
-    algebra: GradedAlgebra
-    validation: ValidationReport
-    cap: int
-    generators: tuple[Generator, ...]
-    e_family: Optional[tuple[EEntry, ...]]
-    good_objects: Optional[list[GoodObject]]
-    model: Optional[Model]
-    quasi_isomorphism: Optional[QuasiIsoReport]
-    verdict: Verdict
+    __slots__ = ()
 
     @property
     def exit_code(self) -> int:

@@ -16,10 +16,10 @@ live in `reference`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple
+from collections import namedtuple
 
 from .algebra import Generator, GradedAlgebra
-from .linalg import Row, _moved_to_reference
+from .linalg import _moved_to_reference
 
 __getattr__ = _moved_to_reference(__name__, {
     "differential_matrix", "monomials_of_degree", "phi_tilde"})
@@ -27,13 +27,9 @@ __getattr__ = _moved_to_reference(__name__, {
 EvenPart = tuple[tuple[int, int], ...]  # (generator index, exponent > 0), ascending
 
 
-class _Monomial(NamedTuple):
-    even: EvenPart
-    odd: tuple[int, ...]  # strictly increasing odd-generator indices
-    degree: int
+class Monomial(namedtuple("Monomial", "even odd degree")):
+    """A canonical monomial: sparse `even` part, increasing `odd` indices, degree."""
 
-
-class Monomial(_Monomial):
     __slots__ = ()
 
     def __new__(cls, even: EvenPart, odd: tuple[int, ...], degree: int):
@@ -72,25 +68,25 @@ def _shift(even: EvenPart, i: int, by: int) -> EvenPart:
     return even[:p] + ((i, by),) + even[p:]
 
 
-class EEntry(NamedTuple):
-    """A nonzero product of >= 2 generators: its monomial and its class."""
+class EEntry(namedtuple("EEntry", "monomial class_vector")):
+    """A nonzero product of >= 2 generators: its monomial and its class (a Row)."""
 
-    monomial: Monomial
-    class_vector: Row
-
-
-class GoodObject(NamedTuple):
-    monomial: Monomial  # pure even, length >= 2, zero image
-    divisor_witnesses: tuple[EEntry, ...]  # the entries of E dividing it
+    __slots__ = ()
 
 
-class OddGenerator(NamedTuple):
-    label: str
-    degree: int  # target degree - 1, always odd
-    target: Monomial  # pure even monomial, the value of d
+class GoodObject(namedtuple("GoodObject", "monomial divisor_witnesses")):
+    """A pure even monomial of length >= 2 with zero image, and the entries of E dividing it."""
+
+    __slots__ = ()
 
 
-class Model(NamedTuple):
+class OddGenerator(namedtuple("OddGenerator", "label degree target")):
+    """An odd generator w: its label, its odd degree and its target dw."""
+
+    __slots__ = ()
+
+
+class Model(namedtuple("Model", "generators odd_generators")):
     """The free CDGA on the even generators plus one w per good object.
 
     d vanishes on even generators, sends each w to its good object, and is
@@ -98,8 +94,7 @@ class Model(NamedTuple):
     are not recomputed after the w's are added.
     """
 
-    generators: tuple[Generator, ...]
-    odd_generators: tuple[OddGenerator, ...]
+    __slots__ = ()
 
     @property
     def even_degrees(self) -> tuple[int, ...]:
@@ -108,18 +103,6 @@ class Model(NamedTuple):
     @property
     def odd_degrees(self) -> tuple[int, ...]:
         return tuple(w.degree for w in self.odd_generators)
-
-
-def _exponents(degrees: tuple[int, ...], n: int, bound: tuple[int, ...]):
-    """Exponent tuples over positive `degrees` of weighted degree exactly n
-    and at most `bound` in each coordinate, in lexicographic order."""
-    if not degrees:
-        if n == 0:
-            yield ()
-        return
-    for e in range(min(n // degrees[0], bound[0]) + 1):
-        for rest in _exponents(degrees[1:], n - e * degrees[0], bound[1:]):
-            yield (e,) + rest
 
 
 def _require_even(gens: tuple[Generator, ...]):

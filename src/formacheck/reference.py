@@ -18,14 +18,15 @@ No command imports this module, so none compiles or loads it.  Only
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import GradedAlgebra
 from .cohomology import DegreeReport
 from .linalg import ONE, as_row, rank
-from .model import EvenPart, Model, Monomial, _exponents
+from .model import EvenPart, Model, Monomial
 
 
 # dense vectors and matrices and the reduced echelon form
@@ -57,13 +58,7 @@ def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return not any(v)
 
 
-class _MatQ(NamedTuple):
-    rows: int
-    cols: int
-    entries: tuple[Vec, ...]
-
-
-class MatQ(_MatQ):
+class MatQ(namedtuple("MatQ", "rows cols entries")):
     """Dense matrix over Q, row-major, immutable after construction."""
 
     __slots__ = ()
@@ -166,10 +161,10 @@ class RowSpace:
         return new_row
 
 
-class RrefResult(NamedTuple):
-    rref: MatQ
-    pivot_cols: tuple[int, ...]
-    rank: int
+class RrefResult(namedtuple("RrefResult", "rref pivot_cols rank")):
+    """The reduced echelon form of a `MatQ`, its pivot columns and its rank."""
+
+    __slots__ = ()
 
 
 def rref(m: MatQ) -> RrefResult:
@@ -208,6 +203,18 @@ def kernel_basis(m: MatQ) -> list[Vec]:
 
 def _pack(exponents: Iterable[int]) -> EvenPart:
     return tuple((i, e) for i, e in enumerate(exponents) if e)
+
+
+def _exponents(degrees: tuple[int, ...], n: int, bound: tuple[int, ...]):
+    """Exponent tuples over positive `degrees` of weighted degree exactly n
+    and at most `bound` in each coordinate, in lexicographic order."""
+    if not degrees:
+        if n == 0:
+            yield ()
+        return
+    for e in range(min(n // degrees[0], bound[0]) + 1):
+        for rest in _exponents(degrees[1:], n - e * degrees[0], bound[1:]):
+            yield (e,) + rest
 
 
 def multidegree(model: Model, m: Monomial) -> tuple[int, ...]:

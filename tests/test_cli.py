@@ -174,6 +174,33 @@ def test_check_hypothesis_violated_exit(tmp_path):
     assert cert["generators"]  # the odd generator is still listed
 
 
+S2_WEDGE_S2 = wedge(even_sphere(2), even_sphere(2))
+ODD_CLASS = {"name": "odd", "basis": [{"label": "1", "degree": 0}, {"label": "z", "degree": 3}],
+             "unit": "1", "products": []}
+
+
+@pytest.mark.parametrize("obj, cap, above", [
+    (even_sphere(2), None, 2),  # box degree B = 2 = top degree, default cap 5
+    (truncated_poly(2, 3), 4, 4),  # CP^2: B = 4 = top degree = cap
+    (product(even_sphere(2), even_sphere(4)), 6, 6),  # B = 6 = top degree
+    (S2_WEDGE_S2, 8, 8),  # B = 8 > top degree 2
+    (S2_WEDGE_S2, 7, None),
+    (S2_WEDGE_S2, None, None),  # default cap 5 < B
+    (ODD_CLASS, None, None),  # no model, no check
+])
+def test_check_says_when_the_cap_covers_every_degree(tmp_path, capsys, obj, cap, above):
+    # above max(B, top degree) the model's cohomology and H both vanish, B the
+    # box degree sum_i (T_i - 1)|v_i|; the line is on stderr only
+    path = write_json(tmp_path / "in.json", obj)
+    report = tmp_path / "cert.json"
+    main(["check", path, "--report", str(report)] + ([] if cap is None else ["--cap", str(cap)]))
+    err = capsys.readouterr().err
+    line = (f"the check covers every degree: the model's cohomology and H vanish above "
+            f"{above} = max(box degree, top degree)\n")
+    assert (line in err) if above is not None else "covers every degree" not in err
+    assert "covers" not in report.read_text()
+
+
 # inputs the decoder or int() cannot take: each must exit 1 with a message
 LONG_RATIONAL = "1/" + "1" * 5000
 LONG_INTEGER = "1" * 5000

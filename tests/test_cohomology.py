@@ -1,15 +1,17 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
+from sympy.utilities.iterables import multiset_permutations
 
 import formacheck as fc
 from formacheck import cohomology
-from formacheck.cohomology import blocks, boundary_rank, faces
-from formacheck.corpus import even_sphere, wedge
+from formacheck.cohomology import blocks, boundary_rank, faces, orbits
+from formacheck.corpus import even_sphere, product, wedge
 from formacheck.duality import (ChainComplexError, ChainComplexQ, duality_check,
                                 validate_square_zero)
 from formacheck.linalg import rank
@@ -53,6 +55,79 @@ def complex_faces(model, alpha):
 def reduced_betti(levels, s):
     """dim H~_(s-1) of the complex with these faces (by size)."""
     return len(levels[s]) - boundary_rank(levels, s) - boundary_rank(levels, s + 1)
+
+
+def walk_bounds(model, cap):
+    """Per coordinate, T_i - 1 where a target is a power of v_i alone, else
+    the degree bound of `oracles.brute_blocks`, from the dense targets."""
+    targets = targets_of(model)
+    total = [sum(column) for column in zip(*targets)] or [0] * len(model.generators)
+    pure = {i for t in targets for i, e in enumerate(t) if e == sum(t)}
+    reach = max(n for n, _ in oracles.brute_blocks(model, cap))
+    return [total[i] - 1 if i in pure else reach // d for i, d in enumerate(model.even_degrees)]
+
+
+def twin_classes(model, cap):
+    """The classes of coordinates i, j with |v_i| = |v_j|, equal walk bounds and
+    a swap that maps the set of dense targets onto itself, testing every pair."""
+    targets, bound, degrees = set(targets_of(model)), walk_bounds(model, cap), model.even_degrees
+
+    def swapped(t, i, j):
+        t = list(t)
+        t[i], t[j] = t[j], t[i]
+        return tuple(t)
+
+    classes = {tuple(j for j in range(len(degrees))
+                     if (degrees[i], bound[i]) == (degrees[j], bound[j])
+                     and {swapped(t, i, j) for t in targets} == targets)
+               for i in range(len(degrees))}
+    assert sorted(i for c in classes for i in c) == list(range(len(degrees)))
+    return sorted(classes)
+
+
+def orbit(alpha, classes):
+    """{β: σ} for every distinct permutation β of α within its twin classes,
+    with one σ (coordinate i goes to σ[i]) such that β = σα."""
+    out = {}
+    for values in itertools.product(*(multiset_permutations([alpha[i] for i in c])
+                                      for c in classes)):
+        beta, sigma = list(alpha), list(range(len(alpha)))
+        for c, arranged in zip(classes, values):
+            for v in set(arranged):
+                for i, j in zip([i for i in c if alpha[i] == v],
+                                [j for j, a in zip(c, arranged) if a == v]):
+                    beta[j], sigma[i] = v, j
+        out[tuple(beta)] = sigma
+    return out
+
+
+def moved_faces(model, levels, sigma):
+    """The faces of Δ_α carried to those of Δ_σα: w_j goes to the w whose
+    target is σ t_j."""
+    targets = targets_of(model)
+    where = {t: j for j, t in enumerate(targets)}
+    image = [0] * len(model.generators)
+    to = []
+    for t in targets:
+        for i, e in enumerate(t):
+            image[sigma[i]] = e
+        to.append(where[tuple(image)])
+    return [sorted(tuple(sorted(to[j] for j in face)) for face in level) for level in levels]
+
+
+def walked_blocks(model, cap):
+    """{α: faces of Δ_α} for every block of the walk's orbits, each orbit
+    expanded from its representative; checks each orbit's size on the way."""
+    classes = twin_classes(model, cap)
+    walked = {}
+    for n, alpha, size, levels in blocks(model, cap):
+        members = orbit(alpha, classes)
+        assert (len(members), max(members)) == (size, alpha)
+        for beta, sigma in members.items():
+            assert sum(b * d for b, d in zip(beta, model.even_degrees)) == n
+            assert beta not in walked
+            walked[beta] = moved_faces(model, levels, sigma)
+    return walked
 
 
 # ---- model cohomology ----
@@ -192,7 +267,8 @@ def test_table_matches_references_on_larger_inputs():
         box = sum((t - 1) * d for t, d in zip(totals, model.even_degrees))
         report = verify(model, h, 3 * box + 7)
         assert report.reports == block_reference(model, h, 3 * box + 7)
-        assert max(n for n, _, _ in blocks(model, 3 * box + 7)) == box
+        assert max(sum(a * d for a, d in zip(alpha, model.even_degrees))
+                   for alpha in walked_blocks(model, 3 * box + 7)) == box
         assert not any(r.model_cohomology_dim for r in report.reports[box + 1:])
 
 
@@ -213,7 +289,7 @@ def test_wedge_dims_match_brute_above_the_default_cap(folds, cap):
     report = verify(model, h, cap)
     assert [r.model_cohomology_dim for r in report.reports] == \
         oracles.brute_model_dims(model, cap)
-    assert any(boundary_rank(levels, s) for _, _, levels in blocks(model, cap)
+    assert any(boundary_rank(levels, s) for levels in walked_blocks(model, cap).values()
                for s in range(2, len(levels)))
 
 
@@ -249,12 +325,13 @@ def test_truncations_faces_and_euler(obj_index):
     # each block's faces are the subsets S with sum of targets <= alpha, for
     # every block the cap reads and for those the walk yields; their
     # alternating count is the alternating sum of the reduced Betti numbers
-    # (Euler-Poincare)
+    # (Euler-Poincare); a block the walk reaches through a twin swap gets the
+    # representative's faces carried over by that swap
     h = algebra(corpus_objects()[obj_index])
     model = model_of(h)
     cap = 2 * h.top_degree + 1
     targets = targets_of(model)
-    walked = {alpha: levels for _, alpha, levels in blocks(model, cap)}
+    walked = walked_blocks(model, cap)
     for _, alpha in oracles.brute_blocks(model, cap):
         levels = complex_faces(model, alpha)
         brute = [[S for S in itertools.combinations(range(len(targets)), s)
@@ -289,7 +366,7 @@ def test_blocks_outside_the_box_are_cones(make, cap):
     total = [sum(column) for column in zip(*targets)]
     pure = {i for t in targets for i, e in enumerate(t) if e == sum(t)}
     assert pure == set(range(len(model.generators)))
-    walked = {alpha for _, alpha, _ in blocks(model, cap)}
+    walked = set(walked_blocks(model, cap))
     rim = 0
     for n, alpha in oracles.brute_blocks(model, cap):
         outside = any(alpha[i] >= total[i] for i in pure)
@@ -300,6 +377,94 @@ def test_blocks_outside_the_box_are_cones(make, cap):
         assert cone or not outside
         rim += not cone and any(alpha[i] == total[i] - 1 for i in pure)
     assert rim or len(model.generators) > 1
+
+
+def cycle(k):
+    """Q[x_0..x_(k-1)]/(x_i^2, x_i x_(i+1)), indices mod k, all in degree 2:
+    the products of pairwise nonadjacent vertices of a k-cycle.  All
+    coordinates share a degree and a bound, but a swap fixes the targets only
+    where it is a symmetry of the cycle."""
+    faces = [S for s in range(k + 1) for S in itertools.combinations(range(k), s)
+             if all((i + 1) % k not in S for i in S)]
+    label = {S: "x" + "_".join(map(str, S)) if S else "1" for S in faces}
+    products = {(label[S], label[T]): {label[tuple(sorted(S + T))]: 1}
+                for p, S in enumerate(faces) for T in faces[p:]
+                if S and T and tuple(sorted(S + T)) in label}
+    return fc.GradedAlgebra.from_products([(label[S], 2 * len(S)) for S in faces], "1", products)
+
+
+@pytest.mark.parametrize("k, classes", [(4, [(0, 2), (1, 3)]), (5, [(i,) for i in range(5)]),
+                                        (6, [(i,) for i in range(6)])])
+def test_cycles_rank_only_true_twins_together(k, classes):
+    # equal degrees and bounds do not make twins: on the 5-cycle no swap
+    # fixes the targets, and each block is its own orbit
+    h = cycle(k)
+    model = model_of(h)
+    assert twin_classes(model, 9) == classes
+    assert verify(model, h, 9).reports == block_reference(model, h, 9)
+
+
+ORBIT_CASES = (
+    [pytest.param(lambda folds=folds: s2_wedge(folds), cap, id=f"wedge-{folds}-cap-{cap}")
+     for folds, cap in [(3, 9), (4, 7), (8, 5)]]
+    + [pytest.param(lambda k=k: cycle(k), 9, id=f"cycle-{k}") for k in (4, 5, 6)]
+    + [pytest.param(s2_power_4, 13, id="s2-power-4"),
+       pytest.param(cp2_power_3, 12, id="cp2-power-3"),
+       pytest.param(lambda: algebra(product(*[wedge(even_sphere(2), even_sphere(2))] * 2)),
+                    None, id="wedge-s2-s2-squared")]
+    + [pytest.param(lambda seed=seed: random_even_monomial_algebra(random.Random(9800 + seed)),
+                    None, id=f"random-{seed}") for seed in range(12)])
+
+
+@pytest.mark.parametrize("make, cap", ORBIT_CASES)
+def test_orbits_partition_the_box(make, cap):
+    # every block of the box lies in exactly one orbit the walk yields, and
+    # in each degree the orbit sizes add up to the box's block count
+    h = make()
+    model = model_of(h)
+    cap = 2 * h.top_degree + 1 if cap is None else cap
+    bound = walk_bounds(model, cap)
+    box = [(n, alpha) for n, alpha in oracles.brute_blocks(model, cap)
+           if all(a <= b for a, b in zip(alpha, bound))]
+    classes = twin_classes(model, cap)
+    seen = Counter(beta for _, alpha, _, _ in blocks(model, cap) for beta in orbit(alpha, classes))
+    assert seen == Counter(alpha for _, alpha in box)
+    sizes = Counter()
+    for n, _, size, _ in blocks(model, cap):
+        sizes[n] += size
+    assert sizes == Counter(n for n, _ in box)
+
+
+def test_wedge_rows_match_the_reference_past_the_default_cap():
+    # all 8 coordinates of the 8-fold wedge are twins, so the walk ranks one
+    # block per orbit and multiplies; the degree-wise reference ranks every
+    # monomial of each degree
+    h = sphere_wedge_8()
+    model = model_of(h)
+    report = verify(model, h, 9)
+    assert report.reports == block_reference(model, h, 9)
+    assert [r.model_cohomology_dim for r in report.reports] == \
+        [1, 0, 8, 0, 0, 168, 0, 336, 1512, 0]
+
+
+def test_orbits_enumerate_past_the_recursion_limit():
+    # one coordinate per level of the old recursive walk would raise
+    # RecursionError here; the walk is iterative
+    k = sys.getrecursionlimit() + 100
+    units = [(alpha, size) for n, alpha, size in orbits((2,) * k, (3,) * k, list(range(k)), 2)
+             if n == 2]
+    assert sorted(units) == sorted((tuple(int(i == j) for i in range(k)), 1) for j in range(k))
+    found = [(alpha, size) for n, alpha, size in orbits((2,) * k, (3,) * k, [0] * k, 4) if n == 4]
+    assert [alpha[:3] for alpha, _ in found] == [(1, 1, 0), (2, 0, 0)]
+    assert all(not any(alpha[3:]) for alpha, _ in found)
+    assert sum(size for _, size in found) == k * (k + 1) // 2
+    # the walk of the model of a product of k copies of S^2 at cap 5: blocks
+    # up to |α| = 6, four orbits of squarefree α
+    gens = tuple(fc.Generator(f"v{i + 1}", 2, ((0, Fraction(1)),)) for i in range(k))
+    odd = tuple(fc.OddGenerator(f"w{i + 1}", 3, fc.Monomial(((i, 2),), (), 4)) for i in range(k))
+    walked = [(n, alpha[:4], size) for n, alpha, size, _ in blocks(fc.Model(gens, odd), 5)]
+    assert walked == [(0, (0, 0, 0, 0), 1), (2, (1, 0, 0, 0), k), (4, (1, 1, 0, 0), comb(k, 2)),
+                      (6, (1, 1, 1, 0), comb(k, 3))]
 
 
 def chain_dims_series(model, cap):

@@ -13,7 +13,10 @@ never reads (`self` and `cls` are exempt).  Only `cli.entrypoint` calls
 `os._exit`: library code returns, it never ends the process.  No module of
 `src/formacheck` imports `reference`, at module level or in a function,
 but the hook `linalg._moved_to_reference`, with `from . import reference`:
-the tracer's old addresses need it, and no command does."""
+the tracer's old addresses need it, and no command does.  No class of
+`src/formacheck` subclasses `typing.NamedTuple`: the records subclass a
+`collections.namedtuple`, which a process defines without compiling each
+field annotation into a `ForwardRef`."""
 
 import ast
 import glob
@@ -168,6 +171,15 @@ def reference_imports(source: str) -> list:
     return found
 
 
+def typed_named_tuples(source: str) -> list:
+    """(line, class) of every class with `NamedTuple` or `<module>.NamedTuple`
+    among its bases, at any depth."""
+    return [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+                    for base in node.bases)]
+
+
 def test_checker_finds_unused_imports():
     source = ("from __future__ import annotations\n"
               "import os, os.path as p\n"
@@ -285,3 +297,29 @@ def test_only_the_reference_keeps_code_for_itself():
         with open(path, encoding="utf-8") as fh:
             sources[os.path.basename(path)] = fh.read()
     assert reference_only_names(sources, "reference.py", "__init__.py") == []
+
+
+def test_checker_finds_typed_named_tuples():
+    source = ("import typing\nfrom typing import NamedTuple\n"
+              "class A(NamedTuple):\n    x: int\n"
+              "class B(typing.NamedTuple):\n    y: str\n"
+              "def f():\n    class C(object, NamedTuple):\n        pass\n    return C\n")
+    assert typed_named_tuples(source) == [(3, "A"), (5, "B"), (8, "C")]
+
+
+def test_checker_passes_collections_named_tuples():
+    source = ("from collections import namedtuple\n"
+              "class A(namedtuple('A', 'x y')):\n    __slots__ = ()\n"
+              "class B(A):\n    pass\n"
+              "NamedTuple = namedtuple('NamedTuple', 'z')\n"
+              "class C(NamedTuple.__base__):\n    pass\n")
+    assert typed_named_tuples(source) == []
+
+
+def test_no_record_subclasses_typing_named_tuple():
+    found = []
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            module = os.path.basename(path)
+            found += [(module, name) for _, name in typed_named_tuples(fh.read())]
+    assert found == []

@@ -1,5 +1,8 @@
-"""The record types are NamedTuples: immutable, compared and hashed by value,
-and cheap to define at import time."""
+"""The record types subclass `collections.namedtuple`: immutable, compared and
+hashed by value, pickled, rebuilt by `_replace` and read by `_asdict`, with
+their fields in a fixed order, and cheap to define at import time, as no
+field annotation is compiled.  `Monomial`, `DegreeSet`, `MatQ` and
+`ChainComplexQ` keep a validating `__new__`."""
 
 import os
 import pickle
@@ -12,7 +15,7 @@ import formacheck as fc
 from formacheck.corpus import product, truncated_poly
 from formacheck.duality import ChainComplexQ, duality_check
 from formacheck.formality import DegreeSet
-from formacheck.reference import MatQ
+from formacheck.reference import MatQ, rref
 
 from util import algebra, cp2, pipeline
 
@@ -24,11 +27,39 @@ def sample_records():
     verdict = fc.render_verdict(h, e, goods, report)
     complex_q = ChainComplexQ((1, 1), (((1,),),))
     return [
-        MatQ.identity(1), h, fc.validate(h), gens[0],
+        MatQ.identity(1), rref(MatQ.identity(1)), h, fc.validate(h), gens[0],
         goods[0].monomial, e[0], goods[0],
         model.odd_generators[0], model, report.reports[0], report, complex_q,
         duality_check(complex_q)[0], DegreeSet.from_algebra(h), verdict,
+        fc.certify(h, fc.validate(h)),
     ]
+
+
+# every record's fields, in order; certificates and `_asdict` read them by name
+FIELDS = {
+    "MatQ": "rows cols entries",
+    "RrefResult": "rref pivot_cols rank",
+    "GradedAlgebra": "labels degrees unit_index mult",
+    "ValidationReport": ("single_unit_in_degree_zero graded_multiplicativity unit_law "
+                         "associativity graded_commutativity finite_dimensional "
+                         "odd_degrees_vanish failures"),
+    "Generator": "label degree class_vector",
+    "Monomial": "even odd degree",
+    "EEntry": "monomial class_vector",
+    "GoodObject": "monomial divisor_witnesses",
+    "OddGenerator": "label degree target",
+    "Model": "generators odd_generators",
+    "DegreeReport": ("degree model_cohomology_dim target_dim induced_map_rank "
+                     "injective surjective"),
+    "QuasiIsoReport": "cap reports overall first_failure",
+    "ChainComplexQ": "dims boundaries",
+    "DualityRow": "degree homology_dim dual_cohomology_dim equal",
+    "DegreeSet": "degrees",
+    "Verdict": ("odd_degrees_vanish condition_i condition_ii corollary_integer "
+                "corollary_nonnegative classification discrepancy"),
+    "Certificate": ("algebra validation cap generators e_family good_objects model "
+                    "quasi_isomorphism verdict"),
+}
 
 
 def test_check_path_does_not_import_dataclasses():
@@ -45,7 +76,24 @@ RECORDS = sample_records()
 
 
 def test_every_record_type_is_sampled():
-    assert len({type(r).__name__ for r in RECORDS}) == 15
+    assert len({type(r).__name__ for r in RECORDS}) == 17
+    assert {type(r).__name__ for r in RECORDS} == set(FIELDS)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_fields_keep_their_order(record):
+    assert record._fields == tuple(FIELDS[type(record).__name__].split())
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_rebuilds_from_its_fields(record):
+    fields = record._asdict()
+    assert list(fields) == list(record._fields)
+    assert type(record)(**fields) == record
+    assert type(record)(*record) == record
+    changed = record._replace(**{record._fields[-1]: None})
+    assert type(changed) is type(record)
+    assert changed[:-1] == record[:-1] and changed[-1] is None
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)

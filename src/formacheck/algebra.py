@@ -9,7 +9,9 @@ The table is stored sparse: `mult[(i, j)]` is a `linalg.Row`, the nonzero
 terms (k, c) of e_i * e_j in increasing k, and pairs with a zero product
 are absent.  Every element is such a row: `GradedAlgebra.mul` takes and
 returns rows, and a basis vector or a generator's class is a one-term row.
-The generators are the non-pivots of one integer elimination per degree.
+The generators are the non-pivots of one integer elimination per degree,
+chosen once per algebra (`GradedAlgebra.generators`); `validate` decides
+associativity through them when the other laws hold.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult"
     @cached_property
     def top_degree(self) -> int:
         return max(self.degrees)
+
+    @cached_property
+    def generators(self) -> tuple["Generator", ...]:
+        """`choose_generators(self)`, computed once: `validate` and `certify`
+        share it.  The function is looked up by name when this is first read."""
+        return choose_generators(self)
 
     @cached_property
     def _by_degree(self) -> dict:
@@ -149,7 +157,12 @@ def validate(h: GradedAlgebra) -> ValidationReport:
     failure: such inputs load and validate so the pipeline can diagnose
     them instead of crashing.  Each law is checked on the sparse table, in
     the order of the basis, so the first failure found is the first in
-    (i, j) or (i, j, k) order.
+    (i, j) or (i, j, k) order.  When the single unit, the unit law, graded
+    multiplicativity and graded commutativity hold, associativity is first
+    decided by Light's test (Clifford-Preston, *The Algebraic Theory of
+    Semigroups* I, ch. 1): only the triples with one of `h.generators` in
+    the middle are compared.  The full scan runs only when that test or
+    one of the four laws fails, so the witness reported is the same.
     """
     failures = []
     deg, u, mult = h.degrees, h.unit_index, h.mult
@@ -183,15 +196,23 @@ def validate(h: GradedAlgebra) -> ValidationReport:
     # pairs absent in both orders multiply to 0 both ways
     commutative = True
     for i, j in sorted({(min(p), max(p)) for p in mult}):
-        sign = -1 if (deg[i] % 2 and deg[j] % 2) else 1
-        if mult.get((i, j), ()) != tuple((k, sign * c) for k, c in mult.get((j, i), ())):
+        mirror = mult.get((j, i), ())
+        if deg[i] % 2 and deg[j] % 2:
+            mirror = tuple((k, -c) for k, c in mirror)
+        if mult.get((i, j), ()) != mirror:
             commutative = False
             failures.append(
                 f"graded commutativity fails on ({h.labels[i]}, {h.labels[j]})")
             break
 
-    witness = _associativity_witness(h, exact_skip=unit_ok and graded,
-                                     half=graded and commutative)
+    # M = {a : (xa)y = x(ay) for all x, y} is a subspace that holds 1 and is
+    # closed under products, and the generators generate H: so M = H once
+    # M holds the generators
+    witness = None
+    if not (single_unit and graded and unit_ok and commutative) or _associativity_witness(
+            h, True, True, [g.class_vector[0][0] for g in h.generators]):
+        witness = _associativity_witness(h, exact_skip=unit_ok and graded,
+                                         half=graded and commutative)
     if witness is not None:
         failures.append("associativity fails on ({}, {}, {})".format(
             *(h.labels[i] for i in witness)))
@@ -219,8 +240,9 @@ def _combine(terms) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool):
-    """First (i, j, k) in lexicographic order with (e_i e_j) e_k != e_i (e_j e_k).
+def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool, middle=None):
+    """First (i, j, k) in lexicographic order with (e_i e_j) e_k != e_i (e_j e_k),
+    with j among the basis indices `middle` when they are given.
 
     The table is scaled once by the lcm D of its denominators; both sides of
     every triple then carry 1/D^2, so comparing the integer sums is exact.
@@ -243,7 +265,7 @@ def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool):
     outer = [i for i in range(dim) if not (exact_skip and i == u)]
     fits: dict[int, list[int]] = {}  # degree budget -> the k of `outer` within it
     for i in outer:
-        for j in outer:
+        for j in outer if middle is None else middle:
             ab = mult.get((i, j), ())
             if exact_skip:
                 budget = top - deg[i] - deg[j]
@@ -254,9 +276,10 @@ def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool):
             else:
                 ks = range(dim) if ab else right_of[j]
             for k in ks[bisect_left(ks, i):] if half else ks:
-                bc = mult.get((j, k), ())
-                if (_combine((c, mult.get((m, k), ())) for m, c in ab)
-                        != _combine((c, mult.get((i, m), ())) for m, c in bc)):
+                # the nonzero products of each side; with none, both sides are 0
+                left = [(c, mult[m, k]) for m, c in ab if (m, k) in mult]
+                right = [(c, mult[i, m]) for m, c in mult.get((j, k), ()) if (i, m) in mult]
+                if (left or right) and _combine(left) != _combine(right):
                     return i, j, k
     return None
 
@@ -283,11 +306,14 @@ def choose_generators(h: GradedAlgebra) -> tuple[Generator, ...]:
     """
     deg = h.degrees
     column = {k: len(idx) - 1 - s for idx in h._by_degree.values() for s, k in enumerate(idx)}
-    rows: dict[int, set] = {n: set() for n in range(1, h.top_degree + 1)}
+    rows: dict[int, set] = {n: set() for n in sorted(h._by_degree) if n > 0}
     for (i, j), prod in h.mult.items():
+        # a product with the unit is not decomposable, and an even mirror is the same row
+        if not (deg[i] and deg[j]) or (i > j and h.mult.get((j, i)) == prod):
+            continue
         n = deg[i] + deg[j]
         terms = tuple((k, c) for k, c in prod if deg[k] == n)
-        if deg[i] > 0 and deg[j] > 0 and terms:  # then 1 < n <= top degree
+        if terms:  # then n > 1 is the degree of a class
             row = [0] * h.dim_in_degree(n)
             for k, c in integer_row(terms):
                 row[column[k]] = c

@@ -25,7 +25,6 @@ starts a thread or leaves a temporary file.  An exception that escapes
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -34,16 +33,20 @@ from typing import Optional
 from . import __version__
 from .cohomology import box
 from .formality import EXIT_INPUT_ERROR, EXIT_OK, certify
-from .formats import InputError, certificate_json, load_algebra_file
+from .formats import InputError, certificate_json, dump_json, load_algebra_file
 
 
 USAGE = """usage: formacheck check FILE [--cap N] [--report PATH] [--emit-model PATH]
        formacheck corpus KIND [PARAM ...] (-o | --output) PATH
        formacheck duality FILE"""
-HELP = USAGE + """
+# the largest --cap: the check keeps, and the certificate writes, one row per
+# degree up to the cap, so its work and its output grow with the cap
+MAX_CAP = 100_000
+HELP = USAGE + f"""
 
   check                run the formality pipeline on an algebra file
-    --cap N            verify the quasi-isomorphism up to this degree (default: 2*top_degree + 1)
+    --cap N            verify the quasi-isomorphism up to this degree, at most {MAX_CAP}
+                       (default: 2*top_degree + 1)
     --report PATH      write the certificate here instead of stdout
     --emit-model PATH  also write the model block to this file
   corpus               generate an algebra file: even_sphere, truncated_poly, product or wedge
@@ -104,7 +107,7 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
     h, vreport, raw_obj, digest = load_algebra_file(path)
     if cap is not None and cap < h.top_degree:
         raise InputError(f"cap {cap} is below the top degree {h.top_degree}")
-    if cap is not None and cap >= sys.maxsize:  # no list holds cap + 1 degrees
+    if cap is not None and cap > MAX_CAP:
         raise InputError(f"cap {cap} is too large")
     cert = certify(h, vreport, cap)
     certificate = {
@@ -114,8 +117,8 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
     }
     # the model first: a run that fails to write it leaves no certificate
     if emit_model is not None and cert.model is not None:
-        _write(emit_model, json.dumps(certificate["model"], indent=2, sort_keys=True) + "\n")
-    text = json.dumps(certificate, indent=2, sort_keys=True) + "\n"
+        _write(emit_model, dump_json(certificate["model"]) + "\n")
+    text = dump_json(certificate) + "\n"
     if report is not None:
         _write(report, text)
     elif _stdout(EXIT_OK, text) != EXIT_OK:
@@ -147,7 +150,7 @@ def run_corpus(kind: str, params: list, out) -> int:
     from .corpus import generate
 
     obj = generate(kind, params)
-    _write(out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write(out, dump_json(obj) + "\n")
     _stderr(f"wrote {obj['name']} to {out}")
     return EXIT_OK
 
@@ -166,7 +169,7 @@ def run_duality(path) -> int:
         "all_equal": all(r.equal for r in rows),
     }
     return _stdout(EXIT_OK if result["all_equal"] else EXIT_INPUT_ERROR,
-                   json.dumps(result, indent=2, sort_keys=True) + "\n")
+                   dump_json(result) + "\n")
 
 
 def parse_command_line(argv):

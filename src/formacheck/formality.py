@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from typing import Optional
 
-from .algebra import GradedAlgebra, ValidationReport, choose_generators
+from .algebra import GradedAlgebra, ValidationReport
 from .cohomology import QuasiIsoReport, verify_quasi_iso
 from .linalg import rank
 from .model import EEntry, GoodObject, build_model, compute_E, good_objects
@@ -57,7 +57,9 @@ def check_condition_ii(e: tuple[EEntry, ...]) -> bool:
     class) make the indexed family dependent, so the check keeps one row
     per entry rather than deduplicating values: the family is independent
     when the integer rank (`linalg.rank`) of its class vectors is its
-    length.  Vacuously true when empty.
+    length.  `rank` ranks apart the blocks of classes that share a basis
+    position, directly or through other classes, so on a monomial table
+    each class is a block of its own.  Vacuously true when empty.
     """
     return rank([entry.class_vector for entry in e]) == len(e)
 
@@ -171,7 +173,7 @@ class Certificate(namedtuple("Certificate", (
 
 def certify(h: GradedAlgebra, report: ValidationReport,
             cap: Optional[int] = None) -> Certificate:
-    """choose_generators -> E -> good objects -> model -> capped
+    """h.generators -> E -> good objects -> model -> capped
     quasi-isomorphism check -> verdict, for h and its `validate` report.
 
     The cap defaults to 2 * top degree + 1 and may not be below the top
@@ -183,7 +185,7 @@ def certify(h: GradedAlgebra, report: ValidationReport,
     if cap < h.top_degree:
         raise ValueError(
             f"cap {cap} is below the top degree {h.top_degree}; the check would be vacuous")
-    gens = choose_generators(h)
+    gens = h.generators
     e = goods = model = quasi = None
     if _odd_degrees_vanish(h):
         e = compute_E(h, gens)

@@ -7,9 +7,11 @@ the formats stay exact and language neutral; floats are rejected outright.
 from __future__ import annotations
 
 import json
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 try:  # the OpenSSL-free digest (CPython 3.10-3.11): loading hashlib costs a check ~5 ms
     from _sha256 import sha256
@@ -52,6 +54,50 @@ def format_rational(x: Fraction) -> str:
         digits = Decimal(max(abs(x.numerator), x.denominator)).adjusted() + 1
         raise InputError(f"a rational in the result has {digits} digits, "
                          "too many to write out") from exc
+
+
+def dump_json(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for the
+    values `json.loads` returns and tuples.  With `indent` set the stdlib
+    encodes in pure Python, one generator per container; this appends to
+    one list of strings and takes its string escapes from the stdlib's."""
+    out: list[str] = []
+    _dump(obj, out, "\n")
+    return "".join(out)
+
+
+def _dump(obj, out: list, newline: str):
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, opening = newline + "  ", "{"
+        for key, value in sorted(obj.items()):
+            out.append(f"{opening}{inner}{encode_basestring_ascii(key)}: ")
+            _dump(value, out, inner)
+            opening = ","
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner, opening = newline + "  ", "["
+        for value in obj:
+            out.append(opening + inner)
+            _dump(value, out, inner)
+            opening = ","
+        out.append(newline + "]")
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append("NaN" if obj != obj else "Infinity" if obj == math.inf
+                   else "-Infinity" if obj == -math.inf else float.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _require(obj, key, kind, where):

@@ -51,9 +51,33 @@ def integer_row(row: Row) -> list[tuple[int, int]]:
 
 
 def rank(rows: Iterable[Row]) -> int:
-    """Rank over Q of sparse rows: `integer_rank` of the rows scaled by
-    `integer_row`.  Zero columns and the order of the columns do not change
-    a rank, so the matrix holds only the columns that some row touches."""
+    """Rank over Q of sparse rows, block by block.  Rows that share a
+    column, directly or through other rows, form a block; blocks have
+    disjoint columns, so the rank is the sum of theirs.  A block of one row
+    has rank 1; any other is scaled by `integer_row` and ranked by
+    `integer_rank` on only the columns its rows touch, since zero columns
+    and the order of the columns do not change a rank."""
+    rows = [row for row in rows if row]
+    root: dict[int, int] = {}  # column -> a column of its block; a root maps to itself
+
+    def find(k):
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    for row in rows:
+        for k, _ in row:
+            root.setdefault(k, k)
+        first = find(row[0][0])
+        for k, _ in row[1:]:
+            root[find(k)] = first
+    blocks: dict[int, list] = {}
+    for row in rows:
+        blocks.setdefault(find(row[0][0]), []).append(row)
+    return sum(1 if len(block) == 1 else _block_rank(block) for block in blocks.values())
+
+
+def _block_rank(rows: list[Row]) -> int:
     rows = [integer_row(row) for row in rows]
     column = {k: i for i, k in enumerate(sorted({k for row in rows for k, _ in row}))}
     dense = [[0] * len(column) for _ in rows]

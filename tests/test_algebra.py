@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import formacheck as fc
-from formacheck.algebra import AlgebraStructureError, GradedAlgebra
+from formacheck.algebra import AlgebraStructureError, GradedAlgebra, _associativity_witness
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import parse_algebra_json
 from formacheck.reference import as_row, phi_tilde, unit_vec, zero_vec
@@ -245,6 +246,107 @@ def test_mul_on_rows_matches_the_dense_product(k, rebase, seed, data):
     for x, y in ((a, b), (b, a), (h.unit(), a), (b, h.unit()), (a, a)):
         assert h.mul(x, y) == as_row(dense_mul(h, dense(h, x), dense(h, y)))
     assert h.mul(h.unit(), a) == a == h.mul(a, h.unit())
+
+
+def generator_indices(h):
+    return [g.class_vector[0][0] for g in fc.choose_generators(h)]
+
+
+def full_scan(h, report):
+    """The lexicographic scan `validate` falls back on, with the skips its laws allow."""
+    return _associativity_witness(
+        h, exact_skip=report.unit_law and report.graded_multiplicativity,
+        half=report.graded_multiplicativity and report.graded_commutativity)
+
+
+def four_laws(report):
+    return (report.single_unit_in_degree_zero and report.unit_law
+            and report.graded_multiplicativity and report.graded_commutativity)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(0, len(BASES) - 1), rebase=st.booleans(),
+       fault=st.sampled_from(FAULTS), seed=st.integers(0, 2 ** 32 - 1))
+def test_light_test_agrees_with_the_full_scan_on_broken_tables(k, rebase, fault, seed):
+    # with the four laws, the triples with a generator in the middle decide
+    # associativity exactly, and the report names the full scan's first witness
+    rng = random.Random(seed)
+    h = broken_table(rebased(parse_algebra_json(BASES[k]), rng) if rebase
+                     else parse_algebra_json(BASES[k]), fault, rng)
+    report = fc.validate(h)
+    witness = full_scan(h, report)
+    assert report.associativity == (witness is None)
+    if four_laws(report):
+        light = _associativity_witness(h, True, True, generator_indices(h))
+        assert (light is None) == (witness is None)
+    if witness is not None:
+        assert report.failures[-1] == "associativity fails on ({}, {}, {})".format(
+            *(h.labels[i] for i in witness))
+
+
+def mutated_table(h, rng):
+    """h's table with one to three seeded changes of products of
+    positive-degree classes, each in the right degree, so that the unit law
+    and the grading stay and only associativity and, on an odd square,
+    graded commutativity can fail.  One table in eight also gets a second
+    degree-0 class and one in eight a product changed on one side only."""
+    labels, unit = h.labels, h.labels[h.unit_index]
+    degree = dict(zip(labels, h.degrees))
+    positive = [lab for lab in labels if lab != unit]
+    table = {(labels[i], labels[j]): {labels[k]: c for k, c in row}
+             for (i, j), row in h.mult.items() if i <= j and h.unit_index not in (i, j)}
+    for _ in range(rng.randint(1, 3)):
+        a, b = sorted(rng.choices(positive, k=2), key=labels.index)
+        fits = [lab for lab in positive if degree[lab] == degree[a] + degree[b]]
+        if fits:
+            table.setdefault((a, b), {})[rng.choice(fits)] = Fraction(rng.randint(-2, 2),
+                                                                       rng.choice((1, 2)))
+    basis, kind = list(zip(labels, h.degrees)), rng.randrange(8)
+    if kind == 0:
+        basis.insert(rng.randrange(1, len(basis) + 1), ("e", 0))
+        table[("e", "e")] = {"e": 1}
+    out = GradedAlgebra.from_products(basis, unit, table)
+    pairs = sorted(p for p in out.mult if p[0] < p[1] and h.unit_index not in p)
+    if kind == 1 and pairs:
+        mult = dict(out.mult)
+        mult[pairs[rng.randrange(len(pairs))]] = ()  # the mirror keeps its product
+        out = GradedAlgebra(out.labels, out.degrees, out.unit_index,
+                            {p: row for p, row in mult.items() if row})
+    return out
+
+
+def test_light_test_on_a_corpus_of_mutated_tables():
+    # 3,000 seeded tables, compared with the dense reference: the mutations
+    # keep the laws Light's test needs on most tables, so most reports
+    # rest on it, and some break the single unit or graded commutativity
+    bases = [h for h in map(parse_algebra_json, BASES) if h.dim >= 4]  # room for a product
+    bases += [rebased(h, random.Random(i)) for i, h in enumerate(bases)]
+    seen = {"light": 0, "not associative": 0, "single unit": 0, "commutativity": 0}
+    for seed in range(3000):
+        rng = random.Random(seed)
+        h = mutated_table(bases[seed % len(bases)], rng)
+        report = fc.validate(h)
+        assert report == brute_validate(h), seed
+        seen["light"] += four_laws(report)
+        seen["not associative"] += not report.associativity
+        seen["single unit"] += not report.single_unit_in_degree_zero
+        seen["commutativity"] += not report.graded_commutativity
+    assert seen["light"] > 2000 and seen["not associative"] > 500
+    assert seen["single unit"] > 200 and seen["commutativity"] > 200
+
+
+def test_validate_work_does_not_grow_with_the_top_degree():
+    # validate chooses the generators; both visit the degrees that hold a
+    # class, not every degree up to the top one
+    h = GradedAlgebra.from_products([("1", 0), ("x", 2), ("z", 10 ** 6)], "1", {})
+    tracemalloc.start()
+    try:
+        report, gens = fc.validate(h), h.generators
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.structure_ok and [g.degree for g in gens] == [2, 10 ** 6]
+    assert peak < 10 ** 6
 
 
 def test_validate_wrong_degree_term_after_a_right_one():

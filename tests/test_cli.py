@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import formacheck as fc
-from formacheck.cli import USAGE, main, parse_command_line
+from formacheck import algebra as algebra_module
+from formacheck.cli import MAX_CAP, USAGE, main, parse_command_line
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import InputError, load_algebra_file, parse_algebra_json
 
-from util import algebra, corpus_objects, dependent_pair, serialize_algebra, sphere_wedge_8
+from util import (algebra, corpus_objects, cp2_power_3, dependent_pair, serialize_algebra,
+                  sphere_wedge_8)
 
 
 def write_json(path, obj):
@@ -233,13 +235,29 @@ def test_check_cap_below_top_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cap 2 is below the top degree 4\n"
 
 
-@pytest.mark.parametrize("cap", [sys.maxsize, 10 ** 20])
+@pytest.mark.parametrize("cap", [MAX_CAP + 1, sys.maxsize, 10 ** 20])
 def test_check_cap_too_large_rejected(tmp_path, capsys, cap):
-    # one list entry per degree up to the cap: no list has sys.maxsize + 1
+    # the check keeps and writes one row per degree up to the cap
     path = write_json(tmp_path / "point.json", {"name": "point", "unit": "1", "products": [],
                                                 "basis": [{"label": "1", "degree": 0}]})
     assert main(["check", path, "--cap", str(cap)]) == 1
     assert capsys.readouterr().err == f"error: cap {cap} is too large\n"
+
+
+@pytest.mark.parametrize("obj", [
+    truncated_poly(2, 3), wedge(even_sphere(2), even_sphere(2)),
+    serialize_algebra(cp2_power_3(), name="cp2_power_3"),
+    {"name": "odd", "unit": "1", "products": [],
+     "basis": [{"label": "1", "degree": 0}, {"label": "z", "degree": 3}]}],
+    ids=["cp2", "wedge", "cp2_power_3", "odd"])
+def test_check_chooses_the_generators_once(tmp_path, monkeypatch, capsys, obj):
+    # `validate` and `certify` share `h.generators`, which looks the function up by name
+    calls = []
+    choose = algebra_module.choose_generators
+    monkeypatch.setattr(algebra_module, "choose_generators",
+                        lambda h: calls.append(h) or choose(h))
+    assert main(["check", write_json(tmp_path / "in.json", obj)]) in (0, 3, 4)
+    assert len(calls) == 1
 
 
 def test_check_result_too_long_to_print(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Parser fuzzing: mutated algebra and chain-complex files must end in an
-exit code, never a traceback, and exit 1 must come with an `error:` line."""
+exit code, never a traceback, and exit 1 must come with an `error:` line.
+The JSON writer, `formats.dump_json`, must write what `json.dumps` writes."""
 
 import contextlib
 import copy
@@ -9,11 +10,12 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formacheck.cli import main
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
+from formacheck.formats import dump_json
 
 ALGEBRAS = [
     even_sphere(2),
@@ -176,3 +178,22 @@ REJECTED_COMPLEXES = {
 def test_duality_rejects_mutated_chain_complex_file(name):
     code, err = run_cli("duality", REJECTED_COMPLEXES[name])
     assert code == 1 and err.startswith("error: "), err
+
+
+# what `json.loads` can return, which the certificate echoes as its input,
+# and tuples; floats include NaN, the infinities and -0.0
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+@example({"": [], "a": {}, "b": [[], {}, ()], "c": ({"d": []},)})  # nested empty containers
+@example(["\u00e9\u2028\ud800\x00\x1f\"\\/\n\t", {"\U0001f600": "\u00ff"}])  # non-ASCII, escapes
+@example([True, False, None, 0, -0.0, 1e300, 5e-324, float("nan"), float("inf"),
+          float("-inf"), -10 ** 40])
+def test_dump_json_matches_the_stdlib(obj):
+    assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)

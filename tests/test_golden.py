@@ -12,6 +12,7 @@ pin how a class is written; a change in the rebasing moves them too.
 Regenerate a digest only for a change that means to alter the certificate.
 """
 
+import functools
 import hashlib
 import json
 import random
@@ -21,8 +22,9 @@ import pytest
 import formacheck as fc
 from formacheck.formats import certificate_json
 
-from util import (algebra, change_basis, corpus_objects, cp2_power_3, dependent_family,
-                  dependent_pair, s2_power_4, serialize_algebra, sphere_wedge_8)
+from util import (algebra, change_basis, corpus_objects, cp2_power_3, cp2_power_4,
+                  dependent_family, dependent_pair, s2_power_4, serialize_algebra,
+                  sphere_wedge_8)
 
 GOLDEN = {
     "even_sphere(2)": "032c5ae0e0c5dd831f118772135c6675ec3acceb793e4737018afdf5bd4243b1",
@@ -52,6 +54,8 @@ GOLDEN = {
     "sphere_wedge_8": "9e02002f88111c80dcf64e7008464ddc7193170f5bcfa5a0a9992b6050d2726b",
     "rebased(cp2_power_3,1)":
         "057496a4980ede00702a42b403261ae3e4863e3975ac9a4b340986ac19291c68",
+    "rebased(cp2_power_4,1)":
+        "2aa0c3d1cd9aab64fc5cedbc244dec5e8b2df09e00819a4b516b405f9f15f6c2",
     "rebased(dependent_family,1)":
         "b0b6e6fabae6bbedeef6583288ff39ab21854b099468ee13954ba42916c258ab",
     "rebased(dependent_pair,1)":
@@ -61,6 +65,7 @@ GOLDEN = {
 # name -> (builder, seed) of the rebased inputs
 REBASED = {
     "rebased(cp2_power_3,1)": (cp2_power_3, 1),
+    "rebased(cp2_power_4,1)": (cp2_power_4, 1),
     "rebased(dependent_family,1)": (dependent_family, 1),
     "rebased(dependent_pair,1)": (dependent_pair, 1),
 }
@@ -73,8 +78,9 @@ GOLDEN_AT_CAP = {
 }
 
 
+@functools.cache
 def inputs() -> dict:
-    """Each golden input's algebra-file object, by name."""
+    """Each golden input's algebra-file object, by name, built once."""
     out = {obj["name"]: obj for obj in corpus_objects()}
     out["dependent_family"] = serialize_algebra(dependent_family(), name="dependent_family")
     out["sphere_wedge_8"] = serialize_algebra(sphere_wedge_8(), name="sphere_wedge_8")

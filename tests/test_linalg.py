@@ -256,6 +256,44 @@ def test_rank_of_sparse_rows_matches_sympy(rows):
 
 
 @st.composite
+def blocks_of_rows(draw):
+    """Sparse rows in blocks over disjoint column ranges, some ranges a few
+    columns apart; rows of one block share columns or chain through each
+    other, some blocks are one row, and empty rows are mixed in.  The rows
+    come shuffled, so a block's rows seldom arrive together."""
+    entry = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4))
+    rows, start = [], 0
+    for size in draw(st.lists(st.integers(1, 4), max_size=5)):
+        columns = range(start, start + draw(st.integers(1, 4)))
+        start = columns.stop + draw(st.integers(0, 2))
+        rows += [tuple(sorted(draw(st.dictionaries(st.sampled_from(columns), entry,
+                                                   min_size=1, max_size=3)).items()))
+                 for _ in range(size)]
+    return draw(st.permutations(rows + [()] * draw(st.integers(0, 2))))
+
+
+def one(*columns):
+    return tuple((k, Fraction(1)) for k in columns)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(blocks_of_rows())
+@example([])                                                   # no rows
+@example([(), ()])                                             # zero rows only
+@example([one(0), one(1), one(2), (), one(3, 4)])              # disjoint supports
+@example([one(0, 1), one(2, 3), one(1, 2), one(3, 4), one(0, 4)])  # one chain, late joins
+@example([one(0, 1), one(2, 3), one(0, 1, 2, 3)])              # the last row joins two blocks
+@example([one(1, 2), one(1), one(0, 2), one(2)])               # a join through a non-root column
+@example([one(0, 1), one(2, 3), one(4), one(0, 1), ((2, Fraction(-2)), (3, Fraction(-2)))])
+def test_rank_of_blocks_matches_sympy(rows):
+    # the rank of rows in independent blocks is the sum of the blocks' ranks,
+    # however the blocks' rows are interleaved
+    cols = 1 + max((k for row in rows for k, _ in row), default=0)
+    dense = [[dict(row).get(k, ZERO) for k in range(cols)] for row in rows]
+    assert rank(rows) == sympy_matrix(dense, cols).rank()
+
+
+@st.composite
 def integer_matrices(draw):
     """(rows, cols): small integer entries, some rows and columns zeroed,
     and some rows repeated, as they are or negated."""

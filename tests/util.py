@@ -62,6 +62,11 @@ def cp2_power_3():
     return algebra(product(product(cp2_obj, cp2_obj), cp2_obj))
 
 
+def cp2_power_4():
+    cp2_obj = truncated_poly(2, 3)
+    return algebra(product(product(product(cp2_obj, cp2_obj), cp2_obj), cp2_obj))
+
+
 def sphere_wedge_8():
     w2 = wedge(even_sphere(2), even_sphere(2))
     w4 = wedge(w2, w2)

@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .linalg import ONE, Row, integer_pivots, integer_row
+from .linalg import Row, integer_pivots, integer_row
 
 
 class AlgebraStructureError(ValueError):
@@ -64,7 +63,7 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult"
         return len(self.degree_indices(n))
 
     def basis_vector(self, i: int) -> Row:
-        return ((i, ONE),)
+        return ((i, 1),)
 
     def unit(self) -> Row:
         return self.basis_vector(self.unit_index)
@@ -75,7 +74,7 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult"
 
     @classmethod
     def from_products(cls, basis: Sequence[tuple[str, int]], unit: str,
-                      products: Mapping[tuple[str, str], Mapping[str, Fraction]]
+                      products: Mapping[tuple[str, str], Mapping[str, "int | Fraction"]]
                       ) -> "GradedAlgebra":
         """Build from the half multiplication table keyed by labels.
 
@@ -105,7 +104,7 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult"
         # unit law holds by default; explicit entries below may override it
         # (validate() will then flag the violation)
         for j in range(dim):
-            mult[(u, j)] = mult[(j, u)] = ((j, ONE),)
+            mult[(u, j)] = mult[(j, u)] = ((j, 1),)
 
         for (left, right), value in products.items():
             if left not in index or right not in index:
@@ -120,7 +119,10 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult"
                     raise AlgebraStructureError(f"unknown label {lab!r} in product value")
                 if isinstance(coeff, float):
                     raise AlgebraStructureError("floating point coefficients are not allowed")
-                terms[index[lab]] = Fraction(coeff)
+                if type(coeff) is not int:  # an `int` stays one; a `bool` does not
+                    from fractions import Fraction
+                    coeff = Fraction(coeff)
+                terms[index[lab]] = coeff
             entry = tuple((k, c) for k, c in sorted(terms.items()) if c != 0)
             odd_pair = degrees[i] % 2 and degrees[j] % 2
             mirror = tuple((k, -c) for k, c in entry) if odd_pair else entry
@@ -187,7 +189,7 @@ def validate(h: GradedAlgebra) -> ValidationReport:
 
     unit_ok = True
     for j in range(h.dim):
-        e = ((j, ONE),)
+        e = ((j, 1),)
         if mult.get((u, j)) != e or mult.get((j, u)) != e:
             unit_ok = False
             failures.append(f"unit law fails on {h.labels[j]}")

@@ -39,14 +39,14 @@ from .formats import InputError, certificate_json, dump_json, load_algebra_file
 USAGE = """usage: formacheck check FILE [--cap N] [--report PATH] [--emit-model PATH]
        formacheck corpus KIND [PARAM ...] (-o | --output) PATH
        formacheck duality FILE"""
-# the largest --cap: the check keeps, and the certificate writes, one row per
-# degree up to the cap, so its work and its output grow with the cap
+# the largest cap, given or default: the check keeps, and the certificate writes,
+# one row per degree up to the cap, so its work and its output grow with the cap
 MAX_CAP = 100_000
 HELP = USAGE + f"""
 
   check                run the formality pipeline on an algebra file
-    --cap N            verify the quasi-isomorphism up to this degree, at most {MAX_CAP}
-                       (default: 2*top_degree + 1)
+    --cap N            verify the quasi-isomorphism up to this degree
+                       (default: 2*top_degree + 1); either way at most {MAX_CAP}
     --report PATH      write the certificate here instead of stdout
     --emit-model PATH  also write the model block to this file
   corpus               generate an algebra file: even_sphere, truncated_poly, product or wedge
@@ -107,7 +107,8 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
     h, vreport, raw_obj, digest = load_algebra_file(path)
     if cap is not None and cap < h.top_degree:
         raise InputError(f"cap {cap} is below the top degree {h.top_degree}")
-    if cap is not None and cap > MAX_CAP:
+    cap = 2 * h.top_degree + 1 if cap is None else cap
+    if cap > MAX_CAP:
         raise InputError(f"cap {cap} is too large")
     cert = certify(h, vreport, cap)
     certificate = {

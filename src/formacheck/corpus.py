@@ -7,8 +7,6 @@ regular parser before returning it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import GradedAlgebra
 from .formats import InputError, _read_json, format_rational, parse_algebra_json
 
@@ -57,10 +55,10 @@ def _product_table(a: GradedAlgebra, b: GradedAlgebra):
         out = {}
         if left is None or right is None:
             return out
-        sign = Fraction(-1) if (b.degrees[j] % 2 and a.degrees[k] % 2) else Fraction(1)
+        sign = -1 if (b.degrees[j] % 2 and a.degrees[k] % 2) else 1
         for m, cm in left:
             for n, cn in right:
-                out[pos[(m, n)]] = out.get(pos[(m, n)], Fraction(0)) + sign * cm * cn
+                out[pos[(m, n)]] = out.get(pos[(m, n)], 0) + sign * cm * cn
         return {k2: v for k2, v in out.items() if v != 0}
 
     return pairs, mul

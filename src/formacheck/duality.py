@@ -7,7 +7,6 @@ duality` uses this module; `check` never imports it, nor it `reference`.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from typing import Optional
 
 from .formats import InputError, _optional_list, _read_json, _require, parse_rational
@@ -29,7 +28,7 @@ class ChainComplexQ(namedtuple("ChainComplexQ", "dims boundaries")):
     __slots__ = ()
 
     def __new__(cls, dims: tuple[int, ...],
-                boundaries: tuple[tuple[tuple[Fraction, ...], ...], ...]):
+                boundaries: tuple[tuple[tuple["int | Fraction", ...], ...], ...]):
         if len(boundaries) != max(len(dims) - 1, 0):
             raise ValueError("need exactly one boundary matrix per adjacent pair")
         for k, b in enumerate(boundaries):

@@ -2,6 +2,7 @@
 
 All files are UTF-8 JSON.  Rationals travel as strings "p/q" (or "p") so
 the formats stay exact and language neutral; floats are rejected outright.
+Integral rationals read as `int`s, and only a "p/q" string loads `fractions`.
 """
 
 from __future__ import annotations
@@ -9,8 +10,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from decimal import Decimal
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 try:  # the OpenSSL-free digest (CPython 3.10-3.11): loading hashlib costs a check ~5 ms
@@ -24,33 +23,38 @@ from .formality import Certificate, DegreeSet
 from .linalg import Row
 from .model import Monomial, format_monomial
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+_RATIONAL = r"-?[0-9]+(?:/[1-9][0-9]*)?"  # compiled and cached by `re` on first use
 
 
 class InputError(Exception):
     """Malformed or invalid input file; carries positional context."""
 
 
-def parse_rational(value, where: str = "value") -> Fraction:
+def parse_rational(value, where: str = "value") -> "int | Fraction":
     if isinstance(value, bool):
         raise InputError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
+        if not re.fullmatch(_RATIONAL, value):
             raise InputError(f"{where}: malformed rational {value!r}")
         try:
-            return Fraction(value)
+            if "/" not in value:
+                return int(value)
+            from fractions import Fraction
+            x = Fraction(value)
+            return x.numerator if x.denominator == 1 else x
         except ValueError as exc:  # more digits than int() converts
             raise InputError(f"{where}: rational with too many digits "
                              f"({len(value)} characters)") from exc
     raise InputError(f"{where}: expected a rational string, got {type(value).__name__}")
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: "int | Fraction") -> str:
     try:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     except ValueError as exc:  # more digits than str() converts; Decimal() has no limit
+        from decimal import Decimal
         digits = Decimal(max(abs(x.numerator), x.denominator)).adjusted() + 1
         raise InputError(f"a rational in the result has {digits} digits, "
                          "too many to write out") from exc

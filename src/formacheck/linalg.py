@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
-A vector is a sparse `Row` with `fractions.Fraction` coefficients; no float
-is allowed anywhere.  The check path has one elimination, the fraction-free
-`integer_pivots`: `rank` scales rows to integers for it, and the generator
-choice reads its pivot columns; `as_row` turns a dense vector into a `Row`.
+A vector is a sparse `Row` of exact rationals, each an `int` or a
+`fractions.Fraction` (`formats` reads an integral one as an `int`).  They
+mix exactly under + - * and ==; none is divided with `/` (a quotient of
+`int`s is a float), and no float is allowed.  The check path has one
+elimination, the fraction-free `integer_pivots`: `rank` scales rows to
+integers for it, and the generator choice reads its pivot columns;
+`as_row` turns a dense vector into a `Row`.
 Dense matrices and the reduced echelon form (`MatQ`, `RowSpace`, `rref`,
 `kernel_basis`), which only the reference and the tests use, live in `reference`.
 """
@@ -11,12 +14,9 @@ Dense matrices and the reduced echelon form (`MatQ`, `RowSpace`, `rref`,
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-Row = tuple[tuple[int, Fraction], ...]  # sparse vector: nonzero (k, c), k increasing
-
-ONE = Fraction(1)
+Row = tuple[tuple[int, "int | Fraction"], ...]  # sparse vector: nonzero (k, c), k increasing
 
 
 def _moved_to_reference(module: str, names: set[str]):
@@ -39,7 +39,7 @@ def _moved_to_reference(module: str, names: set[str]):
 __getattr__ = _moved_to_reference(__name__, {"kernel_basis", "rref"})
 
 
-def as_row(v: Sequence[Fraction]) -> Row:
+def as_row(v: Sequence) -> Row:
     """The dense vector v as a `Row`, for `rank`."""
     return tuple((k, c) for k, c in enumerate(v) if c)
 

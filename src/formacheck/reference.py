@@ -25,14 +25,14 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import GradedAlgebra
 from .cohomology import DegreeReport
-from .linalg import ONE, as_row, rank
+from .linalg import as_row, rank
 from .model import EvenPart, Model, Monomial
 
 
 # dense vectors and matrices and the reduced echelon form
 
 Vec = tuple[Fraction, ...]
-ZERO = Fraction(0)
+ZERO, ONE = Fraction(0), Fraction(1)  # dense vectors stay all `Fraction`, so `/` stays exact
 
 
 def _coerce(x) -> Fraction:

@@ -235,13 +235,19 @@ def test_check_cap_below_top_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cap 2 is below the top degree 4\n"
 
 
-@pytest.mark.parametrize("cap", [MAX_CAP + 1, sys.maxsize, 10 ** 20])
+@pytest.mark.parametrize("cap", [MAX_CAP + 1, sys.maxsize, 10 ** 20, None])
 def test_check_cap_too_large_rejected(tmp_path, capsys, cap):
-    # the check keeps and writes one row per degree up to the cap
-    path = write_json(tmp_path / "point.json", {"name": "point", "unit": "1", "products": [],
-                                                "basis": [{"label": "1", "degree": 0}]})
-    assert main(["check", path, "--cap", str(cap)]) == 1
-    assert capsys.readouterr().err == f"error: cap {cap} is too large\n"
+    # the check keeps and writes one row per degree up to the cap, given or default
+    if cap is None:  # S^50000 from `corpus`, whose default cap is 2 * 50000 + 1
+        assert main(["corpus", "even_sphere", "50000", "-o", str(tmp_path / "s.json")]) == 0
+        argv, cap = ["check", str(tmp_path / "s.json")], 100_001
+    else:
+        path = write_json(tmp_path / "point.json", {"name": "point", "unit": "1", "products": [],
+                                                    "basis": [{"label": "1", "degree": 0}]})
+        argv = ["check", path, "--cap", str(cap)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: cap {cap} is too large\n")
 
 
 @pytest.mark.parametrize("obj", [

@@ -1,6 +1,8 @@
 """Parser fuzzing: mutated algebra and chain-complex files must end in an
 exit code, never a traceback, and exit 1 must come with an `error:` line.
-The JSON writer, `formats.dump_json`, must write what `json.dumps` writes."""
+The JSON writer, `formats.dump_json`, must write what `json.dumps` writes.
+A rational `formats.parse_rational` accepts is the `Fraction` of the same
+value, but an `int` exactly when it is integral."""
 
 import contextlib
 import copy
@@ -8,6 +10,7 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 from formacheck.cli import main
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
-from formacheck.formats import dump_json
+from formacheck.formats import InputError, dump_json, format_rational, parse_rational
 
 ALGEBRAS = [
     even_sphere(2),
@@ -197,3 +200,24 @@ JSON_VALUES = st.recursive(
           float("-inf"), -10 ** 40])
 def test_dump_json_matches_the_stdlib(obj):
     assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers() | st.from_regex(r"-?[0-9]+(?:/[1-9][0-9]*)?", fullmatch=True))
+@example("4/2")
+@example("-0/7")
+@example("007")
+@example(-10 ** 40)
+def test_parse_rational_is_an_int_exactly_when_integral(value):
+    x, exact = parse_rational(value), Fraction(value)
+    assert x == exact and hash(x) == hash(exact)
+    assert type(x) is (int if exact.denominator == 1 else Fraction)
+    assert format_rational(x) == format_rational(exact)
+
+
+@pytest.mark.parametrize("value", ["9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000],
+                         ids=["integer", "negative", "fraction"])
+def test_parse_rational_rejects_too_many_digits(value):
+    with pytest.raises(InputError, match=rf"^x: rational with too many digits "
+                                         rf"\({len(value)} characters\)$"):
+        parse_rational(value, "x")

@@ -6,6 +6,9 @@ the sha256 of its sorted JSON.  `GOLDEN` is taken at the default cap, and
 `GOLDEN_AT_CAP` at the caps the benchmark's workloads run.  A change that
 moves any field of any certificate (a value, an order, a key) moves its
 digest.
+A file's integral coefficients are read as `int`s; a table built with
+`Fraction(n)` in place of every integral `n` gives the same stages and the
+same certificate, byte for byte.
 The rebased inputs (`change_basis` with a seeded `random.Random`) have E
 classes with several terms and coefficients other than 1, so their digests
 pin how a class is written; a change in the rebasing moves them too.
@@ -16,11 +19,12 @@ import functools
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 import formacheck as fc
-from formacheck.formats import certificate_json
+from formacheck.formats import certificate_json, dump_json, parse_rational
 
 from util import (algebra, change_basis, corpus_objects, cp2_power_3, cp2_power_4,
                   dependent_family, dependent_pair, s2_power_4, serialize_algebra,
@@ -111,3 +115,27 @@ def test_certificate_digest(name):
 @pytest.mark.parametrize("name,cap", sorted(GOLDEN_AT_CAP))
 def test_certificate_digest_at_cap(name, cap):
     assert certificate_digest(inputs()[name], cap) == GOLDEN_AT_CAP[(name, cap)]
+
+
+def table(raw: dict, coefficient) -> fc.GradedAlgebra:
+    """The algebra of the file `raw`, each coefficient read by `coefficient`."""
+    products = {(item["left"], item["right"]): {term["label"]: coefficient(term["coeff"])
+                                                for term in item["value"]}
+                for item in raw["products"]}
+    return fc.GradedAlgebra.from_products([(b["label"], b["degree"]) for b in raw["basis"]],
+                                          raw["unit"], products)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_int_and_fraction_coefficients_give_one_certificate(name):
+    raw = inputs()[name]
+    h, h_fraction = table(raw, parse_rational), table(raw, Fraction)
+    assert all(type(c) is int or c.denominator > 1 for row in h.mult.values() for _, c in row)
+    assert all(type(c) is Fraction for (i, j), row in h_fraction.mult.items()
+               if h.unit_index not in (i, j) for _, c in row)
+    assert h.mult == h_fraction.mult
+    assert h.generators == h_fraction.generators
+    assert fc.compute_E(h, h.generators) == fc.compute_E(h_fraction, h_fraction.generators)
+    certificates = [dump_json(certificate_json(fc.certify(a, fc.validate(a)), raw, "0" * 64))
+                    for a in (h, h_fraction)]
+    assert certificates[0] == certificates[1]

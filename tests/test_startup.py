@@ -4,9 +4,12 @@ The degree-by-degree `reference` stays out of every command, `duality`
 included, though the names of it that the tracer looks up still resolve
 at their old addresses.  OpenSSL stays out too: `formats` takes its sha256 from
 `_sha256` where Python has it, and from `hashlib` otherwise, with the same
-digests.  The certificate's timestamp comes from `time`, not
-`datetime`.  No command loads argparse (or the gettext it brings): `cli`
-reads the command line by hand.  And how it ends: `cli.entrypoint` flushes
+digests.  `fractions` (and the `decimal` and `numbers` it brings) loads only
+for an input with a coefficient that is not an integer: a check of an
+integral table, and a corpus or duality run on integral inputs, never loads
+it.  The certificate's timestamp comes from `time`, not `datetime`.  No
+command loads argparse (or the gettext it brings): `cli` reads the command
+line by hand.  And how it ends: `cli.entrypoint` flushes
 and leaves by `os._exit`, so no `atexit` hook runs, with `main`'s exit code
 and all of its output."""
 
@@ -43,6 +46,8 @@ UNNEEDED = ("argparse", "dataclasses", "datetime", "gettext", "inspect")
 # OpenSSL's modules, which no command needs where `_sha256` exists
 OPENSSL = ("_hashlib", "hashlib")
 LEAN_DIGEST = importlib.util.find_spec("_sha256") is not None
+# the modules of exact non-integral rationals, which an integral input needs none of
+FRACTIONS = ("decimal", "fractions", "numbers")
 
 
 def loaded(code, watched=UNNEEDED):
@@ -72,20 +77,35 @@ def test_check_run_loads_only_the_check_path(tmp_path, workload):
     argv = ["check", str(path), "--report", str(report)]
     argv += ["--cap", str(cap)] if cap is not None else []
     names = loaded(f"from formacheck.cli import main; assert main({argv!r}) in (0, 4)",
-                   UNNEEDED + OPENSSL)
+                   UNNEEDED + OPENSSL + FRACTIONS)
     assert json.loads(report.read_text(encoding="utf-8"))["input_sha256"]
     assert [name for name in names if name.startswith("formacheck")] == CHECK_PATH
-    assert not set(names) & set(UNNEEDED)
+    assert not set(names) & set(UNNEEDED + FRACTIONS)
     if LEAN_DIGEST:
         assert not set(names) & set(OPENSSL)
 
 
+def test_rebased_check_loads_fractions(tmp_path):
+    obj = truncated_poly(2, 3)  # CP^2 in the basis 1, x, 2x^2: x*x = 1/2 (2x^2)
+    assert obj["products"][0]["value"] == [{"label": "x^2", "coeff": "1"}]
+    obj["products"][0]["value"][0]["coeff"] = "1/2"
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    argv = ["check", str(path), "--report", str(tmp_path / "cert.json")]
+    names = loaded(f"from formacheck.cli import main; assert main({argv!r}) == 0", FRACTIONS)
+    assert "fractions" in names
+
+
 def test_corpus_run_loads_no_unneeded_stdlib_module(tmp_path):
-    out = str(tmp_path / "s2.json")
-    names = loaded(f"from formacheck.cli import main; main(['corpus', 'even_sphere', '2', "
-                   f"'-o', {out!r}])", UNNEEDED + OPENSSL)
+    # products and wedges of integral inputs, which parse and write tables
+    s2, cp2, out = (str(tmp_path / name) for name in ("s2.json", "cp2.json", "out.json"))
+    runs = [["corpus", "even_sphere", "2", "-o", s2],
+            ["corpus", "truncated_poly", "2", "3", "-o", cp2],
+            ["corpus", "product", cp2, s2, "-o", out], ["corpus", "wedge", cp2, out, "-o", out]]
+    names = loaded(f"from formacheck.cli import main\nfor argv in {runs!r}: assert main(argv) == 0",
+                   UNNEEDED + OPENSSL + FRACTIONS)
     assert "formacheck.corpus" in names
-    assert not set(names) & set(UNNEEDED)
+    assert not set(names) & set(UNNEEDED + FRACTIONS)
     if LEAN_DIGEST:
         assert not set(names) & set(OPENSSL)
 
@@ -96,10 +116,10 @@ def test_duality_run_loads_no_reference(tmp_path):
     path.write_text(json.dumps({"dims": [1, 2, 1], "boundaries": [[["1", "-1"]], [["1"], ["1"]]]}),
                     encoding="utf-8")
     names = loaded(f"from formacheck.cli import main; assert main(['duality', {str(path)!r}]) == 0",
-                   UNNEEDED + OPENSSL)
+                   UNNEEDED + OPENSSL + FRACTIONS)
     assert "formacheck.duality" in names
     assert "formacheck.reference" not in names
-    assert not set(names) & set(UNNEEDED)
+    assert not set(names) & set(UNNEEDED + FRACTIONS)
     if LEAN_DIGEST:
         assert not set(names) & set(OPENSSL)
 

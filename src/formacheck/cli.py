@@ -3,10 +3,10 @@
 `HELP` is the command line's reference: its grammar, options and exit
 codes; `formacheck -h` prints it.  `parse_command_line` reads that grammar
 by hand: a stdlib parser's import and set-up would cost every process a few
-milliseconds.  `corpus` and `duality` import their modules when they run,
-so that a `check` process neither loads nor compiles them.  Nor does it
-load `reference`, the degree-by-degree code the tests compare against, or
-OpenSSL: `formats` takes its sha256 from `_sha256` where Python has it.
+milliseconds.  `corpus` imports its module when it runs, so that a `check`
+process neither loads nor compiles it.  Nor does it load `reference`, the
+degree-by-degree code the tests compare against, or OpenSSL: `formats`
+takes its sha256 from `_sha256` where Python has it.
 
 Every line for standard error goes through `_stderr`, which flushes it at
 once and ignores a standard error that cannot be written, so a full disk
@@ -37,8 +37,7 @@ from .formats import InputError, certificate_json, dump_json, load_algebra_file
 
 
 USAGE = """usage: formacheck check FILE [--cap N] [--report PATH] [--emit-model PATH]
-       formacheck corpus KIND [PARAM ...] (-o | --output) PATH
-       formacheck duality FILE"""
+       formacheck corpus KIND [PARAM ...] (-o | --output) PATH"""
 # the largest cap, given or default: the check keeps, and the certificate writes,
 # one row per degree up to the cap, so its work and its output grow with the cap
 MAX_CAP = 100_000
@@ -51,7 +50,6 @@ HELP = USAGE + f"""
     --emit-model PATH  also write the model block to this file
   corpus               generate an algebra file: even_sphere, truncated_poly, product or wedge
     -o, --output PATH  write the algebra file here
-  duality              check homology/dual-cohomology equality for a chain complex file
   -h, --help           show this help
 
 Options may come before or after the arguments, as `--name value`, `--name=value` or a unique
@@ -59,8 +57,7 @@ prefix of the name; `--` ends them.  check exits 0 formal with a clean capped qu
 check, 2 inconclusive, 3 hypothesis violated, 4 formal with a failing degree (discrepancy); every
 command exits 1 on an input or usage error."""
 # each command and its options, every one of which takes a value
-_COMMANDS = {"check": ("--cap", "--report", "--emit-model"), "corpus": ("--output",),
-             "duality": ()}
+_COMMANDS = {"check": ("--cap", "--report", "--emit-model"), "corpus": ("--output",)}
 
 
 def _write(path, text: str):
@@ -156,23 +153,6 @@ def run_corpus(kind: str, params: list, out) -> int:
     return EXIT_OK
 
 
-def run_duality(path) -> int:
-    from .duality import ChainComplexError, duality_check, load_chain_complex_file
-
-    complex_q, name = load_chain_complex_file(path)
-    try:
-        rows = duality_check(complex_q)
-    except ChainComplexError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    result = {
-        "name": name,
-        "degrees": [r._asdict() for r in rows],
-        "all_equal": all(r.equal for r in rows),
-    }
-    return _stdout(EXIT_OK if result["all_equal"] else EXIT_INPUT_ERROR,
-                   dump_json(result) + "\n")
-
-
 def parse_command_line(argv):
     """(command, arguments, options by keyword) from `argv`, by the grammar of
     HELP; `-h` or `--help` returns at once with the options {"help": True}.
@@ -226,9 +206,7 @@ def main(argv=None) -> int:
     try:
         if command == "check":
             return run_check(*args, **opts)
-        if command == "corpus":
-            return run_corpus(args[0], args[1:], opts["output"])
-        return run_duality(*args)
+        return run_corpus(args[0], args[1:], opts["output"])
     except InputError as exc:
         _stderr(f"error: {exc}")
         return EXIT_INPUT_ERROR

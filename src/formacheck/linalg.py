@@ -5,10 +5,10 @@ A vector is a sparse `Row` of exact rationals, each an `int` or a
 mix exactly under + - * and ==; none is divided with `/` (a quotient of
 `int`s is a float), and no float is allowed.  The check path has one
 elimination, the fraction-free `integer_pivots`: `rank` scales rows to
-integers for it, and the generator choice reads its pivot columns;
-`as_row` turns a dense vector into a `Row`.
+integers for it, and the generator choice reads its pivot columns.
 Dense matrices and the reduced echelon form (`MatQ`, `RowSpace`, `rref`,
-`kernel_basis`), which only the reference and the tests use, live in `reference`.
+`kernel_basis`) and `as_row`, which only the reference and the tests use,
+live in `reference`.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ def _moved_to_reference(module: str, names: set[str]):
 
 
 __getattr__ = _moved_to_reference(__name__, {"kernel_basis", "rref"})
-
-
-def as_row(v: Sequence) -> Row:
-    """The dense vector v as a `Row`, for `rank`."""
-    return tuple((k, c) for k, c in enumerate(v) if c)
 
 
 def integer_row(row: Row) -> list[tuple[int, int]]:

@@ -7,7 +7,7 @@ that `rref` and the cohomology basis grow.
 off the complexes Δ_α and the family E, and the tests compare the two;
 `choose_generators` reads its generators off `linalg.integer_pivots`, and
 the tests compare them with the greedy `RowSpace` rule.  `MatQ` is the
-tests' dense matrix; `duality` ranks plain tuples of rows with `linalg.rank`.
+tests' dense matrix, and `as_row` turns a dense vector into a `linalg.Row`.
 No command imports this module, so none compiles or loads it.  Only
 `linalg._moved_to_reference` imports it, for the seven names that
 `perfbench/tracer.py` looks up (`rref`, `kernel_basis`,
@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import GradedAlgebra
 from .cohomology import DegreeReport
-from .linalg import as_row, rank
+from .linalg import Row, rank
 from .model import EvenPart, Model, Monomial
 
 
@@ -56,6 +56,11 @@ def unit_vec(n: int, i: int) -> Vec:
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return not any(v)
+
+
+def as_row(v: Sequence) -> Row:
+    """The dense vector v as a `Row`, for `linalg.rank`."""
+    return tuple((k, c) for k, c in enumerate(v) if c)
 
 
 class MatQ(namedtuple("MatQ", "rows cols entries")):

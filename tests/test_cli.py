@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import formacheck as fc
 from formacheck import algebra as algebra_module
-from formacheck.cli import MAX_CAP, USAGE, main, parse_command_line
+from formacheck.cli import _COMMANDS, HELP, MAX_CAP, USAGE, main, parse_command_line
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import InputError, load_algebra_file, parse_algebra_json
 
@@ -376,13 +376,11 @@ def unwritable_stdout(target):
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
-@pytest.mark.parametrize("command", ["check", "check 8-fold wedge", "duality", "--help"])
+@pytest.mark.parametrize("command", ["check", "check 8-fold wedge", "--help"])
 def test_unwritable_stdout_exits_1(tmp_path, command, target, unbuffered):
     argv = {"check": ["check", write_json(tmp_path / "s2.json", even_sphere(2))],
             "check 8-fold wedge": ["check", write_json(tmp_path / "w8.json",
                                                       serialize_algebra(sphere_wedge_8()))],
-            "duality": ["duality", write_json(tmp_path / "c.json",
-                                              {"dims": [1, 1], "boundaries": [[["1"]]]})],
             "--help": ["--help"]}[command]
     with unwritable_stdout(target) as fd:
         run = subprocess.run([sys.executable, "-m", "formacheck", *argv], stdout=fd,
@@ -471,7 +469,8 @@ PARSED = [
      ("check", ["cp2.json"], {"cap": 12, "report": "cp2.cert.json"})),
     ("check wedge.json --emit-model model.json",
      ("check", ["wedge.json"], {"emit_model": "model.json"})),
-    ("duality complex.json", ("duality", ["complex.json"], {})),
+    # after the command, a command's name is an argument
+    ("check corpus", ("check", ["corpus"], {})),
     # --name=value, and -o with its value attached
     ("check a.json --cap=7 --report=r.json --emit-model=m.json",
      ("check", ["a.json"], {"cap": 7, "report": "r.json", "emit_model": "m.json"})),
@@ -492,7 +491,7 @@ PARSED = [
     # -- ends the options
     ("check -- -x.json", ("check", ["-x.json"], {})),
     ("check --cap 5 -- -x.json", ("check", ["-x.json"], {"cap": 5})),
-    ("duality -- --help", ("duality", ["--help"], {})),
+    ("check -- --help", ("check", ["--help"], {})),
     # an option's value may start with -, and -2 or - is an argument
     ("check a.json --cap -1", ("check", ["a.json"], {"cap": -1})),
     ("check a.json --report -r.json", ("check", ["a.json"], {"report": "-r.json"})),
@@ -506,7 +505,7 @@ PARSED = [
     ("check -h", ("check", [], {"help": True})),
     ("check a.json --he", ("check", ["a.json"], {"help": True})),
     ("corpus --help", ("corpus", [], {"help": True})),
-    ("duality -h", ("duality", [], {"help": True})),
+    ("corpus even_sphere 2 -h", ("corpus", ["even_sphere", "2"], {"help": True})),
 ]
 
 
@@ -525,8 +524,6 @@ def readme_invocations():
 
 def test_readme_invocations(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    write_json(tmp_path / "complex.json", {"name": "pair", "dims": [1, 1],
-                                           "boundaries": [[["1"]]]})
     lines = readme_invocations()
     assert set(lines) <= {line for line, _ in PARSED}
     for line in lines:
@@ -545,25 +542,52 @@ def readme_library_blocks():
 
 
 def test_readme_library_blocks(tmp_path, monkeypatch, capsys):
-    # the first block checks cp2.json; the second states its output in a comment
+    # the one block checks cp2.json
     monkeypatch.chdir(tmp_path)
     write_json(tmp_path / "cp2.json", truncated_poly(2, 3))
     blocks = readme_library_blocks()
-    assert len(blocks) == 2
-    for block in blocks:
-        exec(compile(block, "README.md", "exec"), {})
-    out = capsys.readouterr().out.splitlines()
-    stated = blocks[1].split("print(", 1)[1].split("# ", 1)[1].splitlines()[0]
-    assert out == ["FORMAL_BY_THEOREM None 0", stated]
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["FORMAL_BY_THEOREM None 0"]
 
 
 @pytest.mark.parametrize("line", ["-h", "--help", "check -h", "check --help", "corpus -h",
-                                  "corpus --help", "duality -h", "duality --help"])
+                                  "corpus --help"])
 def test_help_exits_0(line, capsys):
     assert main(shlex.split(line)) == 0
     out, err = capsys.readouterr()
     assert out.startswith(USAGE) and err == ""
-    assert all(command in out for command in ("check", "corpus", "duality", "--emit-model"))
+    assert all(command in out for command in ("check", "corpus", "--emit-model"))
+
+
+def help_table():
+    """{command: its options} as HELP's table lists them, and under None the
+    options of every command."""
+    table, command = {None: ()}, None
+    for line in HELP.split("\n\n")[1].splitlines():
+        if line.startswith("    "):
+            table[command] += tuple(re.findall(r"--[\w-]+", line))
+        elif line.split()[0].startswith("-"):
+            table[None] += tuple(re.findall(r"--[\w-]+", line))
+        else:
+            command = line.split()[0]
+            table[command] = ()
+    return table
+
+
+def test_help_and_usage_list_the_parsers_commands_and_options():
+    # a command or an option dropped from the parser but not from the help, or
+    # the other way round, fails here
+    assert help_table() == {**_COMMANDS, None: ("--help",)}
+    usage = {line.split()[1]: tuple(re.findall(r"--[\w-]+", line))
+             for line in USAGE.removeprefix("usage:").splitlines()}
+    assert usage == _COMMANDS
+    assert list(usage) == list(help_table())[1:]
+
+
+def test_retired_duality_command_is_unknown(capsys):
+    assert main(["duality", "x.json"]) == 1
+    assert capsys.readouterr() == ("", f"error: unknown command 'duality'\n{USAGE}\n")
 
 
 USAGE_ERRORS = [
@@ -582,9 +606,10 @@ USAGE_ERRORS = [
     "check a.json -- --cap 5",            # after --, options are arguments
     "corpus even_sphere 2",               # no -o
     "corpus -o x.json",                   # no kind
-    "duality",
+    "duality",                            # a retired command, now unknown
     "duality a.json b.json",
     "duality a.json --cap 5",
+    "duality x.json",
 ]
 
 
@@ -599,14 +624,14 @@ def test_usage_error_exits_1(line, capsys):
 
 # tokens the fuzzed command lines are made of; every number is small, so
 # no command line asks for unbounded work
-TOKENS = ["check", "corpus", "duality", "--cap", "--report", "--emit-model", "-o", "--output",
+TOKENS = ["check", "corpus", "--cap", "--report", "--emit-model", "-o", "--output",
           "--rep", "--em", "--c", "-h", "--help", "--", "-", "=", "0", "2", "3", "5", "12", "-1",
           "abc", "-x", "--bogus", "even_sphere", "truncated_poly", "product", "wedge",
           "s2.json", "missing.json", "out.json"]
 TOKEN = st.one_of(st.sampled_from(TOKENS),
                   st.builds("{}={}".format, st.sampled_from(TOKENS), st.sampled_from(TOKENS)))
 # many command lines start with a command, so that some get past the parser
-ARGV = st.builds(list.__add__, st.lists(st.sampled_from(TOKENS[:3]), max_size=1),
+ARGV = st.builds(list.__add__, st.lists(st.sampled_from(TOKENS[:2]), max_size=1),
                  st.lists(TOKEN, max_size=8))
 
 
@@ -664,57 +689,3 @@ def test_corpus_bad_params(tmp_path):
                  "-o", str(tmp_path / "x.json")]) == 1
     assert main(["corpus", "even_sphere", "2", "4",
                  "-o", str(tmp_path / "x.json")]) == 1
-
-
-# ---- duality subcommand ----
-
-def test_duality_subcommand(tmp_path, capsys):
-    obj = {
-        "name": "pair",
-        "dims": [1, 1],
-        "boundaries": [[["1"]]],
-    }
-    path = write_json(tmp_path / "c.json", obj)
-    assert main(["duality", path]) == 0
-    result = json.loads(capsys.readouterr().out)
-    assert result["all_equal"]
-    assert [d["homology_dim"] for d in result["degrees"]] == [0, 0]
-    # one term: no boundary matrix at all
-    path = write_json(tmp_path / "one.json", {"dims": [3], "boundaries": []})
-    assert main(["duality", path]) == 0
-    result = json.loads(capsys.readouterr().out)
-    assert result["all_equal"] is True
-    assert [d["homology_dim"] for d in result["degrees"]] == [3]
-
-
-def test_duality_square_nonzero_rejected(tmp_path, capsys):
-    obj = {
-        "dims": [1, 1, 1],
-        "boundaries": [[["1"]], [["1"]]],
-    }
-    path = write_json(tmp_path / "c.json", obj)
-    assert main(["duality", path]) == 1
-    assert "boundary squared" in capsys.readouterr().err
-
-
-def test_duality_bad_shape_rejected(tmp_path):
-    obj = {"dims": [2, 1], "boundaries": [[["1"]]]}
-    path = write_json(tmp_path / "c.json", obj)
-    assert main(["duality", path]) == 1
-
-
-def test_duality_input_error_exit(tmp_path, capsys):
-    texts = [json.dumps({"dims": [1, 1], "boundaries": [[[LONG_RATIONAL]]]}),
-             '{"dims": [1, 1], "boundaries": [[[' + LONG_INTEGER + ']]]}',
-             '{"dims": [1], "extra": ' + DEEP_NESTING + "}"]
-    path = tmp_path / "c.json"
-    for text in texts:
-        path.write_text(text, encoding="utf-8")
-        assert main(["duality", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_duality_rejects_non_list_boundaries(tmp_path, capsys):
-    path = write_json(tmp_path / "c.json", {"dims": [1, 1], "boundaries": 5})
-    assert main(["duality", path]) == 1
-    assert "field 'boundaries' must be a list" in capsys.readouterr().err

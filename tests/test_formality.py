@@ -174,6 +174,20 @@ def test_verdict_inconclusive():
     assert v.condition_i is False and v.condition_ii is False
 
 
+@pytest.mark.parametrize("make, sizes", [(s2_power_4, (11, 36)), (cp2_power_3, (23, 60))],
+                         ids=["s2_power_4", "cp2_power_3"])
+def test_verdict_depends_on_the_basis(make, sizes):
+    # E is read in the chosen generators: in its monomial basis the ring is
+    # formal by the theorem, and in a random basis of each degree, where
+    # products of generators are sums, the same ring is inconclusive
+    h = make()
+    rebased = change_basis(h, random.Random(1))
+    outcomes = [(FORMAL_BY_THEOREM, 0, sizes[0]), (INCONCLUSIVE, 2, sizes[1])]
+    for ring, outcome in zip((h, rebased), outcomes):
+        cert = fc.certify(ring, fc.validate(ring))
+        assert (cert.verdict.classification, cert.exit_code, len(cert.e_family)) == outcome
+
+
 def test_verdict_hypothesis_violated():
     h = GradedAlgebra.from_products([("1", 0), ("x", 2), ("z", 3)], "1", {})
     v = fc.render_verdict(h, None, None, None)

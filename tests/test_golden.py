@@ -11,7 +11,9 @@ A file's integral coefficients are read as `int`s; a table built with
 same certificate, byte for byte.
 The rebased inputs (`change_basis` with a seeded `random.Random`) have E
 classes with several terms and coefficients other than 1, so their digests
-pin how a class is written; a change in the rebasing moves them too.
+pin how a class is written; a change in the rebasing moves them too.  Their
+coefficients are all integers; `HALF_SQUARE`, CP^2 with x*x = 1/2 x^2, pins
+how a class with a coefficient `p/q` is written.
 Regenerate a digest only for a change that means to alter the certificate.
 """
 
@@ -24,6 +26,7 @@ from fractions import Fraction
 import pytest
 
 import formacheck as fc
+from formacheck.corpus import truncated_poly
 from formacheck.formats import certificate_json, dump_json, parse_rational
 
 from util import (algebra, change_basis, corpus_objects, cp2_power_3, cp2_power_4,
@@ -64,7 +67,10 @@ GOLDEN = {
         "b0b6e6fabae6bbedeef6583288ff39ab21854b099468ee13954ba42916c258ab",
     "rebased(dependent_pair,1)":
         "4783090e061553e59f7fc711cf607eeb81ac2008bcb386dcf56875ac0066ff95",
+    "half_square(truncated_poly(2,3))":
+        "03a393daaf35983da6d814fa711e30e1c5018592d10404301c67ffb7fdb04095",
 }
+HALF_SQUARE = "half_square(truncated_poly(2,3))"
 
 # name -> (builder, seed) of the rebased inputs
 REBASED = {
@@ -92,6 +98,9 @@ def inputs() -> dict:
     out["cp2_power_3"] = serialize_algebra(cp2_power_3(), name="cp2_power_3")
     for name, (build, seed) in REBASED.items():
         out[name] = serialize_algebra(change_basis(build(), random.Random(seed)), name=name)
+    out[HALF_SQUARE] = truncated_poly(2, 3)
+    out[HALF_SQUARE]["name"] = HALF_SQUARE
+    out[HALF_SQUARE]["products"][0]["value"][0]["coeff"] = "1/2"
     return out
 
 
@@ -110,6 +119,16 @@ def test_every_input_has_a_digest():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_certificate_digest(name):
     assert certificate_digest(inputs()[name]) == GOLDEN[name]
+
+
+def test_half_square_writes_its_fraction():
+    # x*x = 1/2 x^2: in the echoed input, in E (the class of v1^2) and in the
+    # witness of the good object v1^3
+    raw = inputs()[HALF_SQUARE]
+    h = algebra(raw)
+    cert = fc.certify(h, fc.validate(h))
+    assert (cert.verdict.classification, cert.exit_code) == (fc.FORMAL_BY_THEOREM, 0)
+    assert dump_json(certificate_json(cert, raw, "0" * 64)).count('"1/2"') == 3
 
 
 @pytest.mark.parametrize("name,cap", sorted(GOLDEN_AT_CAP))

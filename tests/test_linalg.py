@@ -12,7 +12,7 @@ from formacheck.reference import (ZERO, MatQ, RowSpace, as_row, kernel_basis, rr
                                   vec_is_zero)
 
 from oracles import matvec, solve
-from util import frac_matrix
+from util import frac_matrix, random_chain_complex
 
 
 def rand_matrix(rng, rows, cols, scale=4):
@@ -216,6 +216,18 @@ def test_integer_rank_matches_rref_and_sympy(drawn):
     assert out.pivot_cols == pivots
     assert [list(row) for row in out.rref.entries] == \
         [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(rows))]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rank_of_random_boundaries_and_their_transposes_match_sympy(seed):
+    # the boundaries of a random chain complex have known ranks, mostly
+    # short of full: each, and its transpose, against sympy, and the homology
+    dims, boundaries, expected = random_chain_complex(random.Random(7000 + seed))
+    for d, rows, cols in zip(boundaries, dims, dims[1:]):
+        assert_ranks_agree(list(d), cols)
+        assert_ranks_agree(list(zip(*d)), rows)
+    ranks = [0, *(rank(map(as_row, d)) for d in boundaries), 0]
+    assert [dim - ranks[n] - ranks[n + 1] for n, dim in enumerate(dims)] == expected
 
 
 @st.composite

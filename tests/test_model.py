@@ -11,7 +11,7 @@ from formacheck.reference import (differential_matrix, monomials_of_degree, mult
                                   phi_tilde, unit_vec, zero_vec)
 
 from oracles import brute_E, brute_good_objects, multiply
-from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp3,
+from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp2_sharp_cp2, cp3,
                   dependent_family, random_even_monomial_algebra, s2,
                   s2_power_4, sphere_wedge_8, wedge_s2_s2)
 
@@ -221,6 +221,7 @@ NAMED_INPUTS = {
     "dependent_family": dependent_family,
     "s2_power_4": s2_power_4,
     "cp2_power_3": cp2_power_3,
+    "cp2_sharp_cp2": cp2_sharp_cp2,
     "sphere_wedge_8": sphere_wedge_8,
 }
 

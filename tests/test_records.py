@@ -1,8 +1,8 @@
 """The record types subclass `collections.namedtuple`: immutable, compared and
 hashed by value, pickled, rebuilt by `_replace` and read by `_asdict`, with
 their fields in a fixed order, and cheap to define at import time, as no
-field annotation is compiled.  `Monomial`, `DegreeSet`, `MatQ` and
-`ChainComplexQ` keep a validating `__new__`."""
+field annotation is compiled.  `Monomial`, `DegreeSet` and `MatQ` keep a
+validating `__new__`."""
 
 import os
 import pickle
@@ -13,7 +13,6 @@ import pytest
 
 import formacheck as fc
 from formacheck.corpus import product, truncated_poly
-from formacheck.duality import ChainComplexQ, duality_check
 from formacheck.formality import DegreeSet
 from formacheck.reference import MatQ, rref
 
@@ -25,13 +24,11 @@ def sample_records():
     h = cp2()
     gens, e, goods, model, report = pipeline(h)
     verdict = fc.render_verdict(h, e, goods, report)
-    complex_q = ChainComplexQ((1, 1), (((1,),),))
     return [
         MatQ.identity(1), rref(MatQ.identity(1)), h, fc.validate(h), gens[0],
         goods[0].monomial, e[0], goods[0],
-        model.odd_generators[0], model, report.reports[0], report, complex_q,
-        duality_check(complex_q)[0], DegreeSet.from_algebra(h), verdict,
-        fc.certify(h, fc.validate(h)),
+        model.odd_generators[0], model, report.reports[0], report, DegreeSet.from_algebra(h),
+        verdict, fc.certify(h, fc.validate(h)),
     ]
 
 
@@ -52,8 +49,6 @@ FIELDS = {
     "DegreeReport": ("degree model_cohomology_dim target_dim induced_map_rank "
                      "injective surjective"),
     "QuasiIsoReport": "cap reports overall first_failure",
-    "ChainComplexQ": "dims boundaries",
-    "DualityRow": "degree homology_dim dual_cohomology_dim equal",
     "DegreeSet": "degrees",
     "Verdict": ("odd_degrees_vanish condition_i condition_ii corollary_integer "
                 "corollary_nonnegative classification discrepancy"),
@@ -76,7 +71,7 @@ RECORDS = sample_records()
 
 
 def test_every_record_type_is_sampled():
-    assert len({type(r).__name__ for r in RECORDS}) == 17
+    assert len({type(r).__name__ for r in RECORDS}) == 15
     assert {type(r).__name__ for r in RECORDS} == set(FIELDS)
 
 

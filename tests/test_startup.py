@@ -1,17 +1,16 @@
 """What a `check` process loads: `import formacheck.cli`, and a whole
 `check` run, pull in the modules the check path runs and nothing else.
-The degree-by-degree `reference` stays out of every command, `duality`
-included, though the names of it that the tracer looks up still resolve
-at their old addresses.  OpenSSL stays out too: `formats` takes its sha256 from
+The degree-by-degree `reference` stays out of every command, though the
+names of it that the tracer looks up still resolve at their old
+addresses.  OpenSSL stays out too: `formats` takes its sha256 from
 `_sha256` where Python has it, and from `hashlib` otherwise, with the same
 digests.  `fractions` (and the `decimal` and `numbers` it brings) loads only
 for an input with a coefficient that is not an integer: a check of an
-integral table, and a corpus or duality run on integral inputs, never loads
-it.  The certificate's timestamp comes from `time`, not `datetime`.  No
-command loads argparse (or the gettext it brings): `cli` reads the command
-line by hand.  And how it ends: `cli.entrypoint` flushes
-and leaves by `os._exit`, so no `atexit` hook runs, with `main`'s exit code
-and all of its output."""
+integral table, and a corpus run on integral inputs, never loads it.  The
+certificate's timestamp comes from `time`, not `datetime`.  No command
+loads argparse (or the gettext it brings): `cli` reads the command line by
+hand.  And how it ends: `cli.entrypoint` flushes and leaves by `os._exit`,
+so no `atexit` hook runs, with `main`'s exit code and all of its output."""
 
 import datetime
 import hashlib
@@ -110,26 +109,12 @@ def test_corpus_run_loads_no_unneeded_stdlib_module(tmp_path):
         assert not set(names) & set(OPENSSL)
 
 
-def test_duality_run_loads_no_reference(tmp_path):
-    # a three-term complex, so that the square of its boundary is formed too
-    path = tmp_path / "complex.json"
-    path.write_text(json.dumps({"dims": [1, 2, 1], "boundaries": [[["1", "-1"]], [["1"], ["1"]]]}),
-                    encoding="utf-8")
-    names = loaded(f"from formacheck.cli import main; assert main(['duality', {str(path)!r}]) == 0",
-                   UNNEEDED + OPENSSL + FRACTIONS)
-    assert "formacheck.duality" in names
-    assert "formacheck.reference" not in names
-    assert not set(names) & set(UNNEEDED + FRACTIONS)
-    if LEAN_DIGEST:
-        assert not set(names) & set(OPENSSL)
-
-
 # the public names that moved to `reference`, by the module they used to be in
 MOVED = {
     "formacheck": ("MatQ", "RowSpace", "cohomology_basis", "differential_matrix",
                    "induced_map", "kernel_basis", "monomials_of_degree", "phi_tilde", "rref"),
-    "formacheck.linalg": ("MatQ", "RowSpace", "RrefResult", "as_vec", "kernel_basis", "rref",
-                          "unit_vec", "vec_is_zero", "zero_vec"),
+    "formacheck.linalg": ("MatQ", "RowSpace", "RrefResult", "as_row", "as_vec", "kernel_basis",
+                          "rref", "unit_vec", "vec_is_zero", "zero_vec"),
     "formacheck.model": ("blocks_of_degree", "differential_matrix", "differentiate",
                          "monomials_of_degree", "multidegree", "phi_tilde"),
     "formacheck.cohomology": ("cohomology_basis", "induced_map"),

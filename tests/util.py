@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import formacheck as fc
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
-from formacheck.duality import ChainComplexQ
 from formacheck.formats import format_rational, parse_algebra_json
 from formacheck.reference import MatQ, unit_vec
 
@@ -79,6 +78,15 @@ def dependent_family():
     return fc.GradedAlgebra.from_products(
         [("1", 0), ("a", 2), ("b", 2), ("c", 4)], "1",
         {("a", "a"): {"c": 1}, ("b", "b"): {"c": 1}})
+
+
+def cp2_sharp_cp2():
+    """H*(CP^2 # CP^2): x^2 = y^2 = z and xy = 0.  It is monomial in no
+    basis over Q, as x^2 + y^2 has no rational isotropic line; it is the
+    ring of `dependent_family`, with the labels of the connected sum."""
+    return fc.GradedAlgebra.from_products(
+        [("1", 0), ("x", 2), ("y", 2), ("z", 4)], "1",
+        {("x", "x"): {"z": 1}, ("y", "y"): {"z": 1}})
 
 
 def dependent_pair():
@@ -194,7 +202,9 @@ def random_chain_complex(rng, max_dim=5, max_deg=6):
 
     Start from a staircase normal form (sources map isomorphically onto
     boundary slots) and conjugate each degree by a random invertible matrix.
-    Returns (complex, list of homology dims).
+    Returns (dims, boundaries, homology dims), where boundaries[k] is the
+    matrix of d_(k+1): C_(k+1) -> C_k, a tuple of dims[k] rows of dims[k+1]
+    `Fraction`s.
     """
     top = rng.randint(1, max_deg)
     dims = [rng.randint(0, max_dim) for _ in range(top + 1)]
@@ -213,7 +223,7 @@ def random_chain_complex(rng, max_dim=5, max_deg=6):
         base_change[n - 1][0].matmul(canonical[n - 1]).matmul(base_change[n][1]).entries
         for n in range(1, top + 1))
     homology = [dims[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
-    return ChainComplexQ(tuple(dims), boundaries), homology
+    return tuple(dims), boundaries, homology
 
 
 def random_even_monomial_algebra(rng):

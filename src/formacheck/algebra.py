@@ -22,7 +22,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .linalg import Row, integer_pivots, integer_row
+from .linalg import Row, pivots
 
 
 class AlgebraStructureError(ValueError):
@@ -300,11 +300,10 @@ def choose_generators(h: GradedAlgebra) -> tuple[Generator, ...]:
     classes, and each class that enlarges the span is a generator.  e_s
     fails to enlarge D + span(e_<s) exactly when some element of D has its
     last nonzero coordinate at s.  So, with the columns in reverse basis
-    order, the generators are the non-pivot columns of D's rows, each row
-    scaled by the lcm of its denominators: one `integer_pivots` per degree,
-    of the distinct rows, as pivots depend only on the row space (a product
-    and its even mirror are one row).  They come ordered by (degree, basis
-    index), reproducibly.
+    order, the generators are the non-pivot columns of D's rows: one
+    `pivots` per degree, of the distinct rows, as pivots depend only on the
+    row space (a product and its even mirror are one row).  They come
+    ordered by (degree, basis index), reproducibly.
     """
     deg = h.degrees
     column = {k: len(idx) - 1 - s for idx in h._by_degree.values() for s, k in enumerate(idx)}
@@ -316,12 +315,9 @@ def choose_generators(h: GradedAlgebra) -> tuple[Generator, ...]:
         n = deg[i] + deg[j]
         terms = tuple((k, c) for k, c in prod if deg[k] == n)
         if terms:  # then n > 1 is the degree of a class
-            row = [0] * h.dim_in_degree(n)
-            for k, c in integer_row(terms):
-                row[column[k]] = c
-            rows[n].add(tuple(row))
+            rows[n].add(tuple((column[k], c) for k, c in reversed(terms)))
     free = []
     for n, degree_rows in rows.items():
-        pivots = set(integer_pivots(degree_rows))
-        free += [(n, i) for i in h.degree_indices(n) if column[i] not in pivots]
+        spanned = set(pivots(degree_rows))
+        free += [(n, i) for i in h.degree_indices(n) if column[i] not in spanned]
     return tuple(Generator(f"v{g + 1}", n, h.basis_vector(i)) for g, (n, i) in enumerate(free))

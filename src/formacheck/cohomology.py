@@ -16,11 +16,11 @@ and 7 for the 165 of the 8-fold S^2 wedge at its default cap 5.
 numbers degree by degree from the monomial basis; they are the reference
 the tests compare against.
 
-Every rank is an integer rank: `linalg.integer_rank` takes the ±1
-boundaries of the Δ_α, and `linalg.rank` the classes that give the induced
-map, scaled to integers; no float is involved.  A degree is "bijective"
-only when the induced map has full rank on both sides.  The verdict never
-claims anything beyond the configured degree cap.
+Every rank is `linalg.rank`, a sparse integer elimination: of the ±1
+boundaries of the Δ_α, and of the classes that give the induced map; no
+float is involved.  A degree is "bijective" only when the induced map has
+full rank on both sides.  The verdict never claims anything beyond the
+configured degree cap.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import accumulate
 from math import factorial, prod
 
 from .algebra import GradedAlgebra
-from .linalg import _moved_to_reference, integer_rank, rank
+from .linalg import _moved_to_reference, rank
 from .model import EEntry, Model
 
 __getattr__ = _moved_to_reference(__name__, {"cohomology_basis", "induced_map"})
@@ -162,13 +162,9 @@ def boundary_rank(levels: list[list[tuple[int, ...]]], s: int) -> int:
     if s == 1:
         return 1  # the augmentation onto the empty face
     row_of = {face: i for i, face in enumerate(levels[s - 1])}
-    rows = []
-    for face in levels[s]:
-        row = [0] * len(levels[s - 1])
-        for p in range(s):
-            row[row_of[face[:p] + face[p + 1:]]] = -1 if p % 2 else 1
-        rows.append(row)
-    return integer_rank(rows)
+    # dropping a later vertex gives an earlier face, so p falls as the column rises
+    return rank(tuple((row_of[face[:p] + face[p + 1:]], -1 if p % 2 else 1)
+                      for p in reversed(range(s))) for face in levels[s])
 
 
 def verify_quasi_iso(model: Model, h: GradedAlgebra, e: tuple[EEntry, ...],

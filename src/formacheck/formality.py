@@ -56,10 +56,10 @@ def check_condition_ii(e: tuple[EEntry, ...]) -> bool:
     Two monomials mapping to dependent classes (in particular to the same
     class) make the indexed family dependent, so the check keeps one row
     per entry rather than deduplicating values: the family is independent
-    when the integer rank (`linalg.rank`) of its class vectors is its
-    length.  `rank` ranks apart the blocks of classes that share a basis
-    position, directly or through other classes, so on a monomial table
-    each class is a block of its own.  Vacuously true when empty.
+    when the rank (`linalg.rank`) of its class vectors is its length.  A
+    class is reduced only against the kept classes that share its leading
+    basis position, so on a monomial table no two classes meet.  Vacuously
+    true when empty.
     """
     return rank([entry.class_vector for entry in e]) == len(e)
 

@@ -4,8 +4,8 @@ A vector is a sparse `Row` of exact rationals, each an `int` or a
 `fractions.Fraction` (`formats` reads an integral one as an `int`).  They
 mix exactly under + - * and ==; none is divided with `/` (a quotient of
 `int`s is a float), and no float is allowed.  The check path has one
-elimination, the fraction-free `integer_pivots`: `rank` scales rows to
-integers for it, and the generator choice reads its pivot columns.
+elimination, the sparse, fraction-free `pivots`: `rank` counts its pivot
+columns, and the generator choice reads them.
 Dense matrices and the reduced echelon form (`MatQ`, `RowSpace`, `rref`,
 `kernel_basis`) and `as_row`, which only the reference and the tests use,
 live in `reference`.
@@ -14,7 +14,7 @@ live in `reference`.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Row = tuple[tuple[int, "int | Fraction"], ...]  # sparse vector: nonzero (k, c), k increasing
 
@@ -39,86 +39,52 @@ def _moved_to_reference(module: str, names: set[str]):
 __getattr__ = _moved_to_reference(__name__, {"kernel_basis", "rref"})
 
 
-def integer_row(row: Row) -> list[tuple[int, int]]:
+def integer_row(row: Row) -> Row:
     """The row times the lcm of its denominators: the same line, in integers."""
+    if all(type(c) is int for _, c in row):
+        return row
     scale = math.lcm(*(c.denominator for _, c in row))
-    return [(k, c.numerator * (scale // c.denominator)) for k, c in row]
+    return tuple((k, c.numerator * (scale // c.denominator)) for k, c in row)
 
 
 def rank(rows: Iterable[Row]) -> int:
-    """Rank over Q of sparse rows, block by block.  Rows that share a
-    column, directly or through other rows, form a block; blocks have
-    disjoint columns, so the rank is the sum of theirs.  A block of one row
-    has rank 1; any other is scaled by `integer_row` and ranked by
-    `integer_rank` on only the columns its rows touch, since zero columns
-    and the order of the columns do not change a rank."""
-    rows = [row for row in rows if row]
-    root: dict[int, int] = {}  # column -> a column of its block; a root maps to itself
-
-    def find(k):
-        while root[k] != k:
-            root[k] = k = root[root[k]]
-        return k
-
-    for row in rows:
-        for k, _ in row:
-            root.setdefault(k, k)
-        first = find(row[0][0])
-        for k, _ in row[1:]:
-            root[find(k)] = first
-    blocks: dict[int, list] = {}
-    for row in rows:
-        blocks.setdefault(find(row[0][0]), []).append(row)
-    return sum(1 if len(block) == 1 else _block_rank(block) for block in blocks.values())
+    """Rank over Q of sparse rows: the number of their `pivots`."""
+    return len(pivots(rows))
 
 
-def _block_rank(rows: list[Row]) -> int:
-    rows = [integer_row(row) for row in rows]
-    column = {k: i for i, k in enumerate(sorted({k for row in rows for k, _ in row}))}
-    dense = [[0] * len(column) for _ in rows]
-    for out, row in zip(dense, rows):
-        for k, c in row:
-            out[column[k]] = c
-    return integer_rank(dense)
+def pivots(rows: Iterable[Row]) -> list[int]:
+    """Pivot columns, in increasing order, of sparse rows over Q: the
+    columns where some vector of their row space has its first nonzero entry.
 
-
-def integer_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of a matrix of integers: the number of its `integer_pivots`."""
-    return len(integer_pivots(rows))
-
-
-def integer_pivots(rows: Iterable[Sequence[int]]) -> list[int]:
-    """Pivot columns, in increasing order, of a matrix of integers: the
-    columns where some vector of its row space has its first nonzero entry.
-
-    Bareiss's one-step elimination (Math. Comp. 22, 1968): after k pivots
-    every remaining entry is a (k+1)-minor, so each division by the previous
-    pivot is exact and no `Fraction` is built.  A row with a zero in the
-    pivot column is only rescaled by pivot / previous pivot, which changes
-    nothing but a sign when the two agree up to sign, so that step is
-    skipped: every later row then differs from Bareiss's by a sign only,
-    and the pivots stay the same.
+    Each row is scaled by `integer_row` and reduced against the rows kept so
+    far, keyed by leading column: v <- p*v - a*r, where p and a are the
+    leading entries of r and v, then divided by the gcd of its entries, so
+    no `Fraction` is built.  A row that stays nonzero is kept under its new
+    leading column.  The kept rows are an echelon basis of the row space,
+    and the leading columns of any echelon basis are its pivot columns, so
+    the order of the rows does not matter.  A row meets only kept rows of
+    its own block (rows that share a column, directly or through other
+    rows), so the blocks stay apart without being split.
     """
-    work = [list(row) for row in rows if any(row)]
-    pivots, previous = [], 1
-    for c in range(len(work[0]) if work else 0):
-        rank = len(pivots)
-        p = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if p is None:
-            continue
-        work[rank], work[p] = work[p], work[rank]
-        top = work[rank]
-        pivot = top[c]
-        rescale = abs(pivot) != abs(previous)
-        for i in range(rank + 1, len(work)):
-            row = work[i]
-            a = row[c]
-            if a:
-                work[i] = [(pivot * x - a * y) // previous for x, y in zip(row, top)]
-            elif rescale:
-                work[i] = [pivot * x // previous for x in row]
-        previous = pivot
-        pivots.append(c)
-        if len(pivots) == len(work):
-            break
-    return pivots
+    kept: dict[int, dict[int, int]] = {}  # leading column -> reduced row, column -> entry
+    for row in rows:
+        v = dict(integer_row(row))
+        while v:
+            lead = min(v)
+            r = kept.get(lead)
+            if r is None:
+                kept[lead] = v
+                break
+            p, a = r[lead], v[lead]
+            if p != 1:
+                v = {k: p * c for k, c in v.items()}
+            for k, c in r.items():
+                c = v.get(k, 0) - a * c
+                if c:
+                    v[k] = c
+                else:
+                    del v[k]
+            g = math.gcd(*v.values())
+            if g > 1:
+                v = {k: c // g for k, c in v.items()}
+    return sorted(kept)

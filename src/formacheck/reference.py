@@ -5,7 +5,7 @@ that `rref` and the cohomology basis grow.
 
 `check` never runs this code.  `verify_quasi_iso` reads the same numbers
 off the complexes Δ_α and the family E, and the tests compare the two;
-`choose_generators` reads its generators off `linalg.integer_pivots`, and
+`choose_generators` reads its generators off `linalg.pivots`, and
 the tests compare them with the greedy `RowSpace` rule.  `MatQ` is the
 tests' dense matrix, and `as_row` turns a dense vector into a `linalg.Row`.
 No command imports this module, so none compiles or loads it.  Only

@@ -14,7 +14,7 @@ from formacheck.formats import parse_algebra_json
 from formacheck.reference import as_row, phi_tilde, unit_vec, zero_vec
 
 from oracles import brute_generators, brute_validate, decomposables, dense, dense_mul
-from util import corpus_objects, cp2, cp3, embed, in_basis, s2, wedge_s2_s2
+from util import GROEBNER_RINGS, corpus_objects, cp2, cp3, embed, in_basis, s2, wedge_s2_s2
 
 
 def q_basis(h, label):
@@ -320,6 +320,7 @@ def test_light_test_on_a_corpus_of_mutated_tables():
     # keep the laws Light's test needs on most tables, so most reports
     # rest on it, and some break the single unit or graded commutativity
     bases = [h for h in map(parse_algebra_json, BASES) if h.dim >= 4]  # room for a product
+    bases += [build() for build in GROEBNER_RINGS.values()]  # monomial in no basis
     bases += [rebased(h, random.Random(i)) for i, h in enumerate(bases)]
     seen = {"light": 0, "not associative": 0, "single unit": 0, "commutativity": 0}
     for seed in range(3000):

@@ -18,9 +18,9 @@ from formacheck.reference import (cohomology_basis, differential_matrix, induced
                                   monomials_of_degree, multidegree, rref)
 
 import oracles
-from util import (algebra, change_basis, corpus_objects, cp2, cp2_power_3, cp2_sharp_cp2,
-                  dependent_family, dependent_pair, random_even_monomial_algebra, s2, s2_power_4,
-                  sphere_wedge_8, wedge_s2_s2)
+from util import (GROEBNER_RINGS, algebra, change_basis, corpus_objects, cp2, cp2_power_3,
+                  cp2_sharp_cp2, dependent_family, dependent_pair, random_even_monomial_algebra,
+                  s2, s2_power_4, sphere_wedge_8, wedge_s2_s2)
 
 
 def model_of(h):
@@ -283,6 +283,32 @@ def test_cp2_sharp_cp2_matches_references(rebased):
     report = verify(model, h, 13)
     assert report.reports == block_reference(model, h, 13)
     assert [r.model_cohomology_dim for r in report.reports] == oracles.brute_model_dims(model, 13)
+
+
+# name -> (first failing degree, |E|, |E| after `change_basis(·, Random(1))`)
+GROEBNER_VERDICTS = {"grassmannian_2_4": (6, 6, 6), "flag_3": (4, 5, 5),
+                     "quadric_intersection": (4, 10, 16)}
+
+
+@pytest.mark.parametrize("rebased", [False, True], ids=["plain", "rebased"])
+@pytest.mark.parametrize("name", sorted(GROEBNER_RINGS))
+def test_groebner_rings_match_references(name, rebased):
+    # rings monomial in no basis, all inconclusive; Fl(3) and the rebased
+    # quadric intersection have table rows of several terms.  sympy's ranks on
+    # the rebased quadric (15 odd generators) take 40 s up to cap 13, so it is
+    # checked against them up to its top degree
+    h = GROEBNER_RINGS[name]()
+    h = change_basis(h, random.Random(1)) if rebased else h
+    first, size, rebased_size = GROEBNER_VERDICTS[name]
+    cert = fc.certify(h, fc.validate(h))
+    assert (cert.verdict.classification, cert.exit_code, cert.quasi_isomorphism.first_failure,
+            len(cert.e_family)) == (fc.INCONCLUSIVE, 2, first, rebased_size if rebased else size)
+    model = model_of(h)
+    report = verify(model, h, 13)
+    assert report.reports == block_reference(model, h, 13)
+    cap = h.top_degree if (name, rebased) == ("quadric_intersection", True) else 13
+    assert [r.model_cohomology_dim for r in report.reports[:cap + 1]] == \
+        oracles.brute_model_dims(model, cap)
 
 
 def s2_wedge(folds):

@@ -3,7 +3,9 @@
 Each digest is the sha256 of `json.dumps(certificate_json(cert, raw, digest),
 sort_keys=True)` for one input, where `raw` is the input object and `digest`
 the sha256 of its sorted JSON.  `GOLDEN` is taken at the default cap, and
-`GOLDEN_AT_CAP` at the caps the benchmark's workloads run.  A change that
+`GOLDEN_AT_CAP` at the caps the benchmark's workloads run, and the 8-fold
+S^2 wedge also at caps 15 and 17, where its boundary ranks are large.  The
+rings of `GROEBNER_RINGS` are monomial in no basis.  A change that
 moves any field of any certificate (a value, an order, a key) moves its
 digest.
 A file's integral coefficients are read as `int`s; a table built with
@@ -29,8 +31,8 @@ import formacheck as fc
 from formacheck.corpus import truncated_poly
 from formacheck.formats import certificate_json, dump_json, parse_rational
 
-from util import (algebra, change_basis, corpus_objects, cp2_power_3, cp2_power_4,
-                  dependent_family, dependent_pair, s2_power_4, serialize_algebra,
+from util import (GROEBNER_RINGS, algebra, change_basis, corpus_objects, cp2_power_3,
+                  cp2_power_4, dependent_family, dependent_pair, s2_power_4, serialize_algebra,
                   sphere_wedge_8)
 
 GOLDEN = {
@@ -69,6 +71,15 @@ GOLDEN = {
         "4783090e061553e59f7fc711cf607eeb81ac2008bcb386dcf56875ac0066ff95",
     "half_square(truncated_poly(2,3))":
         "03a393daaf35983da6d814fa711e30e1c5018592d10404301c67ffb7fdb04095",
+    "grassmannian_2_4": "3628db8436a393a5b6d41aa7583472e51df6f4603dc2c117df40b61598458698",
+    "flag_3": "63cc1b3cdf91a4b74015c54400141a41f2c0f7d674897f0fcd173d183373d9af",
+    "quadric_intersection": "218e47f24b6af9c66bd2c8c3fba8ace10387fec714f70598727232fe8a6a7be9",
+    "rebased(grassmannian_2_4,1)":
+        "d012a9180757fadfdf14c1ae2b3eac94948fdb23a46eae645da4a50a7325bfa6",
+    "rebased(flag_3,1)":
+        "bb96101eede79cc36ef0c3ca73140bf180aa79884aee196a9521f0c12c879bc6",
+    "rebased(quadric_intersection,1)":
+        "81cb60091f5935329a8067a26c51b635225d5ab386d11a6bdaa30be04cf9c95a",
 }
 HALF_SQUARE = "half_square(truncated_poly(2,3))"
 
@@ -78,6 +89,7 @@ REBASED = {
     "rebased(cp2_power_4,1)": (cp2_power_4, 1),
     "rebased(dependent_family,1)": (dependent_family, 1),
     "rebased(dependent_pair,1)": (dependent_pair, 1),
+    **{f"rebased({name},1)": (build, 1) for name, build in GROEBNER_RINGS.items()},
 }
 
 # (input, cap) -> digest
@@ -85,6 +97,8 @@ GOLDEN_AT_CAP = {
     ("s2_power_4", 13): "45d2c1472fb07c5fa611365060bc395bb635a1973fad640a18e9ae41f9209a0d",
     ("cp2_power_3", 12): "62658c94bb8a547211c237a6876bf994c529f91eaaf9622e1496fe895b3ca435",
     ("sphere_wedge_8", 9): "46087b2c11c775fb1ca75d99fb2db93ba6a29b62a7e9cd19626c79403b356f7a",
+    ("sphere_wedge_8", 15): "288724f1f6c89e487b546f5ce7df98732d1590629ac82d8e001b157a040c2db1",
+    ("sphere_wedge_8", 17): "9f7ea22d78b034cd18b2a26fbe02a9f38370963d4b88a327782ec005b3dc861e",
 }
 
 
@@ -96,6 +110,8 @@ def inputs() -> dict:
     out["sphere_wedge_8"] = serialize_algebra(sphere_wedge_8(), name="sphere_wedge_8")
     out["s2_power_4"] = serialize_algebra(s2_power_4(), name="s2_power_4")
     out["cp2_power_3"] = serialize_algebra(cp2_power_3(), name="cp2_power_3")
+    for name, build in GROEBNER_RINGS.items():
+        out[name] = serialize_algebra(build(), name=name)
     for name, (build, seed) in REBASED.items():
         out[name] = serialize_algebra(change_basis(build(), random.Random(seed)), name=name)
     out[HALF_SQUARE] = truncated_poly(2, 3)

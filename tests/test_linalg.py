@@ -7,7 +7,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formacheck.linalg import integer_pivots, integer_rank, integer_row, rank
+from formacheck.cohomology import boundary_rank
+from formacheck.linalg import integer_row, pivots, rank
 from formacheck.reference import (ZERO, MatQ, RowSpace, as_row, kernel_basis, rref, unit_vec,
                                   vec_is_zero)
 
@@ -170,7 +171,7 @@ def test_rowspace_tracks_rank():
     assert vec_is_zero(rs.reduce((Fraction(3), Fraction(3), Fraction(5))))
 
 
-# ---- rank, integer_rank and rref against sympy ----
+# ---- pivots, rank and rref against sympy ----
 
 def sympy_matrix(rows, cols):
     return sympy.Matrix(len(rows), cols, [sympy.Rational(x.numerator, x.denominator)
@@ -181,8 +182,8 @@ def assert_ranks_agree(rows, cols):
     expected = sympy_matrix(rows, cols).rank()
     assert rank(map(as_row, rows)) == expected
     assert rref(MatQ.from_rows(rows, cols=cols)).rank == expected
-    if all(x.denominator == 1 for row in rows for x in row):
-        assert integer_rank([[int(x) for x in row] for row in rows]) == expected
+    if all(x.denominator == 1 for row in rows for x in row):  # the same rows in `int`s
+        assert rank(as_row([int(x) for x in row]) for row in rows) == expected
 
 
 @st.composite
@@ -204,16 +205,17 @@ def rational_matrices(draw):
 @example(([[0, 0, 0]] * 4, 3))          # zero
 @example(([[1, 2, 0, -1, 3, 0, 2]] * 2, 7))  # wide, rank 1
 @example(([[1, -1], [2, -2], [0, 3], [0, 0], [3, 0], [-1, 1]], 2))  # tall
-# a pivot of -2 and, below it, a row with a zero in its column: that row
-# must still be rescaled by the pivot
+# a pivot of -2 and, below it, a row with a zero in its column
 @example(([[0, -2, 1], [-2, -2, -1], [0, -1, 1]], 3))
-def test_integer_rank_matches_rref_and_sympy(drawn):
+@example(([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(3, 4), -1]], 2))  # proportional fractions
+def test_rank_matches_rref_and_sympy(drawn):
     rows, cols = drawn
     rows = [[Fraction(x) for x in row] for row in rows]
     assert_ranks_agree(rows, cols)
-    reduced, pivots = sympy_matrix(rows, cols).rref()
+    reduced, expected = sympy_matrix(rows, cols).rref()
     out = rref(MatQ.from_rows(rows, cols=cols))
-    assert out.pivot_cols == pivots
+    assert out.pivot_cols == expected
+    assert tuple(pivots(map(as_row, rows))) == expected
     assert [list(row) for row in out.rref.entries] == \
         [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(rows))]
 
@@ -264,6 +266,7 @@ def test_rank_of_sparse_rows_matches_sympy(rows):
         scaled = integer_row(row)
         assert [k for k, _ in scaled] == [k for k, _ in row]
         assert all(isinstance(c, int) and c for _, c in scaled)
+        assert integer_row(scaled) is scaled  # an all-`int` row is already scaled
         assert len({c / x for (_, c), (_, x) in zip(scaled, row)}) <= 1
 
 
@@ -329,15 +332,31 @@ def integer_matrices(draw):
 @example(([[], [], []], 0))             # no columns
 @example(([[0, 0, 0]] * 4, 3))          # zero
 @example(([[0, 2, 0, 1], [0, 2, 0, 1], [0, -2, 0, -1]], 4))  # repeated rows, zero columns
-# pivots 1 and then -1: the rescale of the row [0, 0, 2, 1], whose entry in
-# the second pivot column is zero, is skipped
 @example(([[1, 0, 0, 1], [1, -1, 0, 0], [0, 0, 2, 1]], 4))
 @example(([[0, -2, 1], [-2, -2, -1], [0, -1, 1]], 3))  # a pivot of -2 above a zero
-def test_integer_pivots_match_sympy(drawn):
+@example(([[0] * 4, [1, 2, 0, 3], [0] * 4, [1, 2, 0, 3], [-2, -4, 0, -6], [0, 0, 5, 0]], 4))
+def test_pivots_match_sympy(drawn):
     rows, cols = drawn
-    pivots = integer_pivots(rows)
-    assert tuple(pivots) == sympy_matrix(rows, cols).rref()[1]
-    assert integer_rank(rows) == len(pivots)
+    found = pivots(map(as_row, rows))
+    assert tuple(found) == sympy_matrix(rows, cols).rref()[1]
+    assert rank(map(as_row, rows)) == len(found)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                                   st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                                             st.integers(1, 10 ** 6))),
+                         min_size=6, max_size=6), max_size=7),
+       st.randoms(use_true_random=False))
+@example([[10 ** 6, 999_999, 1], [999_999, 999_998, 1], [1, 1, 0]], random.Random(0))
+def test_pivots_of_large_entries_in_any_row_order_match_sympy(rows, rng):
+    # entries up to 10^6, as `int`s and `Fraction`s; the pivot columns are a
+    # property of the row space, so a shuffled order gives the same ones
+    cols = len(rows[0]) if rows else 0
+    expected = sympy_matrix([[Fraction(x) for x in row] for row in rows], cols).rref()[1]
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    assert tuple(pivots(map(as_row, rows))) == tuple(pivots(map(as_row, shuffled))) == expected
 
 
 def boundary_rows(faces, s):
@@ -356,12 +375,15 @@ def boundary_rows(faces, s):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.frozensets(st.integers(0, 6), min_size=1, max_size=5),
                 min_size=1, max_size=6))
-def test_integer_rank_on_simplicial_boundaries(facets):
+def test_rank_on_simplicial_boundaries(facets):
+    # the dense boundaries as `Row`s, and the sparse ones `cohomology.boundary_rank`
+    # builds, against sympy
     faces = [sorted({face for f in facets for face in itertools.combinations(sorted(f), s)})
              for s in range(max(map(len, facets)) + 1)]
     for s in range(1, len(faces)):
         rows = boundary_rows(faces, s)
         assert_ranks_agree(rows, len(faces[s - 1]))
+        assert boundary_rank(faces, s) == rank(map(as_row, rows))
         if s > 1:  # d o d = 0, so the ranks of consecutive boundaries fit
-            assert integer_rank(rows) + integer_rank(boundary_rows(faces, s - 1)) \
+            assert rank(map(as_row, rows)) + rank(map(as_row, boundary_rows(faces, s - 1))) \
                 <= len(faces[s - 1])

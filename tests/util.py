@@ -1,6 +1,9 @@
 """Shared builders for the test suite."""
 
+import operator
 from fractions import Fraction
+
+import sympy
 
 import formacheck as fc
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
@@ -87,6 +90,69 @@ def cp2_sharp_cp2():
     return fc.GradedAlgebra.from_products(
         [("1", 0), ("x", 2), ("y", 2), ("z", 4)], "1",
         {("x", "x"): {"z": 1}, ("y", "y"): {"z": 1}})
+
+
+def quotient_ring(degrees, relations):
+    """Q[x]/I for an Artinian ideal I of relations homogeneous in `degrees`
+    (variable name -> degree).  The basis is the standard monomials of the
+    grevlex Gröbner basis of I (sympy), ordered by degree and then by their
+    exponents, and each product is the normal form of the two monomials'
+    product, so a table row may have several terms."""
+    xs = sympy.symbols(list(degrees))
+    grobner = sympy.groebner(relations(*xs), *xs, order="grevlex")
+    leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in grobner.exprs]
+
+    def standard(m):
+        return not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)
+
+    monos, level = set(), {(0,) * len(xs)}
+    while level:
+        monos |= level
+        level = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in level for i in range(len(xs))}
+        level = {m for m in level if standard(m)} - monos
+    weight = list(degrees.values())
+    monos = sorted(monos, key=lambda m: (sum(map(operator.mul, m, weight)), m[::-1]))
+    label = {m: "*".join(f"{x}^{e}" if e > 1 else str(x) for x, e in zip(xs, m) if e) or "1"
+             for m in monos}
+    table = {}
+    for a, left in enumerate(monos[1:], 1):
+        for right in monos[a:]:
+            form = grobner.reduce(sympy.Mul(*(x ** (p + q) for x, p, q in zip(xs, left, right))))[1]
+            if form != 0:
+                table[(label[left], label[right])] = {
+                    label[m]: int(c) if c.is_integer else Fraction(int(c.p), int(c.q))
+                    for m, c in sympy.Poly(form, *xs).terms()}
+    return fc.GradedAlgebra.from_products(
+        [(label[m], sum(map(operator.mul, m, weight))) for m in monos], "1", table)
+
+
+def grassmannian_2_4():
+    """H*(Gr(2,4)) = Q[c1,c2]/(h3,h4), h_k the complete symmetric polynomial
+    of degree k in the Chern roots: dimensions 1, 1, 2, 1, 1 in degrees 0-8."""
+    return quotient_ring({"c1": 2, "c2": 4}, lambda c1, c2: [
+        c1 ** 3 - 2 * c1 * c2, c1 ** 4 - 3 * c1 ** 2 * c2 + c2 ** 2])
+
+
+def flag_3():
+    """H*(Fl(3)), the coinvariants Q[x1,x2,x3]/(e1,e2,e3) of the symmetric
+    group: dimensions 1, 2, 2, 1 in degrees 0-6."""
+    return quotient_ring({"x1": 2, "x2": 2, "x3": 2}, lambda x1, x2, x3: [
+        x1 + x2 + x3, x1 * x2 + x1 * x3 + x2 * x3, x1 * x2 * x3])
+
+
+def quadric_intersection():
+    """Q[x,y,z]/(x^2 + yz, y^2 + xz, z^2 + xy), a complete intersection of
+    three quadrics: dimensions 1, 3, 3, 1 in degrees 0-6."""
+    return quotient_ring({"x": 2, "y": 2, "z": 2}, lambda x, y, z: [
+        x ** 2 + y * z, y ** 2 + x * z, z ** 2 + x * y])
+
+
+# rings monomial in no basis, read off Gröbner bases
+GROEBNER_RINGS = {
+    "grassmannian_2_4": grassmannian_2_4,
+    "flag_3": flag_3,
+    "quadric_intersection": quadric_intersection,
+}
 
 
 def dependent_pair():

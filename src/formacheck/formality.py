@@ -68,34 +68,29 @@ def corollary_integer_check(f: DegreeSet) -> tuple[bool, ...]:
     """flag_k: n_k is not an integer combination of n_1..n_(k-1).
 
     With unrestricted integer coefficients the combinations of the prefix
-    are exactly the multiples of its gcd, so the test is gcd divisibility;
-    the first flag is vacuously true (the empty sum is 0 < n_1).
+    are exactly the multiples of its gcd, kept as a running gcd; the first
+    flag is vacuously true (the empty sum is 0 < n_1).
     """
-    flags = []
-    for k, n in enumerate(f.degrees):
-        if k == 0:
-            flags.append(True)
-        else:
-            g = math.gcd(*f.degrees[:k])
-            flags.append(n % g != 0)
+    flags, g = [], 0
+    for n in f.degrees:
+        flags.append(g == 0 or n % g != 0)
+        g = math.gcd(g, n)
     return tuple(flags)
 
 
 def corollary_nonnegative_check(f: DegreeSet) -> tuple[bool, ...]:
     """Informational variant: representability with nonnegative coefficients
-    and at least two summands counted with multiplicity, via a DP table."""
+    and at least two summands counted with multiplicity.  The earlier
+    degrees all lie below n_k, so any sum of them that reaches n_k has two
+    summands: one table `reach` of the sums up to the top degree grows by
+    one degree at a time, and flag_k is `not reach[n_k]`."""
+    top = f.degrees[-1] if f.degrees else 0
+    reach = [True] + [False] * top
     flags = []
-    for k, n in enumerate(f.degrees):
-        if k == 0:
-            flags.append(True)
-            continue
-        gens = f.degrees[:k]
-        reach = [False] * (n + 1)
-        reach[0] = True
-        for s in range(1, n + 1):
-            reach[s] = any(reach[s - g] for g in gens if g <= s)
-        representable = any(g < n and reach[n - g] for g in gens)
-        flags.append(not representable)
+    for n in f.degrees:
+        flags.append(not reach[n])
+        for s in range(n, top + 1):
+            reach[s] = reach[s] or reach[s - n]
     return tuple(flags)
 
 

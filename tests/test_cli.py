@@ -683,6 +683,20 @@ def test_corpus_product_input_error_exit(tmp_path, capsys):
             assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("degree", [1, 3])
+def test_corpus_output_that_fails_validation_exits_one(tmp_path, capsys, degree):
+    # x*x = x^2 != 0 with |x| odd breaks graded commutativity: no file is written
+    out = tmp_path / "x.json"
+    assert main(["corpus", "truncated_poly", str(degree), "3", "-o", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == (f"error: truncated_poly({degree},3): validation failure: "
+                   "graded commutativity fails on (x, x)\n")
+    # at height 2, x*x = 0: the file is written, and `check` reads it
+    assert main(["corpus", "truncated_poly", str(degree), "2", "-o", str(out)]) == 0
+    assert main(["check", str(out)]) == 3  # hypothesis violated
+
+
 def test_corpus_bad_params(tmp_path):
     assert main(["corpus", "even_sphere", "3", "-o", str(tmp_path / "x.json")]) == 1
     assert main(["corpus", "truncated_poly", "2", "1",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -124,6 +125,33 @@ def test_corollary_gcd_agrees_with_search(degrees):
     for k in range(1, len(degrees)):
         assert flags[k] == (not brute_force_integer_combination(
             degrees[:k], degrees[k]))
+
+
+def corollary_flags_per_degree(degrees):
+    """(integer flags, nonnegative flags), each k decided afresh from the
+    prefix n_1..n_(k-1): its gcd, and a table of the sums of its degrees up
+    to n_k less one summand."""
+    integer, nonnegative = [], []
+    for k, n in enumerate(degrees):
+        gens = degrees[:k]
+        integer.append(k == 0 or n % math.gcd(*gens) != 0)
+        reach = [True] + [False] * n
+        for s in range(1, n + 1):
+            reach[s] = any(reach[s - g] for g in gens if g <= s)
+        nonnegative.append(k == 0 or not any(g < n and reach[n - g] for g in gens))
+    return tuple(integer), tuple(nonnegative)
+
+
+def test_corollaries_match_the_per_degree_definitions():
+    rng = random.Random(29)
+    cases = [(), (2,), (6, 12), tuple(range(2, 802, 2))]
+    for _ in range(3000):
+        cases.append(tuple(sorted(rng.sample(range(1, rng.choice((12, 40, 120))),
+                                             rng.randint(1, 8)))))
+    for degrees in cases:
+        f = DegreeSet(degrees)
+        assert (fc.corollary_integer_check(f), fc.corollary_nonnegative_check(f)) \
+            == corollary_flags_per_degree(degrees), degrees
 
 
 def test_degree_set_rejects_bad_input():

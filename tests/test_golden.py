@@ -16,7 +16,13 @@ classes with several terms and coefficients other than 1, so their digests
 pin how a class is written; a change in the rebasing moves them too.  Their
 coefficients are all integers; `HALF_SQUARE`, CP^2 with x*x = 1/2 x^2, pins
 how a class with a coefficient `p/q` is written.
-Regenerate a digest only for a change that means to alter the certificate.
+`CORPUS_GOLDEN` pins the files `formacheck corpus` writes, byte for byte:
+the sha256 of `dump_json(obj) + "\n"` for spheres, truncated polynomial
+rings, the benchmark's chains, and products and wedges of a table with two
+degree-3 classes (the Koszul sign, primed labels), of one with a `"1/2"`
+coefficient and of one without a name.
+Regenerate a digest only for a change that means to alter the certificate
+or the corpus file.
 """
 
 import functools
@@ -28,7 +34,8 @@ from fractions import Fraction
 import pytest
 
 import formacheck as fc
-from formacheck.corpus import truncated_poly
+from formacheck.cli import main
+from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import certificate_json, dump_json, parse_rational
 
 from util import (GROEBNER_RINGS, algebra, change_basis, corpus_objects, cp2_power_3,
@@ -114,10 +121,88 @@ def inputs() -> dict:
         out[name] = serialize_algebra(build(), name=name)
     for name, (build, seed) in REBASED.items():
         out[name] = serialize_algebra(change_basis(build(), random.Random(seed)), name=name)
-    out[HALF_SQUARE] = truncated_poly(2, 3)
-    out[HALF_SQUARE]["name"] = HALF_SQUARE
-    out[HALF_SQUARE]["products"][0]["value"][0]["coeff"] = "1/2"
+    out[HALF_SQUARE] = half_square()
     return out
+
+
+def half_square() -> dict:
+    """CP^2 with x*x = 1/2 x^2."""
+    obj = truncated_poly(2, 3)
+    obj["name"] = HALF_SQUARE
+    obj["products"][0]["value"][0]["coeff"] = "1/2"
+    return obj
+
+
+# two degree-3 classes a, b with a*b = ab (so b*a = -ab)
+ODD_PAIR = {
+    "name": "odd_pair",
+    "basis": [{"label": "1", "degree": 0}, {"label": "a", "degree": 3},
+              {"label": "b", "degree": 3}, {"label": "ab", "degree": 6}],
+    "unit": "1",
+    "products": [{"left": "a", "right": "b", "value": [{"label": "ab", "coeff": "1"}]}],
+}
+
+# corpus output -> sha256 of the file `formacheck corpus` writes for it
+CORPUS_GOLDEN = {
+    "even_sphere 2":
+        "719dabc299706baec622e0e49ce205ebb99e8013add3aeadb693bf6fad3538fe",
+    "even_sphere 4":
+        "52dc6e6ea579bbced9e8ce35136d0ac4a6d0587382a1922b86d034fa36b98f84",
+    "truncated_poly 2 3":
+        "4964cc63b78d212c8491f26ae926a1a5cc733426246c086c0ce0fd5250d36380",
+    "truncated_poly 2 6":
+        "56db53919e368815ed85e76633711c9b964fc460047a4888168bcf1fe15b014c",
+    "truncated_poly 3 2":
+        "41d620216ebbb221dca7e3b6f90df71197643f568ada396efba6d5c48ebd646f",
+    "s2x4":
+        "d685a5470230937041e7547fc743b8893b2342c78d3eb081c4f8e2c7d0afced3",
+    "cp2x3":
+        "b2ea9341d192e5f96f16a192bc4b8e55ca286ca7e7c2e98f02a5efda92235335",
+    "w8":
+        "2bf3df1d66e0e25ccad83d8c0bc5fd8df0cc9d9457829b59a39437617ba8a5ef",
+    "product odd_pair odd_pair":
+        "52a6d24a4b7172e5f927dfcdc14d04d17c582a8a25a43d92c86c130de43444a3",
+    "wedge odd_pair odd_pair":
+        "af63b17aae9bc96a75674e39d5b9e5d28300eb1d7216274a5ed7a9e22aaf85f0",
+    "product half_square half_square":
+        "245cdf77fe335b1f0d894cfd9d368679cc9c3c625fe5aa83ae3f2c6a3528a35f",
+    "wedge half_square even_sphere(2)":
+        "46f75b94016eb39fc3591bf720b43b07b49eba5f6a4622c985e9e5c5fb8f6510",
+    "product nameless even_sphere(2)":
+        "09d4cbf9a25b0db0da39637cb6ea1407ff1b3cea458de9377b696cacba824f53",
+    "wedge even_sphere(2) nameless":
+        "3b6c919384ac9b1a37f13310ad44d8a77910cfbc7c09198eca971707973e3427",
+}
+
+
+@functools.cache
+def corpus_files() -> dict:
+    """Each pinned corpus output's object, by name; s2x4, cp2x3 and w8 are
+    the last files of the benchmark's three chains."""
+    s2, cp2, half = even_sphere(2), truncated_poly(2, 3), half_square()
+    s2x2, w2 = product(s2, s2), wedge(s2, s2)
+    w4 = wedge(w2, w2)
+    nameless = {key: value for key, value in ODD_PAIR.items() if key != "name"}
+    return {
+        "even_sphere 2": s2,
+        "even_sphere 4": even_sphere(4),
+        "truncated_poly 2 3": cp2,
+        "truncated_poly 2 6": truncated_poly(2, 6),
+        "truncated_poly 3 2": truncated_poly(3, 2),
+        "s2x4": product(s2x2, s2x2),
+        "cp2x3": product(product(cp2, cp2), cp2),
+        "w8": wedge(w4, w4),
+        "product odd_pair odd_pair": product(ODD_PAIR, ODD_PAIR),
+        "wedge odd_pair odd_pair": wedge(ODD_PAIR, ODD_PAIR),
+        "product half_square half_square": product(half, half),
+        "wedge half_square even_sphere(2)": wedge(half, s2),
+        "product nameless even_sphere(2)": product(nameless, s2),
+        "wedge even_sphere(2) nameless": wedge(s2, nameless),
+    }
+
+
+def file_digest(obj: dict) -> str:
+    return hashlib.sha256((dump_json(obj) + "\n").encode()).hexdigest()
 
 
 def certificate_digest(raw: dict, cap=None) -> str:
@@ -174,3 +259,18 @@ def test_int_and_fraction_coefficients_give_one_certificate(name):
     certificates = [dump_json(certificate_json(fc.certify(a, fc.validate(a)), raw, "0" * 64))
                     for a in (h, h_fraction)]
     assert certificates[0] == certificates[1]
+
+
+def test_every_corpus_file_has_a_digest():
+    assert sorted(corpus_files()) == sorted(CORPUS_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_GOLDEN))
+def test_corpus_file_digest(name):
+    assert file_digest(corpus_files()[name]) == CORPUS_GOLDEN[name]
+
+
+def test_corpus_command_writes_the_pinned_bytes(tmp_path, capsys):
+    out = tmp_path / "s2.json"
+    assert main(["corpus", "even_sphere", "2", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CORPUS_GOLDEN["even_sphere 2"]

@@ -6,8 +6,8 @@ from fractions import Fraction
 import sympy
 
 import formacheck as fc
-from formacheck.corpus import even_sphere, product, truncated_poly, wedge
-from formacheck.formats import format_rational, parse_algebra_json
+from formacheck.corpus import algebra_file, even_sphere, product, truncated_poly, wedge
+from formacheck.formats import parse_algebra_json
 from formacheck.reference import MatQ, unit_vec
 
 from oracles import dense_mul
@@ -18,24 +18,11 @@ def algebra(obj):
 
 
 def serialize_algebra(h, name=""):
-    """The input JSON object of h: the half table (left <= right), omitting
-    zero products and the implicit unit rows."""
-    products = []
+    """The input JSON object of h: the half table (left <= right), without
+    zero products and the implicit unit rows, through `corpus.algebra_file`."""
     u = h.unit_index
-    for (i, j), entry in sorted(h.mult.items()):
-        if i > j:
-            continue
-        if u in (i, j) and entry == ((j if i == u else i, Fraction(1)),):
-            continue  # implicit unit row
-        value = [{"label": h.labels[k], "coeff": format_rational(c)} for k, c in entry]
-        products.append({"left": h.labels[i], "right": h.labels[j], "value": value})
-    return {
-        "name": name,
-        "basis": [{"label": lab, "degree": deg}
-                  for lab, deg in zip(h.labels, h.degrees)],
-        "unit": h.labels[h.unit_index],
-        "products": products,
-    }
+    return algebra_file(name, h.labels, h.degrees, u, {
+        (i, j): dict(entry) for (i, j), entry in h.mult.items() if i <= j and u not in (i, j)})
 
 
 def s2():

@@ -11,7 +11,8 @@ are absent.  Every element is such a row: `GradedAlgebra.mul` takes and
 returns rows, and a basis vector or a generator's class is a one-term row.
 The generators are the non-pivots of one integer elimination per degree,
 chosen once per algebra (`GradedAlgebra.generators`); `validate` decides
-associativity through them when the other laws hold.
+associativity through them when the other laws hold, and its report is
+also read once per algebra (`GradedAlgebra.validation`).
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult"
         """`choose_generators(self)`, computed once: `validate` and `certify`
         share it.  The function is looked up by name when this is first read."""
         return choose_generators(self)
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """`validate(self)`, computed once, looked up by name as `generators` is."""
+        return validate(self)
 
     @cached_property
     def _by_degree(self) -> dict:

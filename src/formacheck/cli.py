@@ -101,13 +101,13 @@ def _utc_now() -> str:
 
 def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> int:
     """Load an algebra file, certify it, and write the certificate."""
-    h, vreport, raw_obj, digest = load_algebra_file(path)
+    h, raw_obj, digest = load_algebra_file(path)
     if cap is not None and cap < h.top_degree:
         raise InputError(f"cap {cap} is below the top degree {h.top_degree}")
     cap = 2 * h.top_degree + 1 if cap is None else cap
     if cap > MAX_CAP:
         raise InputError(f"cap {cap} is too large")
-    cert = certify(h, vreport, cap)
+    cert = certify(h, cap)
     certificate = {
         "tool": {"name": "formacheck", "version": __version__},
         "generated_at": _utc_now(),

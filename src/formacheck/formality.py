@@ -1,5 +1,5 @@
 """Decision layer: the formality conditions, the degree-set arithmetic, the
-verdict, and `certify`, the one pipeline from a validated algebra onwards.
+verdict, and `certify`, the one pipeline from a parsed algebra onwards.
 
 The conditions are sufficient only; when both fail the verdict is
 INCONCLUSIVE, never "not formal".  A theorem-level verdict whose capped
@@ -12,10 +12,10 @@ import math
 from collections import namedtuple
 from typing import Optional
 
-from .algebra import GradedAlgebra, ValidationReport
+from .algebra import GradedAlgebra
 from .cohomology import QuasiIsoReport, verify_quasi_iso
 from .linalg import rank
-from .model import EEntry, GoodObject, build_model, compute_E, good_objects
+from .model import EEntry, build_model, compute_E, good_objects
 
 FORMAL_BY_THEOREM = "FORMAL_BY_THEOREM"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -94,23 +94,17 @@ def corollary_nonnegative_check(f: DegreeSet) -> tuple[bool, ...]:
     return tuple(flags)
 
 
-def _odd_degrees_vanish(h: GradedAlgebra) -> bool:
-    """The theorem's hypothesis: no basis element of h has odd degree."""
-    return all(d % 2 == 0 for d in h.degrees)
-
-
 class Verdict(namedtuple("Verdict", (
-        "odd_degrees_vanish condition_i condition_ii corollary_integer "
-        "corollary_nonnegative classification discrepancy"))):
-    """The classification and what it rests on: `odd_degrees_vanish` (the
-    theorem's hypothesis), the two conditions (None when it fails), the
+        "condition_i condition_ii corollary_integer corollary_nonnegative "
+        "classification discrepancy"))):
+    """The classification and what it rests on: the two conditions (None when
+    the odd-degree hypothesis, `h.validation.odd_degrees_vanish`, fails), the
     corollary flags, and whether a formal verdict met a failing check."""
 
     __slots__ = ()
 
 
 def render_verdict(h: GradedAlgebra, e: Optional[tuple[EEntry, ...]],
-                   goods: Optional[list[GoodObject]],
                    quasi_report: Optional[QuasiIsoReport]) -> Verdict:
     """Assemble the final classification from the pieces of one pipeline run.
 
@@ -119,16 +113,11 @@ def render_verdict(h: GradedAlgebra, e: Optional[tuple[EEntry, ...]],
     quasi-isomorphism check failed is flagged as a discrepancy and surfaced,
     never silently reconciled.
     """
-    odd_vanish = _odd_degrees_vanish(h)
     degree_set = DegreeSet.from_algebra(h)
-
     cond_i = check_condition_i(e) if e is not None else None
     cond_ii = check_condition_ii(e) if e is not None else None
-    if cond_i and goods is not None:
-        # empty E forces every good object to have exactly two factors
-        assert all(g.monomial.length == 2 for g in goods)
 
-    if not odd_vanish:
+    if not h.validation.odd_degrees_vanish:
         classification = HYPOTHESIS_VIOLATED
     elif (cond_i or cond_ii):
         classification = FORMAL_BY_THEOREM
@@ -139,7 +128,6 @@ def render_verdict(h: GradedAlgebra, e: Optional[tuple[EEntry, ...]],
                    and quasi_report is not None and not quasi_report.overall)
 
     return Verdict(
-        odd_degrees_vanish=odd_vanish,
         condition_i=cond_i,
         condition_ii=cond_ii,
         corollary_integer=corollary_integer_check(degree_set),
@@ -150,9 +138,10 @@ def render_verdict(h: GradedAlgebra, e: Optional[tuple[EEntry, ...]],
 
 
 class Certificate(namedtuple("Certificate", (
-        "algebra validation cap generators e_family good_objects model "
-        "quasi_isomorphism verdict"))):
-    """One pipeline run; a stage that did not run is None."""
+        "algebra cap e_family good_objects model quasi_isomorphism verdict"))):
+    """One pipeline run; a stage that did not run is None.  What depends on
+    the algebra alone, such as `h.validation` and `h.generators`, is read
+    from `algebra`."""
 
     __slots__ = ()
 
@@ -166,26 +155,26 @@ class Certificate(namedtuple("Certificate", (
         return EXIT_DISCREPANCY if self.verdict.discrepancy else EXIT_OK
 
 
-def certify(h: GradedAlgebra, report: ValidationReport,
-            cap: Optional[int] = None) -> Certificate:
-    """h.generators -> E -> good objects -> model -> capped
-    quasi-isomorphism check -> verdict, for h and its `validate` report.
+def certify(h: GradedAlgebra, cap: Optional[int] = None) -> Certificate:
+    """h.validation -> h.generators -> E -> good objects -> model -> capped
+    quasi-isomorphism check -> verdict.
 
-    The cap defaults to 2 * top degree + 1 and may not be below the top
-    degree.  When some class of h has odd degree the hypothesis fails and
-    only the generators are computed; this is read from h, not from the
-    report, so the stages never run on an algebra they do not apply to.
+    A table that breaks a ring law (`h.validation.structure_ok` false)
+    raises ValueError, as `check` rejects it.  The cap defaults to 2 * top
+    degree + 1 and may not be below the top degree.  When some class of h
+    has odd degree the hypothesis fails and only the generators are computed.
     """
+    if not h.validation.structure_ok:
+        raise ValueError("validation failure: " + "; ".join(h.validation.failures))
     cap = 2 * h.top_degree + 1 if cap is None else cap
     if cap < h.top_degree:
         raise ValueError(
             f"cap {cap} is below the top degree {h.top_degree}; the check would be vacuous")
     gens = h.generators
     e = goods = model = quasi = None
-    if _odd_degrees_vanish(h):
+    if h.validation.odd_degrees_vanish:
         e = compute_E(h, gens)
         goods = good_objects(gens, e)
         model = build_model(gens, goods)
         quasi = verify_quasi_iso(model, h, e, cap)
-    verdict = render_verdict(h, e, goods, quasi)
-    return Certificate(h, report, cap, gens, e, goods, model, quasi, verdict)
+    return Certificate(h, cap, e, goods, model, quasi, render_verdict(h, e, quasi))

@@ -17,8 +17,7 @@ try:  # the OpenSSL-free digest (CPython 3.10-3.11): loading hashlib costs a che
 except ImportError:
     from hashlib import sha256
 
-from .algebra import (AlgebraStructureError, GradedAlgebra, ValidationReport,
-                      validate)
+from .algebra import AlgebraStructureError, GradedAlgebra
 from .formality import Certificate, DegreeSet
 from .linalg import Row
 from .model import Monomial, format_monomial
@@ -121,12 +120,8 @@ def _optional_list(obj: dict, key, where):
 
 
 def parse_algebra_json(obj, source: str = "input") -> GradedAlgebra:
-    """Build and validate a GradedAlgebra from a parsed algebra file."""
-    return _parse_validated(obj, source)[0]
-
-
-def _parse_validated(obj, source: str) -> tuple[GradedAlgebra, ValidationReport]:
-    """Build a GradedAlgebra and validate it once; returns both.
+    """Build a GradedAlgebra from a parsed algebra file and read its
+    `validation`, which the algebra keeps: `certify` reads it again for free.
 
     Semantic errors carry the position of the offending product entry.
     Validation failures other than the odd-degree hypothesis reject the
@@ -170,10 +165,9 @@ def _parse_validated(obj, source: str) -> tuple[GradedAlgebra, ValidationReport]
     except AlgebraStructureError as exc:
         raise InputError(f"{source}: {exc}") from exc
 
-    report = validate(h)
-    if not report.structure_ok:
-        raise InputError(f"{source}: validation failure: " + "; ".join(report.failures))
-    return h, report
+    if not h.validation.structure_ok:
+        raise InputError(f"{source}: validation failure: " + "; ".join(h.validation.failures))
+    return h
 
 
 def _read_json(path) -> tuple[bytes, object]:
@@ -197,12 +191,10 @@ def _read_json(path) -> tuple[bytes, object]:
         raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
-def load_algebra_file(path) -> tuple[GradedAlgebra, ValidationReport, dict, str]:
-    """Parse one algebra file; returns (algebra, its validation report, raw
-    object, sha256 hex)."""
+def load_algebra_file(path) -> tuple[GradedAlgebra, dict, str]:
+    """Parse one algebra file; returns (algebra, raw object, sha256 hex)."""
     raw, obj = _read_json(path)
-    h, report = _parse_validated(obj, str(path))
-    return h, report, obj, sha256(raw).hexdigest()
+    return parse_algebra_json(obj, str(path)), obj, sha256(raw).hexdigest()
 
 
 def parse_algebra(path) -> GradedAlgebra:
@@ -221,7 +213,8 @@ def _monomial_json(m: Monomial, even_labels) -> dict:
 def certificate_json(cert: Certificate, raw_obj, digest: str) -> dict:
     """The certificate of one `certify` run on the input `raw_obj` with the
     given sha256, as a JSON object; stages that did not run are null."""
-    h, gens, verdict, quasi = cert.algebra, cert.generators, cert.verdict, cert.quasi_isomorphism
+    h, verdict, quasi = cert.algebra, cert.verdict, cert.quasi_isomorphism
+    gens, odd_vanish = h.generators, h.validation.odd_degrees_vanish
     labels = tuple(g.label for g in gens)
 
     def sparse(v: Row) -> dict:
@@ -231,7 +224,7 @@ def certificate_json(cert: Certificate, raw_obj, digest: str) -> dict:
         "input": raw_obj,
         "input_sha256": digest,
         "cap": cert.cap,
-        "validation": cert.validation._asdict(),
+        "validation": h.validation._asdict(),
         "generators": [{"label": g.label, "degree": g.degree, "class": sparse(g.class_vector)}
                        for g in gens],
         "e_family": None if cert.e_family is None else [{
@@ -264,8 +257,8 @@ def certificate_json(cert: Certificate, raw_obj, digest: str) -> dict:
         "verdict": {
             "classification": verdict.classification,
             "discrepancy": verdict.discrepancy,
-            "hypothesis_ok": verdict.odd_degrees_vanish,
-            "odd_degrees_vanish": verdict.odd_degrees_vanish,
+            "hypothesis_ok": odd_vanish,
+            "odd_degrees_vanish": odd_vanish,
             "finite_dimensional": True,  # a table of products is finite by construction
             "condition_i_trivial_products": verdict.condition_i,
             "condition_ii_independent_family": verdict.condition_ii,

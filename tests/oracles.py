@@ -61,14 +61,17 @@ def raw_model(model):
 
 
 def brute_basis(even_degs, odd, n):
-    """All (even exponent tuple, odd index subset) pairs of total degree n."""
+    """All (even exponent tuple, odd index subset) pairs of total degree n.
+    Every odd generator has degree at least the least odd degree, so a
+    subset of degree rem has at most rem // that degree elements."""
     out = []
     ranges = [range(n // d + 1) if d else range(1) for d in even_degs]
+    least = min((d for d, _ in odd), default=1)
     for exps in itertools.product(*ranges):
         rem = n - sum(e * d for e, d in zip(exps, even_degs))
         if rem < 0:
             continue
-        for r in range(len(odd) + 1):
+        for r in range(min(len(odd), rem // least) + 1):
             for sub in itertools.combinations(range(len(odd)), r):
                 if sum(odd[i][0] for i in sub) == rem:
                     out.append((exps, sub))

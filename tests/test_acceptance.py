@@ -78,7 +78,7 @@ def test_criterion_2_truncated_polynomial_rings():
 def test_criterion_3_wedge_discrepancy(tmp_path):
     h = algebra(wedge(even_sphere(2), even_sphere(2)))
     gens, e, goods, model, report = pipeline(h, cap=12)
-    verdict = fc.render_verdict(h, e, goods, report)
+    verdict = fc.render_verdict(h, e, report)
 
     # confirm with the independent brute-force rank oracle, then hold the
     # frozen regression values against it

@@ -320,7 +320,8 @@ def test_light_test_on_a_corpus_of_mutated_tables():
     # keep the laws Light's test needs on most tables, so most reports
     # rest on it, and some break the single unit or graded commutativity
     bases = [h for h in map(parse_algebra_json, BASES) if h.dim >= 4]  # room for a product
-    bases += [build() for build in GROEBNER_RINGS.values()]  # monomial in no basis
+    # monomial in no basis; Fl(4) (dimension 24) would make the test four times slower
+    bases += [build() for name, build in GROEBNER_RINGS.items() if name != "flag_4"]
     bases += [rebased(h, random.Random(i)) for i, h in enumerate(bases)]
     seen = {"light": 0, "not associative": 0, "single unit": 0, "commutativity": 0}
     for seed in range(3000):

@@ -33,8 +33,8 @@ def write_json(path, obj):
 
 def test_parse_sphere_file(tmp_path):
     path = write_json(tmp_path / "s2.json", even_sphere(2))
-    h, report, raw, digest = load_algebra_file(path)
-    assert report.structure_ok
+    h, raw, digest = load_algebra_file(path)
+    assert h.validation.structure_ok
     assert h.top_degree == 2
     assert len(digest) == 64
     assert fc.parse_algebra(path) == h
@@ -264,6 +264,39 @@ def test_check_chooses_the_generators_once(tmp_path, monkeypatch, capsys, obj):
                         lambda h: calls.append(h) or choose(h))
     assert main(["check", write_json(tmp_path / "in.json", obj)]) in (0, 3, 4)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("obj", [
+    truncated_poly(2, 3), wedge(even_sphere(2), even_sphere(2)),
+    {"name": "odd", "unit": "1", "products": [],
+     "basis": [{"label": "1", "degree": 0}, {"label": "z", "degree": 3}]}],
+    ids=["cp2", "wedge", "odd"])
+def test_parse_and_certify_validate_once(monkeypatch, obj):
+    # the report is `h.validation`, which looks `validate` up by name
+    calls = []
+    validate = algebra_module.validate
+    monkeypatch.setattr(algebra_module, "validate", lambda h: calls.append(h) or validate(h))
+    h = parse_algebra_json(obj)
+    fc.certify(h)
+    assert calls == [h]
+    assert fc.validate(h) == h.validation
+
+
+def test_certify_refuses_a_table_check_rejects(tmp_path, capsys):
+    # 1·x = 2x breaks the unit law: the library refuses the table as `check` does
+    obj = {"name": "bad unit", "unit": "1",
+           "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 2},
+                     {"label": "y", "degree": 4}],
+           "products": [{"left": "1", "right": "x", "value": [{"label": "x", "coeff": "2"}]},
+                        {"left": "x", "right": "x", "value": [{"label": "y", "coeff": "1"}]}]}
+    h = fc.GradedAlgebra.from_products([("1", 0), ("x", 2), ("y", 4)], "1",
+                                       {("1", "x"): {"x": 2}, ("x", "x"): {"y": 1}})
+    message = "validation failure: unit law fails on x; associativity fails on (1, 1, x)"
+    with pytest.raises(ValueError) as refused:
+        fc.certify(h)
+    assert str(refused.value) == message
+    assert main(["check", write_json(tmp_path / "in.json", obj)]) == 1
+    assert capsys.readouterr().err.endswith(message + "\n")
 
 
 def test_check_result_too_long_to_print(tmp_path, capsys):

@@ -68,7 +68,7 @@ def test_condition_ii_matches_dense_rank(k):
         e = e_family_of(h)
         assert len(e) == h.dim_in_degree(4) + (k == len(corpus_objects()))
         assert fc.validate(h).structure_ok and not fc.check_condition_ii(e)
-        assert fc.certify(h, fc.validate(h)).verdict.classification == INCONCLUSIVE
+        assert fc.certify(h).verdict.classification == INCONCLUSIVE
 
 
 def test_condition_ii_ranks_shared_positions_together():
@@ -168,7 +168,7 @@ def test_degree_set_rejects_bad_input():
 def test_verdict_sphere_formal_via_i():
     h = s2()
     gens, e, goods, model, report = pipeline(h, cap=12)
-    v = fc.render_verdict(h, e, goods, report)
+    v = fc.render_verdict(h, e, report)
     assert v.classification == FORMAL_BY_THEOREM
     assert v.condition_i and v.condition_ii
     assert not v.discrepancy
@@ -177,7 +177,7 @@ def test_verdict_sphere_formal_via_i():
 def test_verdict_cp2_formal_via_ii():
     h = cp2()
     gens, e, goods, model, report = pipeline(h, cap=12)
-    v = fc.render_verdict(h, e, goods, report)
+    v = fc.render_verdict(h, e, report)
     assert v.classification == FORMAL_BY_THEOREM
     assert not v.condition_i
     assert v.condition_ii
@@ -187,7 +187,7 @@ def test_verdict_cp2_formal_via_ii():
 def test_verdict_wedge_discrepancy():
     h = wedge_s2_s2()
     gens, e, goods, model, report = pipeline(h, cap=12)
-    v = fc.render_verdict(h, e, goods, report)
+    v = fc.render_verdict(h, e, report)
     assert v.classification == FORMAL_BY_THEOREM
     assert v.condition_i
     assert v.discrepancy
@@ -197,7 +197,7 @@ def test_verdict_wedge_discrepancy():
 def test_verdict_inconclusive():
     h = dependent_family()
     gens, e, goods, model, report = pipeline(h)
-    v = fc.render_verdict(h, e, goods, report)
+    v = fc.render_verdict(h, e, report)
     assert v.classification == INCONCLUSIVE
     assert v.condition_i is False and v.condition_ii is False
 
@@ -212,37 +212,35 @@ def test_verdict_depends_on_the_basis(make, sizes):
     rebased = change_basis(h, random.Random(1))
     outcomes = [(FORMAL_BY_THEOREM, 0, sizes[0]), (INCONCLUSIVE, 2, sizes[1])]
     for ring, outcome in zip((h, rebased), outcomes):
-        cert = fc.certify(ring, fc.validate(ring))
+        cert = fc.certify(ring)
         assert (cert.verdict.classification, cert.exit_code, len(cert.e_family)) == outcome
 
 
 def test_verdict_hypothesis_violated():
     h = GradedAlgebra.from_products([("1", 0), ("x", 2), ("z", 3)], "1", {})
-    v = fc.render_verdict(h, None, None, None)
+    v = fc.render_verdict(h, None, None)
     assert v.classification == HYPOTHESIS_VIOLATED
     assert v.condition_i is None and v.condition_ii is None
-    assert not v.odd_degrees_vanish
+    assert not h.validation.odd_degrees_vanish
 
 
 def test_certify_odd_degree_runs_no_stage():
-    # the gate reads h, so the report of another algebra runs no stage either
     h = GradedAlgebra.from_products([("1", 0), ("x", 2), ("z", 3)], "1", {})
-    for report in (fc.validate(h), fc.validate(s2())):
-        cert = fc.certify(h, report)
-        assert cert.cap == 2 * 3 + 1
-        assert len(cert.generators) == 2
-        assert (cert.e_family, cert.good_objects, cert.model, cert.quasi_isomorphism) == \
-            (None, None, None, None)
-        assert cert.verdict.classification == HYPOTHESIS_VIOLATED
-        assert cert.exit_code == 3
+    cert = fc.certify(h)
+    assert cert.cap == 2 * 3 + 1
+    assert len(h.generators) == 2
+    assert (cert.e_family, cert.good_objects, cert.model, cert.quasi_isomorphism) == \
+        (None, None, None, None)
+    assert cert.verdict.classification == HYPOTHESIS_VIOLATED
+    assert cert.exit_code == 3
 
 
 def test_certify_cap_below_top_rejected():
     odd = GradedAlgebra.from_products([("1", 0), ("x", 2), ("z", 3)], "1", {})
     for h in (cp2(), odd):
         with pytest.raises(ValueError, match="below the top degree"):
-            fc.certify(h, fc.validate(h), cap=h.top_degree - 1)
-    assert fc.certify(cp2(), fc.validate(cp2()), cap=4).cap == 4
+            fc.certify(h, cap=h.top_degree - 1)
+    assert fc.certify(cp2(), cap=4).cap == 4
 
 
 def test_certify_computes_e_once(monkeypatch):
@@ -256,14 +254,14 @@ def test_certify_computes_e_once(monkeypatch):
     monkeypatch.setattr("formacheck.formality.compute_E", counted)
     for h in (cp3(), s2_power_4(), dependent_family()):
         calls.clear()
-        cert = fc.certify(h, fc.validate(h))
+        cert = fc.certify(h)
         assert calls == [h]
-        assert cert.good_objects == good_objects(cert.generators, cert.e_family)
+        assert cert.good_objects == good_objects(h.generators, cert.e_family)
 
 
 def test_certify_caches_stay_bounded():
     for h in (cp3(), wedge_s2_s2()):
-        cert = fc.certify(h, fc.validate(h))
+        cert = fc.certify(h)
         for n in range(cert.cap):
             differential_matrix(cert.model, n)
     assert _monomials_cached.cache_info().currsize <= 2
@@ -272,7 +270,7 @@ def test_certify_caches_stay_bounded():
     _monomials_cached.cache_clear()
     differential_matrix.cache_clear()
     h = s2_power_4()
-    assert fc.certify(h, fc.validate(h)).exit_code == 0
+    assert fc.certify(h).exit_code == 0
     assert _monomials_cached.cache_info().misses == 0
     assert differential_matrix.cache_info().misses == 0
 
@@ -291,14 +289,13 @@ def test_check_path_builds_no_rational_echelon_form(monkeypatch):
             monkeypatch.setattr(module, "rref", forbidden)
     monkeypatch.setattr(MatQ, "from_rows", staticmethod(forbidden))
     for h, cap in inputs:
-        fc.certify(h, fc.validate(h), cap)
+        fc.certify(h, cap)
 
 
 def test_verdict_deterministic():
     h = cp2()
     gens, e, goods, model, report = pipeline(h, cap=10)
-    assert fc.render_verdict(h, e, goods, report) == \
-        fc.render_verdict(h, e, goods, report)
+    assert fc.render_verdict(h, e, report) == fc.render_verdict(h, e, report)
 
 
 def test_corollary_implies_condition_ii_on_corpus():

@@ -81,12 +81,18 @@ GOLDEN = {
     "grassmannian_2_4": "3628db8436a393a5b6d41aa7583472e51df6f4603dc2c117df40b61598458698",
     "flag_3": "63cc1b3cdf91a4b74015c54400141a41f2c0f7d674897f0fcd173d183373d9af",
     "quadric_intersection": "218e47f24b6af9c66bd2c8c3fba8ace10387fec714f70598727232fe8a6a7be9",
+    "grassmannian_2_5": "42c66897253059c0f2b0610e7326bda9428dc00ea6049bbe0fb9e68ea89d0092",
+    "flag_4": "2a519c233447d45c9cc1a4d9254c1eb29dae4655dc8bf4f6b24435d1ad6d3476",
     "rebased(grassmannian_2_4,1)":
         "d012a9180757fadfdf14c1ae2b3eac94948fdb23a46eae645da4a50a7325bfa6",
     "rebased(flag_3,1)":
         "bb96101eede79cc36ef0c3ca73140bf180aa79884aee196a9521f0c12c879bc6",
     "rebased(quadric_intersection,1)":
         "81cb60091f5935329a8067a26c51b635225d5ab386d11a6bdaa30be04cf9c95a",
+    "rebased(grassmannian_2_5,1)":
+        "5296c99f27a0d2f9db78291cbb087774cf3cfebfc6ab62036ccd05634ba5509e",
+    "rebased(flag_4,1)":
+        "b60d822f6f331168d8fbfa30ee716cff9a9cf81ff3de5e15c67c5a35a27ef429",
 }
 HALF_SQUARE = "half_square(truncated_poly(2,3))"
 
@@ -207,7 +213,7 @@ def file_digest(obj: dict) -> str:
 
 def certificate_digest(raw: dict, cap=None) -> str:
     h = algebra(raw)
-    cert = fc.certify(h, fc.validate(h), cap)
+    cert = fc.certify(h, cap)
     digest = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
     text = json.dumps(certificate_json(cert, raw, digest), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -227,7 +233,7 @@ def test_half_square_writes_its_fraction():
     # witness of the good object v1^3
     raw = inputs()[HALF_SQUARE]
     h = algebra(raw)
-    cert = fc.certify(h, fc.validate(h))
+    cert = fc.certify(h)
     assert (cert.verdict.classification, cert.exit_code) == (fc.FORMAL_BY_THEOREM, 0)
     assert dump_json(certificate_json(cert, raw, "0" * 64)).count('"1/2"') == 3
 
@@ -256,7 +262,7 @@ def test_int_and_fraction_coefficients_give_one_certificate(name):
     assert h.mult == h_fraction.mult
     assert h.generators == h_fraction.generators
     assert fc.compute_E(h, h.generators) == fc.compute_E(h_fraction, h_fraction.generators)
-    certificates = [dump_json(certificate_json(fc.certify(a, fc.validate(a)), raw, "0" * 64))
+    certificates = [dump_json(certificate_json(fc.certify(a), raw, "0" * 64))
                     for a in (h, h_fraction)]
     assert certificates[0] == certificates[1]
 

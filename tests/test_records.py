@@ -23,12 +23,12 @@ def sample_records():
     """One instance of every record type, from a run on CP^2."""
     h = cp2()
     gens, e, goods, model, report = pipeline(h)
-    verdict = fc.render_verdict(h, e, goods, report)
+    verdict = fc.render_verdict(h, e, report)
     return [
         MatQ.identity(1), rref(MatQ.identity(1)), h, fc.validate(h), gens[0],
         goods[0].monomial, e[0], goods[0],
         model.odd_generators[0], model, report.reports[0], report, DegreeSet.from_algebra(h),
-        verdict, fc.certify(h, fc.validate(h)),
+        verdict, fc.certify(h),
     ]
 
 
@@ -50,10 +50,9 @@ FIELDS = {
                      "injective surjective"),
     "QuasiIsoReport": "cap reports overall first_failure",
     "DegreeSet": "degrees",
-    "Verdict": ("odd_degrees_vanish condition_i condition_ii corollary_integer "
-                "corollary_nonnegative classification discrepancy"),
-    "Certificate": ("algebra validation cap generators e_family good_objects model "
-                    "quasi_isomorphism verdict"),
+    "Verdict": ("condition_i condition_ii corollary_integer corollary_nonnegative "
+                "classification discrepancy"),
+    "Certificate": "algebra cap e_family good_objects model quasi_isomorphism verdict",
 }
 
 

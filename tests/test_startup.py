@@ -179,7 +179,7 @@ def digests(paths, fallback):
     code = (inspect.getsource(sample) + "import json, sys\n"
             + ("sys.modules['_sha256'] = None\n" if fallback else "")
             + "from formacheck import formats\n"
-            f"files = [formats.load_algebra_file(p)[3] for p in {paths!r}]\n"
+            f"files = [formats.load_algebra_file(p)[2] for p in {paths!r}]\n"
             f"lengths = [formats.sha256(sample(n)).hexdigest() for n in {DIGEST_LENGTHS!r}]\n"
             "print(json.dumps([formats.sha256.__module__, files, lengths]))")
     out = subprocess.run([sys.executable, "-c", code],
@@ -205,7 +205,7 @@ def test_digest_fallback_matches_hashlib(tmp_path):
         paths.append(str(path))
     expected_files = [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths]
     expected_lengths = [hashlib.sha256(sample(n)).hexdigest() for n in DIGEST_LENGTHS]
-    assert [load_algebra_file(p)[3] for p in paths] == expected_files
+    assert [load_algebra_file(p)[2] for p in paths] == expected_files
     module, files, lengths = digests(paths, fallback=True)
     assert module == hashlib.sha256.__module__
     assert (files, lengths) == (expected_files, expected_lengths)

@@ -134,11 +134,28 @@ def quadric_intersection():
         x ** 2 + y * z, y ** 2 + x * z, z ** 2 + x * y])
 
 
+def grassmannian_2_5():
+    """H*(Gr(2,5)) = Q[c1,c2]/(h4,h5): dimensions 1, 1, 2, 2, 2, 1, 1 in
+    degrees 0-12."""
+    return quotient_ring({"c1": 2, "c2": 4}, lambda c1, c2: [
+        c1 ** 4 - 3 * c1 ** 2 * c2 + c2 ** 2, c1 ** 5 - 4 * c1 ** 3 * c2 + 3 * c1 * c2 ** 2])
+
+
+def flag_4():
+    """H*(Fl(4)) = Q[x1..x4]/(e1..e4): dimensions 1, 3, 5, 6, 5, 3, 1 in
+    degrees 0-12, 24 in all."""
+    return quotient_ring({"x1": 2, "x2": 2, "x3": 2, "x4": 2}, lambda x1, x2, x3, x4: [
+        x1 + x2 + x3 + x4, x1 * x2 + x1 * x3 + x1 * x4 + x2 * x3 + x2 * x4 + x3 * x4,
+        x1 * x2 * x3 + x1 * x2 * x4 + x1 * x3 * x4 + x2 * x3 * x4, x1 * x2 * x3 * x4])
+
+
 # rings monomial in no basis, read off Gröbner bases
 GROEBNER_RINGS = {
     "grassmannian_2_4": grassmannian_2_4,
     "flag_3": flag_3,
     "quadric_intersection": quadric_intersection,
+    "grassmannian_2_5": grassmannian_2_5,
+    "flag_4": flag_4,
 }
 
 
@@ -179,8 +196,8 @@ def corpus_objects():
 
 def pipeline(h, cap=None):
     """Run `certify`; returns (gens, e, goods, model, quasi-isomorphism report)."""
-    cert = fc.certify(h, fc.validate(h), cap)
-    return cert.generators, cert.e_family, cert.good_objects, cert.model, cert.quasi_isomorphism
+    cert = fc.certify(h, cap)
+    return h.generators, cert.e_family, cert.good_objects, cert.model, cert.quasi_isomorphism
 
 
 def frac_matrix(rows):

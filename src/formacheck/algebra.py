@@ -5,14 +5,14 @@ Only the half with left index <= right index is supplied; the mirror entry
 is synthesized with the sign (-1)^(pq), which makes graded commutativity
 structural wherever it can be.
 
-The table is stored sparse: `mult[(i, j)]` is a `linalg.Row`, the nonzero
-terms (k, c) of e_i * e_j in increasing k, and pairs with a zero product
-are absent.  Every element is such a row: `GradedAlgebra.mul` takes and
-returns rows, and a basis vector or a generator's class is a one-term row.
-The generators are the non-pivots of one integer elimination per degree,
-chosen once per algebra (`GradedAlgebra.generators`); `validate` decides
-associativity through them when the other laws hold, and its report is
-also read once per algebra (`GradedAlgebra.validation`).
+The table is stored sparse and read-only: `mult[(i, j)]` is a `linalg.Row`,
+the nonzero terms (k, c) of e_i * e_j in increasing k, and pairs with a
+zero product are absent.  Every element is such a row: `GradedAlgebra.mul`
+takes and returns rows, and a basis vector or a generator's class is a
+one-term row.  The generators are the non-pivots of one integer
+elimination per degree, chosen once per algebra (`GradedAlgebra.generators`);
+`validate` decides associativity through them when the other laws hold,
+and its report is also read once per algebra (`GradedAlgebra.validation`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .linalg import Row, pivots
@@ -32,8 +33,16 @@ class AlgebraStructureError(ValueError):
 
 class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult")):
     """The basis `labels` and `degrees`, the `unit_index`, and `mult`, the table
-    (i, j) -> Row with both orders present and zero products omitted.  No
+    (i, j) -> Row with both orders present and zero products omitted, held as
+    a read-only copy of the mapping given, so the cached `validation` and
+    `generators` always describe it; pickle gets a plain dict.  No
     `__slots__ = ()`: the cached properties live in the instance `__dict__`."""
+
+    def __new__(cls, labels, degrees, unit_index, mult):
+        return super().__new__(cls, labels, degrees, unit_index, MappingProxyType(dict(mult)))
+
+    def __getnewargs__(self):
+        return (*self[:3], dict(self.mult))
 
     @property
     def dim(self) -> int:

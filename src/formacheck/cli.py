@@ -1,7 +1,9 @@
 """Command line front end: reads input files, writes certificates.
 
 `HELP` is the command line's reference: its grammar, options and exit
-codes; `formacheck -h` prints it.  `parse_command_line` reads that grammar
+codes; `formacheck -h` prints it.  `run_check` loads, certifies and writes:
+the cap rule, `MAX_CAP` included, is `formality.certify`'s, and a cap it
+refuses exits 1 with its message.  `parse_command_line` reads that grammar
 by hand: a stdlib parser's import and set-up would cost every process a few
 milliseconds.  `corpus` imports its module when it runs, so that a `check`
 process neither loads nor compiles it.  Nor does it load `reference`, the
@@ -31,16 +33,13 @@ import time
 from typing import Optional
 
 from . import __version__
-from .cohomology import box
-from .formality import EXIT_INPUT_ERROR, EXIT_OK, certify
+from .cohomology import covered_degree
+from .formality import EXIT_INPUT_ERROR, EXIT_OK, MAX_CAP, certify
 from .formats import InputError, certificate_json, dump_json, load_algebra_file
 
 
 USAGE = """usage: formacheck check FILE [--cap N] [--report PATH] [--emit-model PATH]
        formacheck corpus KIND [PARAM ...] (-o | --output) PATH"""
-# the largest cap, given or default: the check keeps, and the certificate writes,
-# one row per degree up to the cap, so its work and its output grow with the cap
-MAX_CAP = 100_000
 HELP = USAGE + f"""
 
   check                run the formality pipeline on an algebra file
@@ -100,14 +99,13 @@ def _utc_now() -> str:
 
 
 def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> int:
-    """Load an algebra file, certify it, and write the certificate."""
+    """Load an algebra file, certify it, and write the certificate; a cap
+    that `certify` refuses is an input error."""
     h, raw_obj, digest = load_algebra_file(path)
-    if cap is not None and cap < h.top_degree:
-        raise InputError(f"cap {cap} is below the top degree {h.top_degree}")
-    cap = 2 * h.top_degree + 1 if cap is None else cap
-    if cap > MAX_CAP:
-        raise InputError(f"cap {cap} is too large")
-    cert = certify(h, cap)
+    try:
+        cert = certify(h, cap)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     certificate = {
         "tool": {"name": "formacheck", "version": __version__},
         "generated_at": _utc_now(),
@@ -132,9 +130,8 @@ def run_check(path, cap: Optional[int] = None, emit_model=None, report=None) -> 
                  f"{qreport.cap}" if qreport.overall
                  else f"first failing degree {qreport.first_failure}")
         summary.append(f"quasi-isomorphism check ({state})")
-        bound = box(cert.model)  # the model's cohomology vanishes above Σ_i bound_i·|v_i|
-        if None not in bound and qreport.cap >= (top := max(h.top_degree, sum(
-                b * d for b, d in zip(bound, cert.model.even_degrees)))):
+        top = covered_degree(cert.model, h)
+        if top is not None and qreport.cap >= top:
             summary.append(f"the check covers every degree: the model's cohomology and H "
                            f"vanish above {top} = max(box degree, top degree)")
     if verdict.discrepancy:

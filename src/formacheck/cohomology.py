@@ -63,6 +63,15 @@ def box(model: Model) -> list:
     return [t - 1 if i in pure else None for i, t in enumerate(total)]
 
 
+def covered_degree(model: Model, h: GradedAlgebra):
+    """max(box degree Σ_i (T_i - 1)·|v_i|, top degree of h), above which the
+    model's cohomology and H both vanish, when every coordinate has a `box`
+    bound; else None.  A check whose cap reaches it covers every degree."""
+    bound = box(model)
+    return None if None in bound else max(
+        h.top_degree, sum(b * d for b, d in zip(bound, model.even_degrees)))
+
+
 def blocks(model: Model, cap: int):
     """(|α|, α, orbit size, faces of Δ_α) for one α per twin orbit of the
     blocks that can add to a degree <= cap, lexicographically.

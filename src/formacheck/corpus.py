@@ -4,11 +4,21 @@ Each generator builds an index table and hands it to `algebra_file`, the one
 writer of the algebra-file JSON, which puts the result through the regular
 parser: every returned object passes validation, and a table that fails it
 (`truncated_poly(1, 3)`: x*x != 0 with |x| odd) raises InputError instead.
+`truncated_poly` and `product` count the products of the half table they
+would build and raise InputError, before building it, when there are more
+than `formality.MAX_PRODUCTS`.
 """
 
 from __future__ import annotations
 
+from .formality import MAX_PRODUCTS
 from .formats import InputError, _read_json, format_rational, parse_algebra_json
+
+
+def _within_budget(name: str, products: int):
+    """Raise InputError when a half table of `products` entries is over budget."""
+    if products > MAX_PRODUCTS:
+        raise InputError(f"{name} would have {products} products, more than {MAX_PRODUCTS}")
 
 
 def algebra_file(name: str, labels, degrees, unit: int, table: dict) -> dict:
@@ -42,10 +52,11 @@ def truncated_poly(degree: int, height: int) -> dict:
         raise InputError(f"truncated_poly needs a positive degree, got {degree!r}")
     if not isinstance(height, int) or height < 2:
         raise InputError(f"truncated_poly needs height >= 2, got {height!r}")
+    name = f"truncated_poly({degree},{height})"
+    _within_budget(name, (height - 1) ** 2 // 4)  # the pairs 1 <= i <= j, i + j < height
     labels = ["1"] + ["x" if k == 1 else f"x^{k}" for k in range(1, height)]
     table = {(i, j): {i + j: 1} for i in range(1, height) for j in range(i, height - i)}
-    return algebra_file(f"truncated_poly({degree},{height})", labels,
-                        [k * degree for k in range(height)], 0, table)
+    return algebra_file(name, labels, [k * degree for k in range(height)], 0, table)
 
 
 def product(a_obj: dict, b_obj: dict) -> dict:
@@ -53,6 +64,12 @@ def product(a_obj: dict, b_obj: dict) -> dict:
     pair (i, j) sits at position i * b.dim + j."""
     a = parse_algebra_json(a_obj, "product left factor")
     b = parse_algebra_json(b_obj, "product right factor")
+    name = f"product({a_obj.get('name') or 'algebra'},{b_obj.get('name') or 'algebra'})"
+    # each table holds both orders of a pair and every unit row (the laws hold), so
+    # of the |a.mult|·|b.mult| products, the half table keeps one of each mirror
+    # pair and each diagonal one, less the a.dim·b.dim unit rows
+    diagonal = sum(i == k for i, k in a.mult) * sum(j == l for j, l in b.mult)
+    _within_budget(name, (len(a.mult) * len(b.mult) + diagonal) // 2 - a.dim * b.dim)
     unit = a.unit_index * b.dim + b.unit_index
     table = {}
     for (i, k), left in a.mult.items():
@@ -63,8 +80,7 @@ def product(a_obj: dict, b_obj: dict) -> dict:
                 table[(p, q)] = {m * b.dim + n: sign * cm * cn
                                  for m, cm in left for n, cn in right}
     return algebra_file(
-        f"product({a_obj.get('name') or 'algebra'},{b_obj.get('name') or 'algebra'})",
-        [f"{x}*{y}" for x in a.labels for y in b.labels],
+        name, [f"{x}*{y}" for x in a.labels for y in b.labels],
         [x + y for x in a.degrees for y in b.degrees], unit, table)
 
 

@@ -27,6 +27,13 @@ EXIT_INCONCLUSIVE = 2
 EXIT_HYPOTHESIS_VIOLATED = 3
 EXIT_DISCREPANCY = 4
 
+# the largest cap, given or default: the check keeps, and the certificate writes,
+# one row per degree up to the cap, so its work and its output grow with the cap
+MAX_CAP = 100_000
+# the most products a corpus generator may write in its half table: `corpus
+# truncated_poly 2 895`, 199,809 products, takes about 6 s and 400 MB
+MAX_PRODUCTS = 200_000
+
 
 class DegreeSet(namedtuple("DegreeSet", "degrees")):
     """Strictly increasing positive degrees carrying nonzero cohomology."""
@@ -159,17 +166,19 @@ def certify(h: GradedAlgebra, cap: Optional[int] = None) -> Certificate:
     """h.validation -> h.generators -> E -> good objects -> model -> capped
     quasi-isomorphism check -> verdict.
 
-    A table that breaks a ring law (`h.validation.structure_ok` false)
-    raises ValueError, as `check` rejects it.  The cap defaults to 2 * top
-    degree + 1 and may not be below the top degree.  When some class of h
-    has odd degree the hypothesis fails and only the generators are computed.
+    First the cap rule: the cap defaults to 2 * top degree + 1, and one below
+    the top degree or above `MAX_CAP` raises ValueError with the message
+    `check` prints.  So does a table that breaks a ring law
+    (`h.validation.structure_ok` false).  When some class of h has odd
+    degree the hypothesis fails and only the generators are computed.
     """
-    if not h.validation.structure_ok:
-        raise ValueError("validation failure: " + "; ".join(h.validation.failures))
     cap = 2 * h.top_degree + 1 if cap is None else cap
     if cap < h.top_degree:
-        raise ValueError(
-            f"cap {cap} is below the top degree {h.top_degree}; the check would be vacuous")
+        raise ValueError(f"cap {cap} is below the top degree {h.top_degree}")
+    if cap > MAX_CAP:
+        raise ValueError(f"cap {cap} is too large")
+    if not h.validation.structure_ok:
+        raise ValueError("validation failure: " + "; ".join(h.validation.failures))
     gens = h.generators
     e = goods = model = quasi = None
     if h.validation.odd_degrees_vanish:

@@ -11,6 +11,10 @@ reference validator, the greedy generator rule (which grows a
 all multiply with it, and convert the classes they return to rows with
 `reference.as_row`.
 
+`contract_violations` reads a certificate's JSON alone, with no library
+code, and lists where its verdict, exit code and summary disagree with its
+own flags and rows.
+
 The last section keeps small helpers that only the tests use: the product
 of model monomials, a linear solver, a matrix-vector product and bases of
 the decomposables.
@@ -293,6 +297,57 @@ def brute_good_objects(h, gens):
             witnesses.sort(key=lambda w: w.monomial.sort_key())
             goods.append(GoodObject(monomial(exps), tuple(witnesses)))
     return sorted(goods, key=lambda g: g.monomial.sort_key())
+
+
+# ---- the certificate's contract, from its JSON alone ----
+
+def contract_violations(cert: dict) -> list[str]:
+    """What a certificate's JSON claims that its own flags and rows do not
+    give, one message each; empty when it is consistent.
+
+    The classification follows from `hypothesis_ok` and the two condition
+    flags, the discrepancy from the classification and the rows'
+    `bijective`, and the exit code from both; `overall` and `first_failure`
+    summarize the rows, one per degree 0..cap, and each row's flags follow
+    from its three dimensions.
+    """
+    verdict, quasi = cert["verdict"], cert["quasi_isomorphism"]
+    found = []
+
+    def expect(what, got, want):
+        if got != want:
+            found.append(f"{what} is {got!r}, expected {want!r}")
+
+    ok = verdict["hypothesis_ok"]
+    flags = (verdict["condition_i_trivial_products"], verdict["condition_ii_independent_family"])
+    expect("odd_degrees_vanish", verdict["odd_degrees_vanish"], ok)
+    expect("validation odd_degrees_vanish", cert["validation"]["odd_degrees_vanish"], ok)
+    expect("the check's absence", quasi is None, not ok)
+    if ok:
+        expect("the condition flags' types", [type(f) for f in flags], [bool, bool])
+        classification = "FORMAL_BY_THEOREM" if any(flags) else "INCONCLUSIVE"
+    else:
+        expect("the condition flags", flags, (None, None))
+        classification = "HYPOTHESIS_VIOLATED"
+    expect("classification", verdict["classification"], classification)
+    failing = []
+    if quasi is not None:
+        rows = quasi["degrees"]
+        expect("the check's cap", quasi["cap"], cert["cap"])
+        expect("the rows' degrees", [r["degree"] for r in rows], list(range(cert["cap"] + 1)))
+        for r in rows:
+            rank, n = r["induced_map_rank"], r["degree"]
+            expect(f"degree {n} injective", r["injective"], rank == r["model_cohomology_dim"])
+            expect(f"degree {n} surjective", r["surjective"], rank == r["target_dim"])
+            expect(f"degree {n} bijective", r["bijective"], r["injective"] and r["surjective"])
+        failing = [r["degree"] for r in rows if not r["bijective"]]
+        expect("overall", quasi["overall"], not failing)
+        expect("first_failure", quasi["first_failure"], failing[0] if failing else None)
+    discrepancy = classification == "FORMAL_BY_THEOREM" and bool(failing)
+    expect("discrepancy", verdict["discrepancy"], discrepancy)
+    expect("exit_code", cert["exit_code"], {"HYPOTHESIS_VIOLATED": 3, "INCONCLUSIVE": 2}.get(
+        classification, 4 if discrepancy else 0))
+    return found
 
 
 # ---- helpers used only by the tests ----

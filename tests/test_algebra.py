@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -381,6 +383,36 @@ def test_structural_rejection():
     with pytest.raises(AlgebraStructureError):
         GradedAlgebra.from_products([("1", 0), ("x", 2)], "1",
                                     {("x", "q"): {"x": 1}})
+
+
+def test_table_is_read_only():
+    # the reports cached on first read always describe the table: it cannot change
+    h = cp2()
+    assert h.validation.structure_ok
+    with pytest.raises(TypeError):
+        h.mult[(0, 1)] = ((1, 2),)  # 1·x = 2x
+    with pytest.raises(TypeError):
+        del h.mult[(1, 1)]
+    assert h.validation == fc.validate(h)
+    assert fc.certify(h).exit_code == 0
+    for twin in (copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert twin == h
+        with pytest.raises(TypeError):
+            twin.mult[(0, 1)] = ((1, 2),)
+
+
+def test_algebra_keeps_its_own_copy_of_the_table():
+    # the dict an algebra is built from stays the caller's: changing it later
+    # changes no algebra, and a changed copy builds a new one
+    h = cp2()
+    mult = dict(h.mult)
+    kept = GradedAlgebra(h.labels, h.degrees, h.unit_index, mult)
+    mult[(0, 1)] = ((1, 2),)
+    assert kept.mult == h.mult and kept.mult[(0, 1)] == ((1, 1),)
+    assert kept.validation.structure_ok
+    changed = GradedAlgebra(h.labels, h.degrees, h.unit_index, mult)
+    assert changed.mult[(0, 1)] == ((1, 2),)
+    assert not changed.validation.unit_law
 
 
 def test_decomposables_sphere():

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 
 import formacheck as fc
 from formacheck import algebra as algebra_module
+from formacheck import corpus as corpus_module
 from formacheck.cli import _COMMANDS, HELP, MAX_CAP, USAGE, main, parse_command_line
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
+from formacheck.formality import MAX_PRODUCTS
 from formacheck.formats import InputError, load_algebra_file, parse_algebra_json
 
 from util import (algebra, corpus_objects, cp2_power_3, dependent_pair, serialize_algebra,
@@ -728,6 +731,40 @@ def test_corpus_output_that_fails_validation_exits_one(tmp_path, capsys, degree)
     # at height 2, x*x = 0: the file is written, and `check` reads it
     assert main(["corpus", "truncated_poly", str(degree), "2", "-o", str(out)]) == 0
     assert main(["check", str(out)]) == 3  # hypothesis violated
+
+
+def test_corpus_over_the_product_budget_exits_one_at_once(tmp_path, capsys):
+    # about 2.5e9 products: refused before any of them is built
+    out = tmp_path / "x.json"
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["corpus", "truncated_poly", "2", "100000", "-o", str(out)]) == 1
+    assert time.perf_counter() - start < 1
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "error: truncated_poly(2,100000) would have "
+                                   f"2499950000 products, more than {MAX_PRODUCTS}\n")
+
+
+# factors of the products the budget test builds: even, odd and fractional tables
+HALF_SQUARE = truncated_poly(2, 3)
+HALF_SQUARE["products"][0]["value"][0]["coeff"] = "1/2"
+FACTORS = [even_sphere(2), even_sphere(4), truncated_poly(2, 3), truncated_poly(2, 4),
+           S2_WEDGE_S2, ODD_CLASS, product(ODD_CLASS, ODD_CLASS), HALF_SQUARE]
+BUDGETED = ([(truncated_poly, (degree, height)) for degree in (1, 2, 3) for height in (2, 3, 7)
+             if degree % 2 == 0 or height == 2]
+            + [(product, (a, b)) for a in FACTORS for b in FACTORS])
+
+
+@pytest.mark.parametrize("build, args", BUDGETED)
+def test_corpus_budget_counts_the_products_it_writes(monkeypatch, build, args):
+    # with a budget of exactly the products written the file is the same;
+    # with one less, the generator refuses
+    obj = build(*args)
+    monkeypatch.setattr(corpus_module, "MAX_PRODUCTS", len(obj["products"]))
+    assert build(*args) == obj
+    monkeypatch.setattr(corpus_module, "MAX_PRODUCTS", len(obj["products"]) - 1)
+    with pytest.raises(InputError, match=f"would have {len(obj['products'])} products"):
+        build(*args)
 
 
 def test_corpus_bad_params(tmp_path):

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 import formacheck as fc
+import formacheck.cli
 from formacheck.algebra import GradedAlgebra
-from formacheck.formality import (FORMAL_BY_THEOREM, HYPOTHESIS_VIOLATED,
-                                  INCONCLUSIVE, DegreeSet)
+from formacheck.formality import (FORMAL_BY_THEOREM, HYPOTHESIS_VIOLATED, INCONCLUSIVE,
+                                  MAX_CAP, DegreeSet)
 from formacheck.model import EEntry, Monomial, compute_E, good_objects
 from formacheck.reference import MatQ, _monomials_cached, as_row, differential_matrix, rref
 
@@ -241,6 +242,29 @@ def test_certify_cap_below_top_rejected():
         with pytest.raises(ValueError, match="below the top degree"):
             fc.certify(h, cap=h.top_degree - 1)
     assert fc.certify(cp2(), cap=4).cap == 4
+
+
+@pytest.mark.parametrize("n, cap, message", [
+    (4, 3, "cap 3 is below the top degree 4"),
+    (3, 2, "cap 2 is below the top degree 3"),
+    (4, MAX_CAP + 1, f"cap {MAX_CAP + 1} is too large"),
+    (3, 10 ** 20, f"cap {10 ** 20} is too large"),
+    (50_000, None, "cap 100001 is too large"),  # the default, 2 * 50000 + 1
+    (50_001, None, "cap 100003 is too large"),
+], ids=["even-below", "odd-below", "even-above", "odd-above", "even-default", "odd-default"])
+def test_certify_owns_the_cap_rule(monkeypatch, n, cap, message):
+    # the whole rule is checked on S^n before any stage: validation, generators or E
+    def forbidden(*args):
+        raise AssertionError("a stage ran before the cap rule")
+
+    for name in ("formacheck.algebra.validate", "formacheck.algebra.choose_generators",
+                 "formacheck.formality.compute_E"):
+        monkeypatch.setattr(name, forbidden)
+    h = GradedAlgebra.from_products([("1", 0), ("x", n)], "1", {})
+    with pytest.raises(ValueError) as refused:
+        fc.certify(h, cap)
+    assert str(refused.value) == message
+    assert formacheck.cli.MAX_CAP is MAX_CAP
 
 
 def test_certify_computes_e_once(monkeypatch):

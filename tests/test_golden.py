@@ -23,6 +23,9 @@ degree-3 classes (the Koszul sign, primed labels), of one with a `"1/2"`
 coefficient and of one without a name.
 Regenerate a digest only for a change that means to alter the certificate
 or the corpus file.
+A digest pins bytes the pipeline made; `oracles.contract_violations` reads
+each pinned certificate back from its JSON and checks that its verdict,
+discrepancy flag, exit code and summary follow from its flags and rows.
 """
 
 import functools
@@ -38,6 +41,7 @@ from formacheck.cli import main
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import certificate_json, dump_json, parse_rational
 
+from oracles import contract_violations
 from util import (GROEBNER_RINGS, algebra, change_basis, corpus_objects, cp2_power_3,
                   cp2_power_4, dependent_family, dependent_pair, s2_power_4, serialize_algebra,
                   sphere_wedge_8)
@@ -241,6 +245,58 @@ def test_half_square_writes_its_fraction():
 @pytest.mark.parametrize("name,cap", sorted(GOLDEN_AT_CAP))
 def test_certificate_digest_at_cap(name, cap):
     assert certificate_digest(inputs()[name], cap) == GOLDEN_AT_CAP[(name, cap)]
+
+
+def certificate_read_back(raw: dict, cap=None) -> dict:
+    """The certificate of `raw` as `check` writes it, parsed again."""
+    cert = fc.certify(algebra(raw), cap)
+    return json.loads(dump_json(certificate_json(cert, raw, "0" * 64)))
+
+
+@pytest.mark.parametrize("name,cap", [(name, None) for name in sorted(GOLDEN)]
+                         + sorted(GOLDEN_AT_CAP))
+def test_pinned_certificate_keeps_its_contract(name, cap):
+    assert contract_violations(certificate_read_back(inputs()[name], cap)) == []
+
+
+# certificate -> the same certificate with one claim changed
+BREAKS = {
+    "classification": lambda c: c["verdict"].update(classification={
+        "INCONCLUSIVE": "FORMAL_BY_THEOREM"}.get(c["verdict"]["classification"], "INCONCLUSIVE")),
+    "exit_code": lambda c: c.update(exit_code=(c["exit_code"] + 1) % 5),
+    "discrepancy": lambda c: c["verdict"].update(discrepancy=not c["verdict"]["discrepancy"]),
+    "hypothesis_ok": lambda c: c["verdict"].update(hypothesis_ok=not c["verdict"]["hypothesis_ok"]),
+    "conditions": lambda c: c["verdict"].update(
+        condition_i_trivial_products=not c["verdict"]["classification"].startswith("FORMAL"),
+        condition_ii_independent_family=not c["verdict"]["classification"].startswith("FORMAL")),
+    "overall": lambda c: c["quasi_isomorphism"].update(
+        overall=not c["quasi_isomorphism"]["overall"]),
+    "first_failure": lambda c: c["quasi_isomorphism"].update(first_failure=1),
+    "bijective": lambda c: c["quasi_isomorphism"]["degrees"][2].update(bijective=False),
+    "rank": lambda c: c["quasi_isomorphism"]["degrees"][2].update(induced_map_rank=0),
+    "row dropped": lambda c: c["quasi_isomorphism"]["degrees"].pop(),
+}
+
+
+@pytest.mark.parametrize("name", ["truncated_poly(2,3)", "wedge(even_sphere(2),even_sphere(2))",
+                                  "dependent_family"])
+@pytest.mark.parametrize("claim", sorted(BREAKS))
+def test_contract_checker_catches_a_changed_claim(name, claim):
+    # CP^2 is formal and clean, the wedge a discrepancy, dependent_family inconclusive
+    cert = certificate_read_back(inputs()[name])
+    BREAKS[claim](cert)
+    assert contract_violations(cert) != []
+
+
+def test_contract_checker_reads_a_violated_hypothesis():
+    # two degree-3 classes: no condition flags, no check, exit 3
+    cert = certificate_read_back(ODD_PAIR)
+    assert (cert["quasi_isomorphism"], cert["exit_code"]) == (None, 3)
+    assert contract_violations(cert) == []
+    for claim in ("classification", "exit_code", "hypothesis_ok", "conditions"):
+        broken = json.loads(json.dumps(cert))
+        BREAKS[claim](broken)
+        assert contract_violations(broken) != [], claim
 
 
 def table(raw: dict, coefficient) -> fc.GradedAlgebra:

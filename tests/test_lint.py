@@ -16,7 +16,10 @@ but the hook `linalg._moved_to_reference`, with `from . import reference`:
 the tracer's old addresses need it, and no command does.  No class of
 `src/formacheck` subclasses `typing.NamedTuple`: the records subclass a
 `collections.namedtuple`, which a process defines without compiling each
-field annotation into a `ForwardRef`."""
+field annotation into a `ForwardRef`.  Each bound on a run's work has one
+home: `MAX_CAP` and the corpus budget `MAX_PRODUCTS` are each assigned in
+one module of `src/formacheck`, and only `formality.py` writes the
+default cap `2 * h.top_degree + 1`."""
 
 import ast
 import glob
@@ -323,3 +326,38 @@ def test_no_record_subclasses_typing_named_tuple():
             module = os.path.basename(path)
             found += [(module, name) for _, name in typed_named_tuples(fh.read())]
     assert found == []
+
+
+def assigned_names(source: str) -> set:
+    """The names that module-level assignments bind."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_checker_finds_assigned_names():
+    source = ("from .formality import MAX_CAP\nLIMIT = 3\nA, (B, C) = 1, (2, 3)\n"
+              "D: int = 4\nLIMIT += 1\ndef f():\n    INNER = 5\n    return INNER\n")
+    assert assigned_names(source) == {"LIMIT", "A", "B", "C", "D"}
+
+
+@pytest.mark.parametrize("name", ["MAX_CAP", "MAX_PRODUCTS"])
+def test_each_bound_has_one_home(name):
+    homes = []
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            if name in assigned_names(fh.read()):
+                homes.append(os.path.basename(path))
+    assert homes == ["formality.py"]
+
+
+def test_only_formality_writes_the_default_cap():
+    found = []
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            if "2 * h.top_degree + 1" in fh.read():
+                found.append(os.path.basename(path))
+    assert found == ["formality.py"]

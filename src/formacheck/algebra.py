@@ -34,15 +34,20 @@ class AlgebraStructureError(ValueError):
 class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult")):
     """The basis `labels` and `degrees`, the `unit_index`, and `mult`, the table
     (i, j) -> Row with both orders present and zero products omitted, held as
-    a read-only copy of the mapping given, so the cached `validation` and
-    `generators` always describe it; pickle gets a plain dict.  No
-    `__slots__ = ()`: the cached properties live in the instance `__dict__`."""
+    a read-only copy of the mapping given, also by `_replace`, so the cached
+    `validation` and `generators` always describe it; pickle gets a plain
+    dict.  No `__slots__ = ()`: the cached properties live in the instance
+    `__dict__`."""
 
     def __new__(cls, labels, degrees, unit_index, mult):
         return super().__new__(cls, labels, degrees, unit_index, MappingProxyType(dict(mult)))
 
     def __getnewargs__(self):
         return (*self[:3], dict(self.mult))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:
@@ -261,8 +266,9 @@ def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool, middl
     """First (i, j, k) in lexicographic order with (e_i e_j) e_k != e_i (e_j e_k),
     with j among the basis indices `middle` when they are given.
 
-    The table is scaled once by the lcm D of its denominators; both sides of
-    every triple then carry 1/D^2, so comparing the integer sums is exact.
+    A table with a non-integral coefficient is copied, scaled by the lcm D
+    of its denominators; both sides of every triple then carry 1/D^2, so
+    comparing the integer sums is exact.
     Both sides are 0 unless e_i e_j or e_j e_k is nonzero, so only those
     triples are compared.  With `exact_skip` (the unit law and graded
     multiplicativity hold) triples through the unit, where both sides equal
@@ -274,8 +280,9 @@ def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool, middl
     """
     deg, u, top, dim = h.degrees, h.unit_index, h.top_degree, h.dim
     scale = math.lcm(*{c.denominator for row in h.mult.values() for _, c in row})
-    mult = {pair: tuple((k, c.numerator * (scale // c.denominator)) for k, c in row)
-            for pair, row in h.mult.items()}
+    mult = h.mult if scale == 1 else {
+        pair: tuple((k, c.numerator * (scale // c.denominator)) for k, c in row)
+        for pair, row in h.mult.items()}
     right_of: list[list[int]] = [[] for _ in range(dim)]
     for j, k in sorted(mult):
         right_of[j].append(k)

@@ -3,24 +3,22 @@
 d preserves the exponents α that count each w as its target, and block α
 of the model is the augmented chain complex of the simplicial complex Δ_α
 of sets of odd generators whose targets sum to at most α.  The model's
-cohomology is read off their reduced homology, and the induced map off the
-classes of 1, the generators and E: they are the nonzero monomials of the
-blocks with Δ_α = {∅}, the only blocks phi~ sees.  The least power of v_i
-that is zero in H is always a good object, and once α_i reaches T_i, the
-sum of the targets' exponents of v_i, its w joins every face: Δ_α is a
-cone and adds nothing.  So only the box α <= T - 1 is walked, one block per
-twin orbit (`blocks`) times its size: 5 blocks for the 16 of the box of
-(S^2)^4 at cap 13 (of 495), 10 for the 27 of (CP^2)^3 at cap 12 (of 120),
-and 7 for the 165 of the 8-fold S^2 wedge at its default cap 5.
-`reference.cohomology_basis` and `reference.induced_map` compute the same
-numbers degree by degree from the monomial basis; they are the reference
-the tests compare against.
+cohomology is read off their reduced homology.  The induced map is onto by
+construction (`verify_quasi_iso`), so its rank is dim H^n and only
+injectivity can fail.  The least power of v_i that is zero in H is always a
+good object, and once α_i reaches T_i, the sum of the targets' exponents of
+v_i, its w joins every face: Δ_α is a cone and adds nothing.  So only the
+box α <= T - 1 is walked, one block per twin orbit (`blocks`) times its
+size: 5 blocks for the 16 of the box of (S^2)^4 at cap 13 (of 495), 10 for
+the 27 of (CP^2)^3 at cap 12 (of 120), and 7 for the 165 of the 8-fold S^2
+wedge at its default cap 5.  `reference.cohomology_basis` and
+`reference.induced_map` compute the same numbers degree by degree from the
+monomial basis; they are the reference the tests compare against.
 
-Every rank is `linalg.rank`, a sparse integer elimination: of the ±1
-boundaries of the Δ_α, and of the classes that give the induced map; no
-float is involved.  A degree is "bijective" only when the induced map has
-full rank on both sides.  The verdict never claims anything beyond the
-configured degree cap.
+Every rank is `linalg.rank`, a sparse integer elimination of the ±1
+boundaries of the Δ_α; no float is involved.  A degree is "bijective" only
+when the induced map has full rank on both sides.  The verdict never claims
+anything beyond the configured degree cap.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from math import factorial, prod
 
 from .algebra import GradedAlgebra
 from .linalg import _moved_to_reference, rank
-from .model import EEntry, Model
+from .model import Model
 
 __getattr__ = _moved_to_reference(__name__, {"cohomology_basis", "induced_map"})
 
@@ -176,52 +174,41 @@ def boundary_rank(levels: list[list[tuple[int, ...]]], s: int) -> int:
                       for p in reversed(range(s))) for face in levels[s])
 
 
-def verify_quasi_iso(model: Model, h: GradedAlgebra, e: tuple[EEntry, ...],
-                     cap: int) -> QuasiIsoReport:
+def verify_quasi_iso(model: Model, h: GradedAlgebra, cap: int) -> QuasiIsoReport:
     """Degreewise comparison of model cohomology with H, for 0 <= n <= cap.
 
-    `e` is `compute_E(h, model.generators)`.  Block α adds H~_(s-1)(Δ_α) to
-    H^(|α|-s).  phi~ kills every monomial with an odd factor, so only the
-    blocks with Δ_α = {∅} reach H, through phi(v^α).  phi(v^α) is nonzero
-    exactly when v^α is 1, a generator or an entry of E, and no target
-    divides such a monomial: a target is zero in H, and so is each of its
-    multiples.  So the image in degree n is the span of the classes of 1,
-    the generators and E in degree n, and its rank is the induced map's.
-    The one precondition is that every target is zero in H (phi~ is a
-    cochain map), which holds for `build_model` and any subset of its good
-    objects.  h is graded (`validate` ensures it), so each class lies in the
-    degree of its first basis element; the classes are ranked by degree, on
-    the columns they touch, and a degree with no class has rank 0.  The
+    Block α adds H~_(s-1)(Δ_α) to H^(|α|-s).  The induced map is onto in
+    every degree.  `choose_generators` picks a complement of the
+    decomposables in each degree, so the generators generate H, and the
+    nonzero monomials in them of length >= 2 (E, `compute_E`), with 1 and
+    the generators, span H.  Each is a cocycle of the model, as it has no
+    odd factor, and phi~ sends it to its class.  So the induced map's rank
+    is dim H^n, and a degree fails exactly when the model's cohomology is
+    larger.  That holds only for generators that generate H: a model on
+    other generators than `h.generators` raises ValueError, as does a cap
+    below the top degree.  The rest of the precondition is that h passes
+    `validate` and that every target is zero in H (phi~ is a cochain map),
+    which holds for `build_model` and any subset of its good objects.  The
     report is explicitly capped: no claim is made beyond the checked range.
     """
+    if model.generators != h.generators:
+        raise ValueError("the model is built on other generators than those of h")
     if cap < h.top_degree:
-        raise ValueError(
-            f"cap {cap} is below the top degree {h.top_degree}; the check would be vacuous")
+        raise ValueError(f"cap {cap} is below the top degree {h.top_degree}")
     dims = [0] * (cap + 1)
     for n, _, size, levels in blocks(model, cap):
         low = max(0, n - cap)
         ranks = [boundary_rank(levels, s) for s in range(low, len(levels) + 1)]
         for s in range(low, len(levels)):
             dims[n - s] += size * (len(levels[s]) - ranks[s - low] - ranks[s - low + 1])
-    classes = {}
-    for v in [h.unit()] + [g.class_vector for g in model.generators] + [x.class_vector for x in e]:
-        classes.setdefault(h.degrees[v[0][0]], []).append(v)
-    reports = []
-    for n in range(cap + 1):
-        target = h.dim_in_degree(n)
-        mapped = rank(classes[n]) if n in classes else 0
-        reports.append(DegreeReport(
-            degree=n,
-            model_cohomology_dim=dims[n],
-            target_dim=target,
-            induced_map_rank=mapped,
-            injective=mapped == dims[n],
-            surjective=mapped == target,
-        ))
+    reports = tuple(
+        DegreeReport(degree=n, model_cohomology_dim=dim, target_dim=target,
+                     induced_map_rank=target, injective=dim == target, surjective=True)
+        for n, (dim, target) in enumerate(zip(dims, map(h.dim_in_degree, range(cap + 1)))))
     failing = [r.degree for r in reports if not r.bijective]
     return QuasiIsoReport(
         cap=cap,
-        reports=tuple(reports),
+        reports=reports,
         overall=not failing,
         first_failure=failing[0] if failing else None,
     )

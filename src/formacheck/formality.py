@@ -185,5 +185,5 @@ def certify(h: GradedAlgebra, cap: Optional[int] = None) -> Certificate:
         e = compute_E(h, gens)
         goods = good_objects(gens, e)
         model = build_model(gens, goods)
-        quasi = verify_quasi_iso(model, h, e, cap)
+        quasi = verify_quasi_iso(model, h, cap)
     return Certificate(h, cap, e, goods, model, quasi, render_verdict(h, e, quasi))

@@ -118,8 +118,8 @@ def compute_E(h: GradedAlgebra, gens: tuple[Generator, ...]) -> tuple[EEntry, ..
     A candidate is v_j times a member x of N of lower degree with j at most
     every index of x, so v_j is its first factor and x the product with it
     removed; it joins E if g_j * x is nonzero.  Nothing past top_degree(h),
-    zero by grading, is formed.  `verify_quasi_iso` reads the induced map
-    off E as well.
+    zero by grading, is formed.  With 1 and the generators, E spans H, which
+    is why `verify_quasi_iso` knows the induced map is onto.
     """
     _require_even(gens)
     # members of N by degree, as (sparse exponents, nonzero class)

@@ -4,7 +4,7 @@ dense matrices over Q, with the one reduced echelon form (`RowSpace`)
 that `rref` and the cohomology basis grow.
 
 `check` never runs this code.  `verify_quasi_iso` reads the same numbers
-off the complexes Δ_α and the family E, and the tests compare the two;
+off the complexes Δ_α and the dimensions of H, and the tests compare the two;
 `choose_generators` reads its generators off `linalg.pivots`, and
 the tests compare them with the greedy `RowSpace` rule.  `MatQ` is the
 tests' dense matrix, and `as_row` turns a dense vector into a `linalg.Row`.
@@ -327,7 +327,7 @@ def phi_tilde(model: Model, h: GradedAlgebra,
     evaluate through the generator classes, and the empty monomial is the
     unit.  It multiplies the generator classes in with `h.mul` and does not
     read `compute_E`, so `induced_map` checks the rank `verify_quasi_iso`
-    reads off E.
+    takes to be dim H^n.
     """
     degrees = {m.degree for m in element}
     if len(degrees) > 1:

@@ -13,7 +13,9 @@ all multiply with it, and convert the classes they return to rows with
 
 `contract_violations` reads a certificate's JSON alone, with no library
 code, and lists where its verdict, exit code and summary disagree with its
-own flags and rows.
+own flags and rows.  `claim_violations` reads the same JSON and the algebra
+file it echoes, and lists where its E, good objects, model and rows
+disagree with the table, `brute_dims` and sympy ranks.
 
 The last section keeps small helpers that only the tests use: the product
 of model monomials, a linear solver, a matrix-vector product and bases of
@@ -21,9 +23,13 @@ the decomposables.
 """
 
 import itertools
+from collections import namedtuple
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import sympy
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from formacheck.algebra import Generator, GradedAlgebra, ValidationReport
 from formacheck.model import EEntry, GoodObject, Monomial
@@ -83,32 +89,33 @@ def brute_basis(even_degs, odd, n):
 
 
 def brute_differential(even_degs, odd, n):
-    """sympy matrix of d from degree n to degree n+1, assembled by hand."""
+    """The matrix of d from degree n to degree n+1, assembled by hand, as a
+    sparse sympy `DomainMatrix` over ZZ: deleting the odd factor at each
+    position gives a distinct monomial, so each entry is one sign."""
     dom = brute_basis(even_degs, odd, n)
     cod = brute_basis(even_degs, odd, n + 1)
     where = {m: i for i, m in enumerate(cod)}
-    mat = sympy.zeros(len(cod), len(dom))
+    rows = {}
     for j, (exps, sub) in enumerate(dom):
         for pos, oi in enumerate(sub):
             sign = (-1) ** pos
             target = odd[oi][1]
             new_exps = tuple(e + t for e, t in zip(exps, target))
             new_sub = sub[:pos] + sub[pos + 1:]
-            mat[where[(new_exps, new_sub)], j] += sign
-    return mat
+            rows.setdefault(where[(new_exps, new_sub)], {})[j] = ZZ(sign)
+    return DomainMatrix(rows, (len(cod), len(dom)), ZZ)
 
 
-def brute_cohomology_dim(even_degs, odd, n):
-    """dim H^n = dim ker(d_n) - rank(d_(n-1)), all via sympy ranks."""
-    dom = brute_basis(even_degs, odd, n)
-    rank_out = brute_differential(even_degs, odd, n).rank()
-    rank_in = brute_differential(even_degs, odd, n - 1).rank() if n > 0 else 0
-    return len(dom) - rank_out - rank_in
+def brute_dims(even_degs, odd, cap):
+    """dim H^n = dim ker(d_n) - rank(d_(n-1)) for 0 <= n <= cap, each d_n
+    ranked once by sympy."""
+    ranks = [brute_differential(even_degs, odd, n).rank() for n in range(cap + 1)]
+    return [len(brute_basis(even_degs, odd, n)) - ranks[n] - (ranks[n - 1] if n else 0)
+            for n in range(cap + 1)]
 
 
 def brute_model_dims(model, cap):
-    even_degs, odd = raw_model(model)
-    return [brute_cohomology_dim(even_degs, odd, n) for n in range(cap + 1)]
+    return brute_dims(*raw_model(model), cap)
 
 
 def brute_blocks(model, cap):
@@ -347,6 +354,125 @@ def contract_violations(cert: dict) -> list[str]:
     expect("discrepancy", verdict["discrepancy"], discrepancy)
     expect("exit_code", cert["exit_code"], {"HYPOTHESIS_VIOLATED": 3, "INCONCLUSIVE": 2}.get(
         classification, 4 if discrepancy else 0))
+    return found
+
+
+# ---- the certificate's claims about its algebra, from its JSON alone ----
+
+_Table = namedtuple("_Table", "dim mult")  # what `dense_mul` reads of an algebra
+
+
+def file_table(raw: dict) -> tuple[dict, list, _Table]:
+    """The algebra file `raw` as (label -> index, degrees, table): the unit
+    rows, then each product of the half table and its mirror, with the sign
+    (-1)^(pq) for two odd degrees."""
+    index = {b["label"]: i for i, b in enumerate(raw["basis"])}
+    degrees = [b["degree"] for b in raw["basis"]]
+    u, dim = index[raw["unit"]], len(index)
+    mult = {}
+    for j in range(dim):
+        mult[u, j] = mult[j, u] = ((j, Fraction(1)),)
+    for item in raw["products"]:
+        i, j = index[item["left"]], index[item["right"]]
+        row = tuple(sorted((index[t["label"]], Fraction(t["coeff"])) for t in item["value"]))
+        sign = -1 if degrees[i] % 2 and degrees[j] % 2 else 1
+        mult[i, j], mult[j, i] = row, tuple((k, sign * c) for k, c in row)
+    return index, degrees, _Table(dim, mult)
+
+
+def claim_violations(cert: dict, rows_up_to: Optional[int] = None) -> list[str]:
+    """What a certificate's JSON says about its algebra that the algebra file
+    it echoes (`input`) does not give, one message each; empty when every
+    claim holds.  It reads no library code.
+
+    Each class of E is the product of its monomial's generator classes, by
+    `dense_mul` on the file's table.  Each good object is zero in H, and its
+    divisors are exactly its proper divisors with two or more factors, each
+    an entry of E with E's class.  The k-th odd generator is w_k, of degree
+    |m| - 1, with d w_k = m for the k-th good object m.  Each row's
+    `target_dim` is dim H^n, its `model_cohomology_dim` is `brute_dims` of
+    the one-stage model on the listed generators and good objects (for the
+    rows up to `rows_up_to` when it is given), and its `induced_map_rank` is
+    the sympy rank of the listed classes of 1, the generators and E of
+    degree n.
+    """
+    if cert["quasi_isomorphism"] is None:
+        return []
+    index, degrees, table = file_table(cert["input"])
+    found = []
+
+    def expect(what, got, want):
+        if got != want:
+            found.append(f"{what} is {got!r}, expected {want!r}")
+
+    def vector(sparse: dict) -> Vec:
+        return dense(table, [(index[label], Fraction(c)) for label, c in sparse.items()])
+
+    one = unit_vec(table.dim, index[cert["input"]["unit"]])
+    generators = {g["label"]: vector(g["class"]) for g in cert["generators"]}
+    gen_degree = {g["label"]: g["degree"] for g in cert["generators"]}
+    classes = [(0, one)] + [(g["degree"], generators[g["label"]]) for g in cert["generators"]]
+
+    def image(monomial: dict) -> Vec:
+        out = one
+        for label, e in monomial["even"]:
+            for _ in range(e):
+                out = dense_mul(table, out, generators[label])
+        return out
+
+    def degree_of(monomial: dict) -> int:
+        return sum(gen_degree[label] * e for label, e in monomial["even"])
+
+    def exponents(monomial: dict) -> tuple[int, ...]:
+        powers = dict(monomial["even"])
+        return tuple(powers.get(label, 0) for label in generators)
+
+    e_family = {}
+    for entry in cert["e_family"]:
+        text = entry["monomial"]["text"]
+        degree = degree_of(entry["monomial"])
+        expect(f"the degree of {text}", (entry["degree"], entry["monomial"]["degree"]),
+               (degree, degree))
+        value = vector(entry["class"])
+        expect(f"the class of {text} and its being nonzero", (value, any(value)),
+               (image(entry["monomial"]), True))
+        e_family[exponents(entry["monomial"])] = value
+        classes.append((entry["degree"], value))
+    for good in cert["good_objects"]:
+        text, exps = good["monomial"]["text"], exponents(good["monomial"])
+        expect(f"the degree of {text}", good["monomial"]["degree"], degree_of(good["monomial"]))
+        expect(f"the image of {text}", (any(image(good["monomial"])), good["phi_image"]),
+               (False, {}))
+        divisors = [exponents(w["monomial"]) for w in good["divisors"]]
+        proper = {div for div in itertools.product(*(range(e + 1) for e in exps))
+                  if div != exps and sum(div) >= 2}
+        expect(f"the divisors of {text}", (sorted(divisors), sorted(proper & set(e_family))),
+               (sorted(proper), sorted(proper)))
+        for div, w in zip(divisors, good["divisors"]):
+            expect(f"the class of {w['monomial']['text']} under {text}",
+                   vector(w["class"]), e_family.get(div))
+    odd = cert["model"]["odd_generators"]
+    expect("the odd generators' labels", [w["label"] for w in odd],
+           [f"w{k + 1}" for k in range(len(cert["good_objects"]))])
+    for w, good in zip(odd, cert["good_objects"]):
+        expect(f"the degree and target of {w['label']}",
+               (w["degree"], w["differential"]),
+               (good["monomial"]["degree"] - 1, {"coefficient": "1", "monomial": good["monomial"]}))
+    expect("the model's even generators", cert["model"]["even_generators"],
+           [{"label": label, "degree": d} for label, d in gen_degree.items()])
+    raw_odd = [(good["monomial"]["degree"] - 1, exponents(good["monomial"]))
+               for good in cert["good_objects"]]
+    rows = cert["quasi_isomorphism"]["degrees"]
+    checked = len(rows) - 1 if rows_up_to is None else min(rows_up_to, len(rows) - 1)
+    dims = brute_dims(list(gen_degree.values()), raw_odd, checked)
+    for r in rows:
+        n = r["degree"]
+        spanned = [v for degree, v in classes if degree == n]
+        expect(f"degree {n} target_dim", r["target_dim"], degrees.count(n))
+        expect(f"degree {n} induced_map_rank", r["induced_map_rank"],
+               sympy.Matrix(spanned).rank() if spanned else 0)
+        if n <= checked:
+            expect(f"degree {n} model_cohomology_dim", r["model_cohomology_dim"], dims[n])
     return found
 
 

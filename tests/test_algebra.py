@@ -415,6 +415,17 @@ def test_algebra_keeps_its_own_copy_of_the_table():
     assert not changed.validation.unit_law
 
 
+def test_replace_keeps_its_own_copy_of_the_table():
+    # `_replace` and `_make` build through `__new__` as the constructor does
+    h = cp2()
+    mult = dict(h.mult)
+    kept = h._replace(mult=mult)
+    assert type(kept.mult) is not dict
+    mult[(0, 1)] = ((1, 2),)
+    assert kept.mult == h.mult and kept.validation.structure_ok
+    assert type(GradedAlgebra._make(h).mult) is not dict
+
+
 def test_decomposables_sphere():
     h = s2()
     dec = decomposables(h)

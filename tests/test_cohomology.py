@@ -28,11 +28,6 @@ def model_of(h):
     return build_model(gens, good_objects(gens, fc.compute_E(h, gens)))
 
 
-def verify(model, h, cap):
-    """`verify_quasi_iso` with the E of the model's generators."""
-    return fc.verify_quasi_iso(model, h, fc.compute_E(h, model.generators), cap)
-
-
 def block_reference(model, h, cap):
     """The per-degree table from the monomial blocks, one degree at a time."""
     return tuple(induced_map(model, h, n) for n in range(cap + 1))
@@ -178,7 +173,7 @@ def test_wedge_degree_5_not_injective():
 
 def test_verify_quasi_iso_sphere():
     h = s2()
-    report = verify(model_of(h), h, 12)
+    report = fc.verify_quasi_iso(model_of(h), h, 12)
     assert report.overall and report.first_failure is None
     dims = [r.model_cohomology_dim for r in report.reports]
     assert dims == [1, 0, 1] + [0] * 10
@@ -186,7 +181,7 @@ def test_verify_quasi_iso_sphere():
 
 def test_verify_quasi_iso_cp2():
     h = cp2()
-    report = verify(model_of(h), h, 12)
+    report = fc.verify_quasi_iso(model_of(h), h, 12)
     assert report.overall
     assert [r.model_cohomology_dim for r in report.reports] == \
         [1, 0, 1, 0, 1] + [0] * 8
@@ -194,15 +189,27 @@ def test_verify_quasi_iso_cp2():
 
 def test_verify_quasi_iso_wedge_first_failure():
     h = wedge_s2_s2()
-    report = verify(model_of(h), h, 12)
+    report = fc.verify_quasi_iso(model_of(h), h, 12)
     assert not report.overall
     assert report.first_failure == 5
 
 
 def test_cap_below_top_rejected():
+    # the text `certify` raises and `check` prints
     h = cp2()
-    with pytest.raises(ValueError):
-        verify(model_of(h), h, 3)
+    with pytest.raises(ValueError, match=r"^cap 3 is below the top degree 4$"):
+        fc.verify_quasi_iso(model_of(h), h, 3)
+
+
+def test_model_on_other_generators_rejected():
+    # the induced map is onto only for generators that generate H: no
+    # generators at all, or x with its square x^2 as a second generator
+    h = cp2()
+    square = fc.Generator("v2", 4, h.basis_vector(2))
+    for gens in ((), h.generators + (square,)):
+        model = build_model(gens, good_objects(gens, fc.compute_E(h, gens)))
+        with pytest.raises(ValueError, match="other generators"):
+            fc.verify_quasi_iso(model, h, 4)
 
 
 @pytest.mark.parametrize("obj_index", range(len(corpus_objects())))
@@ -210,7 +217,7 @@ def test_model_dims_match_brute_force_oracle(obj_index):
     h = algebra(corpus_objects()[obj_index])
     model = model_of(h)
     cap = 2 * h.top_degree + 1
-    report = verify(model, h, cap)
+    report = fc.verify_quasi_iso(model, h, cap)
     assert [r.model_cohomology_dim for r in report.reports] == \
         oracles.brute_model_dims(model, cap)
     assert report.reports == block_reference(model, h, cap)
@@ -222,7 +229,7 @@ def test_table_matches_references_past_the_top(obj_index, extra):
     h = algebra(corpus_objects()[obj_index])
     model = model_of(h)
     cap = h.top_degree + extra
-    report = verify(model, h, cap)
+    report = fc.verify_quasi_iso(model, h, cap)
     assert report.reports == block_reference(model, h, cap)
     assert [r.model_cohomology_dim for r in report.reports] == \
         oracles.brute_model_dims(model, cap)
@@ -235,7 +242,7 @@ def test_table_matches_references_on_larger_inputs():
     # for the sympy oracle
     h = s2_power_4()
     model = model_of(h)
-    report = verify(model, h, 17)
+    report = fc.verify_quasi_iso(model, h, 17)
     assert report.reports == block_reference(model, h, 17)
     poincare = [comb(4, n // 2) if n % 2 == 0 else 0 for n in range(18)]
     assert [r.model_cohomology_dim for r in report.reports] == poincare
@@ -243,7 +250,7 @@ def test_table_matches_references_on_larger_inputs():
 
     h = sphere_wedge_8()
     model = model_of(h)
-    report = verify(model, h, 5)
+    report = fc.verify_quasi_iso(model, h, 5)
     assert report.reports == block_reference(model, h, 5)
     assert [r.model_cohomology_dim for r in report.reports] == \
         [1, 0, 8, 0, 0, 8 * comb(9, 2) - comb(10, 3)]
@@ -263,7 +270,7 @@ def test_table_matches_references_on_larger_inputs():
         model = model_of(h)
         totals = [sum(column) for column in zip(*targets_of(model))]
         box = sum((t - 1) * d for t, d in zip(totals, model.even_degrees))
-        report = verify(model, h, 3 * box + 7)
+        report = fc.verify_quasi_iso(model, h, 3 * box + 7)
         assert report.reports == block_reference(model, h, 3 * box + 7)
         assert max(sum(a * d for a, d in zip(alpha, model.even_degrees))
                    for alpha in walked_blocks(model, 3 * box + 7)) == box
@@ -280,7 +287,7 @@ def test_cp2_sharp_cp2_matches_references(rebased):
     assert (cert.verdict.classification, cert.exit_code, cert.quasi_isomorphism.first_failure) \
         == (fc.INCONCLUSIVE, 2, 4)
     model = model_of(h)
-    report = verify(model, h, 13)
+    report = fc.verify_quasi_iso(model, h, 13)
     assert report.reports == block_reference(model, h, 13)
     assert [r.model_cohomology_dim for r in report.reports] == oracles.brute_model_dims(model, 13)
 
@@ -303,7 +310,7 @@ def test_groebner_rings_match_references(name, rebased):
     assert (cert.verdict.classification, cert.exit_code, cert.quasi_isomorphism.first_failure,
             len(cert.e_family)) == (fc.INCONCLUSIVE, 2, first, rebased_size if rebased else size)
     model = model_of(h)
-    report = verify(model, h, 13)
+    report = fc.verify_quasi_iso(model, h, 13)
     assert report.reports == block_reference(model, h, 13)
     assert [r.model_cohomology_dim for r in report.reports] == oracles.brute_model_dims(model, 13)
 
@@ -322,7 +329,7 @@ def test_wedge_dims_match_brute_above_the_default_cap(folds, cap):
     # nonzero rank, so the integer elimination decides some dimensions
     h = s2_wedge(folds)
     model = model_of(h)
-    report = verify(model, h, cap)
+    report = fc.verify_quasi_iso(model, h, cap)
     assert [r.model_cohomology_dim for r in report.reports] == \
         oracles.brute_model_dims(model, cap)
     assert any(boundary_rank(levels, s) for levels in walked_blocks(model, cap).values()
@@ -334,7 +341,7 @@ def test_table_matches_block_reference_on_random_algebras(seed):
     h = random_even_monomial_algebra(random.Random(9100 + seed))
     model = model_of(h)
     cap = 2 * h.top_degree + 1
-    assert verify(model, h, cap).reports == block_reference(model, h, cap)
+    assert fc.verify_quasi_iso(model, h, cap).reports == block_reference(model, h, cap)
     assert_matches_without_each_good_object(h)
 
 
@@ -348,7 +355,7 @@ def assert_matches_without_each_good_object(h):
     cap = 2 * h.top_degree + 1
     for k in range(len(goods)):
         model = build_model(gens, goods[:k] + goods[k + 1:])
-        assert verify(model, h, cap).reports == block_reference(model, h, cap)
+        assert fc.verify_quasi_iso(model, h, cap).reports == block_reference(model, h, cap)
 
 
 @pytest.mark.parametrize("obj_index", range(len(corpus_objects())))
@@ -437,7 +444,7 @@ def test_cycles_rank_only_true_twins_together(k, classes):
     h = cycle(k)
     model = model_of(h)
     assert twin_classes(model, 9) == classes
-    assert verify(model, h, 9).reports == block_reference(model, h, 9)
+    assert fc.verify_quasi_iso(model, h, 9).reports == block_reference(model, h, 9)
 
 
 ORBIT_CASES = (
@@ -477,7 +484,7 @@ def test_wedge_rows_match_the_reference_past_the_default_cap():
     # monomial of each degree
     h = sphere_wedge_8()
     model = model_of(h)
-    report = verify(model, h, 9)
+    report = fc.verify_quasi_iso(model, h, 9)
     assert report.reports == block_reference(model, h, 9)
     assert [r.model_cohomology_dim for r in report.reports] == \
         [1, 0, 8, 0, 0, 168, 0, 336, 1512, 0]
@@ -533,7 +540,7 @@ def test_truncations_count_every_monomial_once(obj_index):
 def test_low_degrees_are_unit_and_empty(obj_index):
     # H^0 = Q and H^1 = 0 for every corpus model (no degree-1 classes)
     h = algebra(corpus_objects()[obj_index])
-    report = verify(model_of(h), h, h.top_degree)
+    report = fc.verify_quasi_iso(model_of(h), h, h.top_degree)
     assert (report.reports[0].model_cohomology_dim,
             report.reports[1].model_cohomology_dim) == (1, 0)
     assert report.reports[0].bijective and report.reports[1].bijective
@@ -551,32 +558,39 @@ ONTO_CASES = (
 def test_surjective_up_to_top_degree(make):
     # 1, the generators and E span H, so the induced map is onto in every
     # degree, also when E is dependent or the basis is not monomial: only
-    # injectivity can fail
+    # injectivity can fail.  `verify_quasi_iso` takes this as given; the
+    # reference ranks phi~ of the model's cohomology degree by degree
     h = make()
-    report = fc.certify(h).quasi_isomorphism
-    assert all(r.induced_map_rank == r.target_dim for r in report.reports)
+    cert = fc.certify(h)
+    reference = block_reference(cert.model, h, cert.cap)
+    assert cert.quasi_isomorphism.reports == reference
+    assert all(r.surjective and r.induced_map_rank == r.target_dim for r in reference)
 
 
-def test_induced_map_ranks_each_class_degree_once(monkeypatch):
-    # (S^2)^8 at cap 200: the classes of 1, the generators and E lie in the
-    # even degrees up to 16, and no degree above them is ranked at all.  Its
-    # basis is the products x_S of the 2-classes over the subsets S of 8,
-    # with x_S x_T = x_(S | T) when S and T are disjoint and 0 otherwise
+def test_induced_map_ranks_no_class(monkeypatch):
+    # every rank `verify_quasi_iso` takes is a boundary rank of some Δ_α:
+    # the induced map's rank is dim H^n, as 1, the generators and E span H.
+    # (S^2)^8 at cap 200: its basis is the products x_S of the 2-classes over
+    # the subsets S of 8, with x_S x_T = x_(S | T) when S and T are disjoint
+    # and 0 otherwise; every Δ_α of its box is {∅}, so nothing is ranked
     subsets = sorted(range(256), key=lambda s: (bin(s).count("1"), s))
     basis = [(f"x{s}", 2 * bin(s).count("1")) for s in subsets]
     h = fc.GradedAlgebra.from_products(basis, "x0", {
         (f"x{s}", f"x{t}"): {f"x{s | t}": 1} for i, s in enumerate(subsets)
         for t in subsets[i + 1:] if s and not s & t})
-    model = model_of(h)
-    e = fc.compute_E(h, model.generators)
-    ranked = []
-    monkeypatch.setattr(cohomology, "rank", lambda rows: ranked.append(rows) or rank(rows))
-    report = fc.verify_quasi_iso(model, h, e, 200)
-    degrees = {0} | {g.degree for g in model.generators} | {x.monomial.degree for x in e}
-    assert len(ranked) <= len(degrees)
+    callers = []
+    monkeypatch.setattr(cohomology, "rank", lambda rows: callers.append(
+        sys._getframe(1).f_code.co_name) or rank(rows))
+    report = fc.verify_quasi_iso(model_of(h), h, 200)
+    assert callers == []
     betti = [comb(8, n // 2) if n % 2 == 0 and n <= 16 else 0 for n in range(201)]
     assert [(r.model_cohomology_dim, r.target_dim, r.induced_map_rank)
             for r in report.reports] == [(b, b, b) for b in betti]
+    # the 8-fold S^2 wedge at cap 9, whose boundaries from faces of size
+    # s >= 2 have nonzero rank
+    h = sphere_wedge_8()
+    fc.verify_quasi_iso(model_of(h), h, 9)
+    assert callers and set(callers) == {"boundary_rank"}
 
 
 @pytest.mark.parametrize("obj_index", range(len(corpus_objects())))

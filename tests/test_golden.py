@@ -25,7 +25,9 @@ Regenerate a digest only for a change that means to alter the certificate
 or the corpus file.
 A digest pins bytes the pipeline made; `oracles.contract_violations` reads
 each pinned certificate back from its JSON and checks that its verdict,
-discrepancy flag, exit code and summary follow from its flags and rows.
+discrepancy flag, exit code and summary follow from its flags and rows, and
+`oracles.claim_violations` checks its E, good objects, model and rows
+against the algebra file it echoes.
 """
 
 import functools
@@ -41,7 +43,7 @@ from formacheck.cli import main
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import certificate_json, dump_json, parse_rational
 
-from oracles import contract_violations
+from oracles import claim_violations, contract_violations
 from util import (GROEBNER_RINGS, algebra, change_basis, corpus_objects, cp2_power_3,
                   cp2_power_4, dependent_family, dependent_pair, s2_power_4, serialize_algebra,
                   sphere_wedge_8)
@@ -257,6 +259,55 @@ def certificate_read_back(raw: dict, cap=None) -> dict:
                          + sorted(GOLDEN_AT_CAP))
 def test_pinned_certificate_keeps_its_contract(name, cap):
     assert contract_violations(certificate_read_back(inputs()[name], cap)) == []
+
+
+# (input, cap) -> the last row whose model cohomology `claim_violations`
+# checks with the sympy oracle, where checking every row would take more than
+# a few seconds: its degree-by-degree basis grows fast on these models
+BRUTE_ROWS = {("rebased(cp2_power_4,1)", None): 18, ("sphere_wedge_8", 15): 7,
+              ("sphere_wedge_8", 17): 7}
+
+
+@pytest.mark.parametrize("name,cap", [(name, None) for name in sorted(GOLDEN)]
+                         + sorted(GOLDEN_AT_CAP))
+def test_pinned_certificate_claims_hold(name, cap):
+    cert = certificate_read_back(inputs()[name], cap)
+    assert claim_violations(cert, BRUTE_ROWS.get((name, cap))) == []
+
+
+def shifted(sparse: dict) -> dict:
+    """A sparse class with its first coefficient raised by one."""
+    first = next(iter(sparse))
+    return {**sparse, first: str(Fraction(sparse[first]) + 1)}
+
+
+# certificate -> the same certificate with one claim about its algebra changed
+CLAIM_BREAKS = {
+    "e class": lambda c: c["e_family"][0].update({"class": shifted(c["e_family"][0]["class"])}),
+    "divisor dropped": lambda c: c["good_objects"][-1]["divisors"].pop(),
+    "divisor class": lambda c: c["good_objects"][-1]["divisors"][0].update(
+        {"class": shifted(c["good_objects"][-1]["divisors"][0]["class"])}),
+    "good object": lambda c: c["good_objects"][-1].update(
+        monomial=c["e_family"][0]["monomial"]),
+    "odd degree": lambda c: c["model"]["odd_generators"][0].update(
+        degree=c["model"]["odd_generators"][0]["degree"] + 2),
+    "model dim": lambda c: c["quasi_isomorphism"]["degrees"][4].update(
+        model_cohomology_dim=c["quasi_isomorphism"]["degrees"][4]["model_cohomology_dim"] + 1),
+    "target dim": lambda c: c["quasi_isomorphism"]["degrees"][4].update(
+        target_dim=c["quasi_isomorphism"]["degrees"][4]["target_dim"] + 1),
+    "rank": lambda c: c["quasi_isomorphism"]["degrees"][4].update(
+        induced_map_rank=c["quasi_isomorphism"]["degrees"][4]["induced_map_rank"] - 1),
+}
+
+
+@pytest.mark.parametrize("name", ["truncated_poly(2,3)", "dependent_family"])
+@pytest.mark.parametrize("claim", sorted(CLAIM_BREAKS))
+def test_claim_checker_catches_a_changed_claim(name, claim):
+    # CP^2 and dependent_family both have E in degree 4 and good objects
+    # with divisors; the change is caught also where the flags still agree
+    cert = certificate_read_back(inputs()[name])
+    CLAIM_BREAKS[claim](cert)
+    assert claim_violations(cert) != []
 
 
 # certificate -> the same certificate with one claim changed

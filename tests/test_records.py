@@ -85,9 +85,11 @@ def test_record_rebuilds_from_its_fields(record):
     assert list(fields) == list(record._fields)
     assert type(record)(**fields) == record
     assert type(record)(*record) == record
-    changed = record._replace(**{record._fields[-1]: None})
+    # an algebra keeps a read-only copy of its table, so it takes a mapping
+    last = {} if type(record) is fc.GradedAlgebra else None
+    changed = record._replace(**{record._fields[-1]: last})
     assert type(changed) is type(record)
-    assert changed[:-1] == record[:-1] and changed[-1] is None
+    assert changed[:-1] == record[:-1] and changed[-1] == last
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)

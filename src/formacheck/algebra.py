@@ -5,12 +5,14 @@ Only the half with left index <= right index is supplied; the mirror entry
 is synthesized with the sign (-1)^(pq), which makes graded commutativity
 structural wherever it can be.
 
-The table is stored sparse and read-only: `mult[(i, j)]` is a `linalg.Row`,
-the nonzero terms (k, c) of e_i * e_j in increasing k, and pairs with a
-zero product are absent.  Every element is such a row: `GradedAlgebra.mul`
-takes and returns rows, and a basis vector or a generator's class is a
-one-term row.  The generators are the non-pivots of one integer
-elimination per degree, chosen once per algebra (`GradedAlgebra.generators`);
+The table is stored sparse, read-only and integral: `mult[(i, j)]` is a
+`linalg.Row` of `int`s, the nonzero terms (k, c) of D * e_i * e_j in
+increasing k, with D = `scale`, and pairs with a zero product are absent.
+No zero test, rank or pivot changes with D, so no `Fraction` is built.
+Every element is a row: `GradedAlgebra.mul` takes rows and returns D times
+their product, and a basis vector or a generator's class is a one-term row.
+The generators are the non-pivots of one integer elimination per degree,
+chosen once per algebra (`GradedAlgebra.generators`);
 `validate` decides associativity through them when the other laws hold,
 and its report is also read once per algebra (`GradedAlgebra.validation`).
 """
@@ -31,23 +33,28 @@ class AlgebraStructureError(ValueError):
     """Structurally malformed input: bad indices, degrees, or table shape."""
 
 
-class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult")):
+class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult scale")):
     """The basis `labels` and `degrees`, the `unit_index`, and `mult`, the table
-    (i, j) -> Row with both orders present and zero products omitted, held as
-    a read-only copy of the mapping given, also by `_replace`, so the cached
-    `validation` and `generators` always describe it; pickle gets a plain
-    dict.  No `__slots__ = ()`: the cached properties live in the instance
-    `__dict__`."""
+    (i, j) -> Row of `scale` times each product, with both orders present and
+    zero products omitted, held as a read-only copy of the mapping given,
+    also by `_replace`, so the cached `validation` and `generators` always
+    describe it; pickle gets a plain dict.  A table with a `Fraction` is
+    multiplied, as `scale` is, by the lcm of its denominators.  No
+    `__slots__ = ()`: the cached properties live in the instance `__dict__`."""
 
-    def __new__(cls, labels, degrees, unit_index, mult):
-        return super().__new__(cls, labels, degrees, unit_index, MappingProxyType(dict(mult)))
+    def __new__(cls, labels, degrees, unit_index, mult, scale=1):
+        mult = dict(mult)
+        if any(type(c) is not int for row in mult.values() for _, c in row):
+            d = math.lcm(*{c.denominator for row in mult.values() for _, c in row})
+            mult = {pair: tuple((k, c.numerator * (d // c.denominator)) for k, c in row)
+                    for pair, row in mult.items()}
+            scale *= d
+        return super().__new__(cls, labels, degrees, unit_index, MappingProxyType(mult), scale)
 
     def __getnewargs__(self):
-        return (*self[:3], dict(self.mult))
+        return (*self[:3], dict(self.mult), self.scale)
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def dim(self) -> int:
@@ -94,9 +101,10 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult"
 
     @classmethod
     def from_products(cls, basis: Sequence[tuple[str, int]], unit: str,
-                      products: Mapping[tuple[str, str], Mapping[str, "int | Fraction"]]
-                      ) -> "GradedAlgebra":
-        """Build from the half multiplication table keyed by labels.
+                      products: Mapping[tuple[str, str], Mapping[str, "int | Fraction"]],
+                      scale: int = 1) -> "GradedAlgebra":
+        """Build from the half multiplication table keyed by labels, each
+        product given times `scale`.
 
         Pairs must satisfy left <= right in basis order; omitted pairs are
         zero products, and unit products default to the unit law.  Structural
@@ -124,7 +132,7 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult"
         # unit law holds by default; explicit entries below may override it
         # (validate() will then flag the violation)
         for j in range(dim):
-            mult[(u, j)] = mult[(j, u)] = ((j, 1),)
+            mult[(u, j)] = mult[(j, u)] = ((j, scale),)
 
         for (left, right), value in products.items():
             if left not in index or right not in index:
@@ -154,7 +162,7 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult"
                 mult[(i, j)] = entry
                 if i != j:
                     mult[(j, i)] = mirror
-        return cls(labels, degrees, u, mult)
+        return cls(labels, degrees, u, mult, scale)
 
 
 class ValidationReport(namedtuple("ValidationReport", (
@@ -209,7 +217,7 @@ def validate(h: GradedAlgebra) -> ValidationReport:
 
     unit_ok = True
     for j in range(h.dim):
-        e = ((j, 1),)
+        e = ((j, h.scale),)
         if mult.get((u, j)) != e or mult.get((j, u)) != e:
             unit_ok = False
             failures.append(f"unit law fails on {h.labels[j]}")
@@ -266,9 +274,8 @@ def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool, middl
     """First (i, j, k) in lexicographic order with (e_i e_j) e_k != e_i (e_j e_k),
     with j among the basis indices `middle` when they are given.
 
-    A table with a non-integral coefficient is copied, scaled by the lcm D
-    of its denominators; both sides of every triple then carry 1/D^2, so
-    comparing the integer sums is exact.
+    The table holds D times each product, so both sides of every triple
+    are D^2 times their value, and comparing the integer sums is exact.
     Both sides are 0 unless e_i e_j or e_j e_k is nonzero, so only those
     triples are compared.  With `exact_skip` (the unit law and graded
     multiplicativity hold) triples through the unit, where both sides equal
@@ -278,11 +285,7 @@ def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool, middl
     satisfies A(k, j, i) = ±A(i, j, k), so the first failing triple has
     i <= k and only those triples are visited.
     """
-    deg, u, top, dim = h.degrees, h.unit_index, h.top_degree, h.dim
-    scale = math.lcm(*{c.denominator for row in h.mult.values() for _, c in row})
-    mult = h.mult if scale == 1 else {
-        pair: tuple((k, c.numerator * (scale // c.denominator)) for k, c in row)
-        for pair, row in h.mult.items()}
+    deg, u, top, dim, mult = h.degrees, h.unit_index, h.top_degree, h.dim, h.mult
     right_of: list[list[int]] = [[] for _ in range(dim)]
     for j, k in sorted(mult):
         right_of[j].append(k)

@@ -11,6 +11,8 @@ than `formality.MAX_PRODUCTS`.
 
 from __future__ import annotations
 
+import math
+
 from .formality import MAX_PRODUCTS
 from .formats import InputError, _read_json, format_rational, parse_algebra_json
 
@@ -21,17 +23,17 @@ def _within_budget(name: str, products: int):
         raise InputError(f"{name} would have {products} products, more than {MAX_PRODUCTS}")
 
 
-def algebra_file(name: str, labels, degrees, unit: int, table: dict) -> dict:
+def algebra_file(name: str, labels, degrees, unit: int, table: dict, scale: int = 1) -> dict:
     """The algebra file of the basis `labels` in `degrees` with the unit at
     index `unit` and the half table `table`, {(i, j): {k: c}} with i <= j,
-    zero products and the unit rows left out; raises InputError unless the
-    parser accepts it."""
+    each product times `scale`, zero products and the unit rows left out;
+    raises InputError unless the parser accepts it."""
     obj = {
         "name": name,
         "basis": [{"label": lab, "degree": deg} for lab, deg in zip(labels, degrees)],
         "unit": labels[unit],
         "products": [{"left": labels[i], "right": labels[j],
-                      "value": [{"label": labels[k], "coeff": format_rational(c)}
+                      "value": [{"label": labels[k], "coeff": format_rational(c, scale)}
                                 for k, c in sorted(value.items())]}
                      for (i, j), value in sorted(table.items())],
     }
@@ -81,15 +83,17 @@ def product(a_obj: dict, b_obj: dict) -> dict:
                                  for m, cm in left for n, cn in right}
     return algebra_file(
         name, [f"{x}*{y}" for x in a.labels for y in b.labels],
-        [x + y for x in a.degrees for y in b.degrees], unit, table)
+        [x + y for x in a.degrees for y in b.degrees], unit, table, a.scale * b.scale)
 
 
 def wedge(a_obj: dict, b_obj: dict) -> dict:
     """Wedge: direct sum of the positive parts, unit identified, zero cross
     products.  A label already taken gets primes until it is free."""
     labels, degrees, taken, table = ["1"], [0], {"1"}, {}
-    for side, obj in (("left", a_obj), ("right", b_obj)):
-        h = parse_algebra_json(obj, f"wedge {side} summand")
+    summands = [parse_algebra_json(obj, f"wedge {side} summand")
+                for side, obj in (("left", a_obj), ("right", b_obj))]
+    scale = math.lcm(*(h.scale for h in summands))  # both tables brought to one scale
+    for h in summands:
         relabel = {}
         for i, (lab, deg) in enumerate(zip(h.labels, h.degrees)):
             if deg > 0:
@@ -100,12 +104,13 @@ def wedge(a_obj: dict, b_obj: dict) -> dict:
                 labels.append(lab)
                 degrees.append(deg)
         # positive-degree products stay in positive degrees, inside `relabel`
-        table.update(((relabel[i], relabel[j]), {relabel[k]: c for k, c in entry})
+        table.update(((relabel[i], relabel[j]),
+                      {relabel[k]: c * (scale // h.scale) for k, c in entry})
                      for (i, j), entry in h.mult.items() if i in relabel and j in relabel
                      and i <= j)
     return algebra_file(
         f"wedge({a_obj.get('name') or 'algebra'},{b_obj.get('name') or 'algebra'})",
-        labels, degrees, 0, table)
+        labels, degrees, 0, table, scale)
 
 
 def generate(kind: str, params: list) -> dict:

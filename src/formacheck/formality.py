@@ -47,6 +47,8 @@ class DegreeSet(namedtuple("DegreeSet", "degrees")):
             raise ValueError("degrees must be strictly increasing")
         return super().__new__(cls, degrees)
 
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # `_replace` validates too
+
     @classmethod
     def from_algebra(cls, h: GradedAlgebra) -> "DegreeSet":
         return cls(tuple(sorted({d for d in h.degrees if d > 0})))

@@ -2,7 +2,9 @@
 
 All files are UTF-8 JSON.  Rationals travel as strings "p/q" (or "p") so
 the formats stay exact and language neutral; floats are rejected outright.
-Integral rationals read as `int`s, and only a "p/q" string loads `fractions`.
+An algebra file's table is read as `int`s, times the lcm D of its
+denominators, and each class is written over its power of D, so no
+`Fraction` is built: `fractions` loads only for `parse_rational`.
 """
 
 from __future__ import annotations
@@ -29,32 +31,43 @@ class InputError(Exception):
     """Malformed or invalid input file; carries positional context."""
 
 
-def parse_rational(value, where: str = "value") -> "int | Fraction":
+def _ratio(value, where: str) -> tuple[int, int]:
+    """The rational `value` as (numerator, denominator) in lowest terms."""
     if isinstance(value, bool):
         raise InputError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
-        return value
+        return value, 1
     if isinstance(value, str):
         if not re.fullmatch(_RATIONAL, value):
             raise InputError(f"{where}: malformed rational {value!r}")
+        num, _, den = value.partition("/")
         try:
-            if "/" not in value:
-                return int(value)
-            from fractions import Fraction
-            x = Fraction(value)
-            return x.numerator if x.denominator == 1 else x
+            n, d = int(num), int(den or 1)
         except ValueError as exc:  # more digits than int() converts
             raise InputError(f"{where}: rational with too many digits "
                              f"({len(value)} characters)") from exc
+        g = math.gcd(n, d)
+        return n // g, d // g
     raise InputError(f"{where}: expected a rational string, got {type(value).__name__}")
 
 
-def format_rational(x: "int | Fraction") -> str:
+def parse_rational(value, where: str = "value") -> "int | Fraction":
+    n, d = _ratio(value, where)
+    if d == 1:
+        return n
+    from fractions import Fraction
+    return Fraction(n, d)
+
+
+def format_rational(x: "int | Fraction", scale: int = 1) -> str:
+    """x / scale in lowest terms, as "p/q", or "p" when it is an integer."""
+    g = math.gcd(x.numerator, scale)
+    n, d = x.numerator // g, x.denominator * (scale // g)
     try:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError as exc:  # more digits than str() converts; Decimal() has no limit
         from decimal import Decimal
-        digits = Decimal(max(abs(x.numerator), x.denominator)).adjusted() + 1
+        digits = Decimal(max(abs(n), d)).adjusted() + 1
         raise InputError(f"a rational in the result has {digits} digits, "
                          "too many to write out") from exc
 
@@ -157,11 +170,14 @@ def parse_algebra_json(obj, source: str = "input") -> GradedAlgebra:
                 raise InputError(f"{term_where}: unknown label {lab!r}")
             if lab in value:
                 raise InputError(f"{term_where}: duplicate target label {lab!r}")
-            value[lab] = parse_rational(term.get("coeff"), f"{term_where}.coeff")
+            value[lab] = _ratio(term.get("coeff"), f"{term_where}.coeff")
         products[(left, right)] = value
 
+    scale = math.lcm(*{d for value in products.values() for _, d in value.values()})
+    products = {pair: {lab: n * (scale // d) for lab, (n, d) in value.items()}
+                for pair, value in products.items()}
     try:
-        h = GradedAlgebra.from_products(basis, unit, products)
+        h = GradedAlgebra.from_products(basis, unit, products, scale)
     except AlgebraStructureError as exc:
         raise InputError(f"{source}: {exc}") from exc
 
@@ -217,8 +233,8 @@ def certificate_json(cert: Certificate, raw_obj, digest: str) -> dict:
     gens, odd_vanish = h.generators, h.validation.odd_degrees_vanish
     labels = tuple(g.label for g in gens)
 
-    def sparse(v: Row) -> dict:
-        return {h.labels[k]: format_rational(c) for k, c in v}
+    def sparse(v: Row, length: int = 1) -> dict:  # v is D^(length - 1) times the class
+        return {h.labels[k]: format_rational(c, h.scale ** (length - 1)) for k, c in v}
 
     return {
         "input": raw_obj,
@@ -229,14 +245,15 @@ def certificate_json(cert: Certificate, raw_obj, digest: str) -> dict:
                        for g in gens],
         "e_family": None if cert.e_family is None else [{
             "monomial": _monomial_json(entry.monomial, labels),
-            "class": sparse(entry.class_vector),
+            "class": sparse(entry.class_vector, entry.monomial.length),
             "degree": entry.monomial.degree,
         } for entry in cert.e_family],
         "good_objects": None if cert.good_objects is None else [{
             "monomial": _monomial_json(g.monomial, labels),
             "phi_image": {},  # zero by definition of a good object
             "divisors": [{"monomial": _monomial_json(w.monomial, labels),
-                          "class": sparse(w.class_vector)} for w in g.divisor_witnesses],
+                          "class": sparse(w.class_vector, w.monomial.length)}
+                         for w in g.divisor_witnesses],
         } for g in cert.good_objects],
         "model": None if cert.model is None else {
             "even_generators": [{"label": g.label, "degree": g.degree} for g in gens],

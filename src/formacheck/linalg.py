@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
 A vector is a sparse `Row` of exact rationals, each an `int` or a
-`fractions.Fraction` (`formats` reads an integral one as an `int`).  They
-mix exactly under + - * and ==; none is divided with `/` (a quotient of
-`int`s is a float), and no float is allowed.  The check path has one
-elimination, the sparse, fraction-free `pivots`: `rank` counts its pivot
-columns, and the generator choice reads them.
+`fractions.Fraction`.  They mix exactly under + - * and ==; none is
+divided with `/` (a quotient of `int`s is a float), and no float is
+allowed.  On the check path every row is in `int`s, as the algebra's
+table is (`GradedAlgebra.scale`); a caller's `Fraction` rows are scaled
+to `int`s by `integer_row`.  The check path has one elimination, the
+sparse, fraction-free `pivots`: `rank` counts its pivot columns, and the
+generator choice reads them.
 Dense matrices and the reduced echelon form (`MatQ`, `RowSpace`, `rref`,
 `kernel_basis`) and `as_row`, which only the reference and the tests use,
 live in `reference`.

@@ -41,6 +41,8 @@ class Monomial(namedtuple("Monomial", "even odd degree")):
             raise ValueError("odd factors must be strictly increasing")
         return super().__new__(cls, even, odd, degree)
 
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # `_replace` validates too
+
     @property
     def length(self) -> int:
         return sum(e for _, e in self.even) + len(self.odd)

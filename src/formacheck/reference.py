@@ -78,6 +78,8 @@ class MatQ(namedtuple("MatQ", "rows cols entries")):
                 raise ValueError("ragged matrix rows")
         return super().__new__(cls, rows, cols, entries)
 
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # `_replace` validates too
+
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], cols: Optional[int] = None) -> "MatQ":
         data = tuple(as_vec(r) for r in rows)
@@ -325,9 +327,9 @@ def phi_tilde(model: Model, h: GradedAlgebra,
     `element` is a linear combination of canonical monomials and must be
     homogeneous.  Monomials containing any odd factor die; pure even ones
     evaluate through the generator classes, and the empty monomial is the
-    unit.  It multiplies the generator classes in with `h.mul` and does not
-    read `compute_E`, so `induced_map` checks the rank `verify_quasi_iso`
-    takes to be dim H^n.
+    unit.  It multiplies the generator classes in with `h.mul`, each time
+    times `h.scale`, and divides that out; it does not read `compute_E`, so
+    `induced_map` checks the rank `verify_quasi_iso` takes to be dim H^n.
     """
     degrees = {m.degree for m in element}
     if len(degrees) > 1:
@@ -341,7 +343,7 @@ def phi_tilde(model: Model, h: GradedAlgebra,
             for _ in range(e):
                 value = h.mul(model.generators[i].class_vector, value)
         for k, c in value:
-            out[k] += coeff * c
+            out[k] += coeff * Fraction(c, h.scale ** m.length)
     return tuple(out)
 
 

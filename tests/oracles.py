@@ -5,7 +5,8 @@ rank code: bases come from itertools-style search over raw exponent data,
 and ranks come from sympy.  Only the raw model data (generator degrees and
 the exponent tuples of the differentials) is shared with the code under
 test.  Products come from `dense_mul`, a product of dense vectors read
-straight off the table `h.mult`, never from `GradedAlgebra.mul`: the
+straight off the table `h.mult` over `h.scale`, never from
+`GradedAlgebra.mul`: the
 reference validator, the greedy generator rule (which grows a
 `reference.RowSpace` of the decomposables) and the E and good-object walks
 all multiply with it, and convert the classes they return to rows with
@@ -38,7 +39,8 @@ from formacheck.reference import (ZERO, MatQ, RowSpace, Vec, _merge_even, as_row
 
 
 def dense_mul(h, a: Sequence, b: Sequence) -> Vec:
-    """a * b in h for dense vectors a and b, read straight off `h.mult`."""
+    """a * b in h for dense vectors a and b, read straight off `h.mult`,
+    which holds `h.scale` times each product."""
     out = [ZERO] * h.dim
     b_terms = [(j, cb) for j, cb in enumerate(b) if cb]
     for i, ca in enumerate(a):
@@ -46,7 +48,7 @@ def dense_mul(h, a: Sequence, b: Sequence) -> Vec:
             continue
         for j, cb in b_terms:
             for k, c in h.mult.get((i, j), ()):
-                out[k] += ca * cb * c
+                out[k] += ca * cb * Fraction(c, h.scale)
     return tuple(out)
 
 
@@ -359,7 +361,7 @@ def contract_violations(cert: dict) -> list[str]:
 
 # ---- the certificate's claims about its algebra, from its JSON alone ----
 
-_Table = namedtuple("_Table", "dim mult")  # what `dense_mul` reads of an algebra
+_Table = namedtuple("_Table", "dim mult scale")  # what `dense_mul` reads of an algebra
 
 
 def file_table(raw: dict) -> tuple[dict, list, _Table]:
@@ -377,7 +379,7 @@ def file_table(raw: dict) -> tuple[dict, list, _Table]:
         row = tuple(sorted((index[t["label"]], Fraction(t["coeff"])) for t in item["value"]))
         sign = -1 if degrees[i] % 2 and degrees[j] % 2 else 1
         mult[i, j], mult[j, i] = row, tuple((k, sign * c) for k, c in row)
-    return index, degrees, _Table(dim, mult)
+    return index, degrees, _Table(dim, mult, 1)
 
 
 def claim_violations(cert: dict, rows_up_to: Optional[int] = None) -> list[str]:

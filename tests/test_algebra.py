@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 import tracemalloc
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 import formacheck as fc
 from formacheck.algebra import AlgebraStructureError, GradedAlgebra, _associativity_witness
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
-from formacheck.formats import parse_algebra_json
+from formacheck.formats import certificate_json, dump_json, parse_algebra_json
 from formacheck.reference import as_row, phi_tilde, unit_vec, zero_vec
 
 from oracles import brute_generators, brute_validate, decomposables, dense, dense_mul
-from util import GROEBNER_RINGS, corpus_objects, cp2, cp3, embed, in_basis, s2, wedge_s2_s2
+from util import (GROEBNER_RINGS, corpus_objects, cp2, cp3, embed, in_basis, s2,
+                  serialize_algebra, wedge_s2_s2)
 
 
 def q_basis(h, label):
@@ -165,17 +167,17 @@ def broken_table(h, fault, rng):
         i, j = rng.choice(sorted(p for p in h.mult if p[0] != p[1]))
         row = dict(h.mult[(i, j)])
         k = rng.choice(sorted(row))
-        row[k] += coeff
+        row[k] += coeff * h.scale  # the table holds h.scale times each product
         mult = dict(h.mult)
         mult[(i, j)] = tuple((k, c) for k, c in sorted(row.items()) if c != 0)
         if not mult[(i, j)]:
             del mult[(i, j)]
-        return GradedAlgebra(h.labels, h.degrees, h.unit_index, mult)
+        return GradedAlgebra(h.labels, h.degrees, h.unit_index, mult, h.scale)
 
     basis = list(zip(h.labels, h.degrees))
     degree = dict(basis)
     unit = h.labels[h.unit_index]
-    table = {(h.labels[i], h.labels[j]): {h.labels[k]: c for k, c in row}
+    table = {(h.labels[i], h.labels[j]): {h.labels[k]: Fraction(c, h.scale) for k, c in row}
              for (i, j), row in h.mult.items() if i <= j}
     positive = [lab for lab, _ in basis if lab != unit]
     products = sorted(p for p in table if unit not in p)
@@ -245,9 +247,35 @@ def test_mul_on_rows_matches_the_dense_product(k, rebase, seed, data):
     coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
     terms = st.dictionaries(st.integers(0, h.dim - 1), coeff, max_size=5)
     a, b = (tuple(sorted(data.draw(terms).items())) for _ in range(2))
+    # `mul` returns h.scale times the product
     for x, y in ((a, b), (b, a), (h.unit(), a), (b, h.unit()), (a, a)):
-        assert h.mul(x, y) == as_row(dense_mul(h, dense(h, x), dense(h, y)))
-    assert h.mul(h.unit(), a) == a == h.mul(a, h.unit())
+        assert h.mul(x, y) == as_row([h.scale * c for c in dense_mul(h, dense(h, x), dense(h, y))])
+    assert h.mul(h.unit(), a) == tuple((k, h.scale * c) for k, c in a) == h.mul(a, h.unit())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(0, len(BASES) - 1), rebase=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_integral_table_matches_the_fraction_table(k, rebase, seed):
+    # a file with several denominators: the parser's integral table and
+    # `from_products` on the file's `Fraction`s give one algebra, one report,
+    # one set of generators and one certificate, byte for byte
+    rng = random.Random(seed)
+    h = scaled(parse_algebra_json(BASES[k]), rng)
+    raw = serialize_algebra(rebased(h, rng) if rebase else h)
+    parsed = parse_algebra_json(raw)
+    fraction = GradedAlgebra.from_products(
+        [(b["label"], b["degree"]) for b in raw["basis"]], raw["unit"],
+        {(item["left"], item["right"]): {t["label"]: Fraction(t["coeff"]) for t in item["value"]}
+         for item in raw["products"]})
+    denominators = [Fraction(t["coeff"]).denominator for item in raw["products"]
+                    for t in item["value"]]
+    assert parsed.scale == fraction.scale == math.lcm(*denominators)
+    assert all(type(c) is int for row in parsed.mult.values() for _, c in row)
+    assert parsed.validation == fraction.validation
+    assert parsed.generators == fraction.generators
+    certificates = [dump_json(certificate_json(fc.certify(a), raw, "0" * 64))
+                    for a in (parsed, fraction)]
+    assert certificates[0] == certificates[1]
 
 
 def generator_indices(h):
@@ -295,7 +323,7 @@ def mutated_table(h, rng):
     labels, unit = h.labels, h.labels[h.unit_index]
     degree = dict(zip(labels, h.degrees))
     positive = [lab for lab in labels if lab != unit]
-    table = {(labels[i], labels[j]): {labels[k]: c for k, c in row}
+    table = {(labels[i], labels[j]): {labels[k]: Fraction(c, h.scale) for k, c in row}
              for (i, j), row in h.mult.items() if i <= j and h.unit_index not in (i, j)}
     for _ in range(rng.randint(1, 3)):
         a, b = sorted(rng.choices(positive, k=2), key=labels.index)
@@ -313,7 +341,7 @@ def mutated_table(h, rng):
         mult = dict(out.mult)
         mult[pairs[rng.randrange(len(pairs))]] = ()  # the mirror keeps its product
         out = GradedAlgebra(out.labels, out.degrees, out.unit_index,
-                            {p: row for p, row in mult.items() if row})
+                            {p: row for p, row in mult.items() if row}, out.scale)
     return out
 
 

@@ -2,7 +2,8 @@
 traceback, and exit 1 must come with an `error:` line.
 The JSON writer, `formats.dump_json`, must write what `json.dumps` writes.
 A rational `formats.parse_rational` accepts is the `Fraction` of the same
-value, but an `int` exactly when it is integral."""
+value, but an `int` exactly when it is integral, and `format_rational(n, s)`
+writes n / s as `format_rational(Fraction(n, s))` does, an error included."""
 
 import contextlib
 import copy
@@ -185,3 +186,34 @@ def test_parse_rational_rejects_too_many_digits(value):
     with pytest.raises(InputError, match=rf"^x: rational with too many digits "
                                          rf"\({len(value)} characters\)$"):
         parse_rational(value, "x")
+
+
+def formatted(x, *scale) -> str:
+    """`format_rational(x, *scale)`, or the message of the InputError it raises."""
+    try:
+        return format_rational(x, *scale)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+# integers up to about 4,320 digits: `str()` writes at most 4,300
+BIG = st.builds(lambda e, k: 10 ** e + k, st.integers(4290, 4320), st.integers(-3, 3))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers() | BIG | BIG.map(lambda n: -n), st.integers(1, 10 ** 40) | BIG)
+@example(0, 7)
+@example(6, 4)
+@example(-10 ** 4300, 10)  # 4,300 digits once reduced: written
+@example(10 ** 4300, 3)  # 4,301 digits: too many
+@example(7, 10 ** 4301)
+def test_format_rational_of_a_scaled_int_is_that_of_the_fraction(n, scale):
+    # `certificate_json` and the corpus write an `int` over the table's scale
+    assert formatted(n, scale) == formatted(Fraction(n, scale))
+    assert formatted(n, scale).startswith("InputError") == (
+        max(abs(Fraction(n, scale).numerator), Fraction(n, scale).denominator) >= 10 ** 4300)
+
+
+def test_format_rational_rejects_too_many_digits():
+    assert formatted(10 ** 4300, 3) == formatted(-1, 10 ** 4300) == (
+        "InputError: a rational in the result has 4301 digits, too many to write out")

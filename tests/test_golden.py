@@ -8,19 +8,23 @@ S^2 wedge also at caps 15 and 17, where its boundary ranks are large.  The
 rings of `GROEBNER_RINGS` are monomial in no basis.  A change that
 moves any field of any certificate (a value, an order, a key) moves its
 digest.
-A file's integral coefficients are read as `int`s; a table built with
-`Fraction(n)` in place of every integral `n` gives the same stages and the
-same certificate, byte for byte.
+A file's table is read as `int`s, times the lcm of its denominators; a
+table built from the file's coefficients as `Fraction`s is made integral
+the same way, and gives the same algebra, stages and certificate, byte for
+byte.
 The rebased inputs (`change_basis` with a seeded `random.Random`) have E
 classes with several terms and coefficients other than 1, so their digests
 pin how a class is written; a change in the rebasing moves them too.  Their
-coefficients are all integers; `HALF_SQUARE`, CP^2 with x*x = 1/2 x^2, pins
-how a class with a coefficient `p/q` is written.
+coefficients are all integers; `HALF_SQUARE`, CP^2 with x*x = 1/2 x^2,
+`THIRD_CUBE`, CP^3 with x*x = 1/3 x^2 and x*x^2 = 2/3 x^3, and their
+product pin how a class with a coefficient `p/q` is written.
 `CORPUS_GOLDEN` pins the files `formacheck corpus` writes, byte for byte:
 the sha256 of `dump_json(obj) + "\n"` for spheres, truncated polynomial
 rings, the benchmark's chains, and products and wedges of a table with two
 degree-3 classes (the Koszul sign, primed labels), of one with a `"1/2"`
-coefficient and of one without a name.
+coefficient, of that one and `THIRD_CUBE` (two denominators), and of one
+without a name; `test_corpus_command_on_a_non_integral_factor` runs the
+non-integral ones through the `corpus` command.
 Regenerate a digest only for a change that means to alter the certificate
 or the corpus file.
 A digest pins bytes the pipeline made; `oracles.contract_violations` reads
@@ -84,6 +88,10 @@ GOLDEN = {
         "4783090e061553e59f7fc711cf607eeb81ac2008bcb386dcf56875ac0066ff95",
     "half_square(truncated_poly(2,3))":
         "03a393daaf35983da6d814fa711e30e1c5018592d10404301c67ffb7fdb04095",
+    "third_cube(truncated_poly(2,4))":
+        "62eb8143a58e31b6839eed6fcabbcfffb83d6cc5a888972ccee846ac89613149",
+    "product(half_square,third_cube)":
+        "e8d0a8271958916f9454c8bf01c4d237ae577274ce331ba21f0476d7b37cfcca",
     "grassmannian_2_4": "3628db8436a393a5b6d41aa7583472e51df6f4603dc2c117df40b61598458698",
     "flag_3": "63cc1b3cdf91a4b74015c54400141a41f2c0f7d674897f0fcd173d183373d9af",
     "quadric_intersection": "218e47f24b6af9c66bd2c8c3fba8ace10387fec714f70598727232fe8a6a7be9",
@@ -101,6 +109,8 @@ GOLDEN = {
         "b60d822f6f331168d8fbfa30ee716cff9a9cf81ff3de5e15c67c5a35a27ef429",
 }
 HALF_SQUARE = "half_square(truncated_poly(2,3))"
+THIRD_CUBE = "third_cube(truncated_poly(2,4))"
+HALF_BY_THIRD = "product(half_square,third_cube)"
 
 # name -> (builder, seed) of the rebased inputs
 REBASED = {
@@ -134,6 +144,8 @@ def inputs() -> dict:
     for name, (build, seed) in REBASED.items():
         out[name] = serialize_algebra(change_basis(build(), random.Random(seed)), name=name)
     out[HALF_SQUARE] = half_square()
+    out[THIRD_CUBE] = third_cube()
+    out[HALF_BY_THIRD] = dict(product(half_square(), third_cube()), name=HALF_BY_THIRD)
     return out
 
 
@@ -142,6 +154,15 @@ def half_square() -> dict:
     obj = truncated_poly(2, 3)
     obj["name"] = HALF_SQUARE
     obj["products"][0]["value"][0]["coeff"] = "1/2"
+    return obj
+
+
+def third_cube() -> dict:
+    """CP^3 with x*x = 1/3 x^2 and x*x^2 = 2/3 x^3."""
+    obj = truncated_poly(2, 4)
+    obj["name"] = THIRD_CUBE
+    for item, coeff in zip(obj["products"], ("1/3", "2/3")):
+        item["value"][0]["coeff"] = coeff
     return obj
 
 
@@ -184,6 +205,14 @@ CORPUS_GOLDEN = {
         "09d4cbf9a25b0db0da39637cb6ea1407ff1b3cea458de9377b696cacba824f53",
     "wedge even_sphere(2) nameless":
         "3b6c919384ac9b1a37f13310ad44d8a77910cfbc7c09198eca971707973e3427",
+    "product half_square third_cube":
+        "26818acfca1bd414e70ada25bb137741a105f204efac031ff03af55b24408322",
+    "product third_cube even_sphere(2)":
+        "219b43b2436cbb0c6e03464f83d7339189f5a506663539ce70fd2940ebdc7337",
+    "wedge half_square third_cube":
+        "7c3f55b69e02e108a3f44aabedf4be5a5433021d22919c85deee799029ac8f93",
+    "wedge third_cube half_square":
+        "25bb8000aae4310fef35318b7df42d9701555ec2a807263f70d7ca59f0e9bf7d",
 }
 
 
@@ -191,7 +220,7 @@ CORPUS_GOLDEN = {
 def corpus_files() -> dict:
     """Each pinned corpus output's object, by name; s2x4, cp2x3 and w8 are
     the last files of the benchmark's three chains."""
-    s2, cp2, half = even_sphere(2), truncated_poly(2, 3), half_square()
+    s2, cp2, half, third = even_sphere(2), truncated_poly(2, 3), half_square(), third_cube()
     s2x2, w2 = product(s2, s2), wedge(s2, s2)
     w4 = wedge(w2, w2)
     nameless = {key: value for key, value in ODD_PAIR.items() if key != "name"}
@@ -210,6 +239,10 @@ def corpus_files() -> dict:
         "wedge half_square even_sphere(2)": wedge(half, s2),
         "product nameless even_sphere(2)": product(nameless, s2),
         "wedge even_sphere(2) nameless": wedge(s2, nameless),
+        "product half_square third_cube": product(half, third),
+        "product third_cube even_sphere(2)": product(third, s2),
+        "wedge half_square third_cube": wedge(half, third),
+        "wedge third_cube half_square": wedge(third, half),
     }
 
 
@@ -363,10 +396,9 @@ def table(raw: dict, coefficient) -> fc.GradedAlgebra:
 def test_int_and_fraction_coefficients_give_one_certificate(name):
     raw = inputs()[name]
     h, h_fraction = table(raw, parse_rational), table(raw, Fraction)
-    assert all(type(c) is int or c.denominator > 1 for row in h.mult.values() for _, c in row)
-    assert all(type(c) is Fraction for (i, j), row in h_fraction.mult.items()
-               if h.unit_index not in (i, j) for _, c in row)
-    assert h.mult == h_fraction.mult
+    # each table is made integral, times the lcm of the file's denominators, as the parser's is
+    assert all(type(c) is int for a in (h, h_fraction) for row in a.mult.values() for _, c in row)
+    assert h == h_fraction == algebra(raw)
     assert h.generators == h_fraction.generators
     assert fc.compute_E(h, h.generators) == fc.compute_E(h_fraction, h_fraction.generators)
     certificates = [dump_json(certificate_json(fc.certify(a), raw, "0" * 64))
@@ -387,3 +419,25 @@ def test_corpus_command_writes_the_pinned_bytes(tmp_path, capsys):
     out = tmp_path / "s2.json"
     assert main(["corpus", "even_sphere", "2", "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CORPUS_GOLDEN["even_sphere 2"]
+
+
+# the corpus outputs of a factor with a `p/q` coefficient, by command
+NON_INTEGRAL_CORPUS = ["product half_square half_square", "wedge half_square even_sphere(2)",
+                       "product half_square third_cube", "product third_cube even_sphere(2)",
+                       "wedge half_square third_cube", "wedge third_cube half_square"]
+
+
+@pytest.mark.parametrize("name", NON_INTEGRAL_CORPUS)
+def test_corpus_command_on_a_non_integral_factor(tmp_path, name):
+    # the whole `corpus product` and `corpus wedge` commands, from the files
+    factors = {"half_square": half_square(), "third_cube": third_cube(),
+               "even_sphere(2)": even_sphere(2)}
+    kind, *names = name.split()
+    paths = []
+    for factor in names:
+        paths.append(str(tmp_path / f"{factor}.json"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            json.dump(factors[factor], fh)
+    out = tmp_path / "out.json"
+    assert main(["corpus", kind, *paths, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CORPUS_GOLDEN[name]

@@ -19,13 +19,19 @@ the tracer's old addresses need it, and no command does.  No class of
 field annotation into a `ForwardRef`.  Each bound on a run's work has one
 home: `MAX_CAP` and the corpus budget `MAX_PRODUCTS` are each assigned in
 one module of `src/formacheck`, and only `formality.py` writes the
-default cap `2 * h.top_degree + 1`."""
+default cap `2 * h.top_degree + 1`.  No module of the check path
+(`test_startup.CHECK_PATH`) imports `fractions` or `decimal` at module
+level: `fractions` is imported only in `parse_rational` and
+`GradedAlgebra.from_products`, which return or take a `Fraction`, and
+`decimal` only in `format_rational`, for a rational too long to write."""
 
 import ast
 import glob
 import os
 
 import pytest
+
+from test_startup import CHECK_PATH
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "formacheck", "*.py")))
@@ -152,9 +158,9 @@ def hard_exits(source: str) -> list:
     return found
 
 
-def reference_imports(source: str) -> list:
+def imports_of(source: str, module: str) -> list:
     """(line, enclosing defs and classes or None, statement) of every import
-    of the `reference` module or of a name from it."""
+    of the module `module` (named by its last component) or of a name from it."""
     found = []
 
     def visit(node, where):
@@ -163,7 +169,7 @@ def reference_imports(source: str) -> list:
             if isinstance(child, ast.ImportFrom):
                 names.append(child.module or "")
             if (isinstance(child, (ast.Import, ast.ImportFrom))
-                    and any(name.split(".")[-1] == "reference" for name in names)):
+                    and any(name.split(".")[-1] == module for name in names)):
                 found.append((child.lineno, where, ast.unparse(child)))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}" if where else child.name)
@@ -264,7 +270,7 @@ def test_checker_finds_reference_imports():
               "def hook():\n    def __getattr__(name):\n        from . import reference\n"
               "class C:\n    def m(self):\n        if self:\n"
               "            from formacheck.reference import as_row\n")
-    assert reference_imports(source) == [
+    assert imports_of(source, "reference") == [
         (1, None, "from . import linalg, reference"),
         (2, None, "from .reference import MatQ as M"),
         (3, None, "import formacheck.reference"),
@@ -277,8 +283,25 @@ def test_only_the_tracer_hook_imports_the_reference():
     for path in SOURCES:
         with open(path, encoding="utf-8") as fh:
             module = os.path.basename(path)
-            found += [(module, *imported[1:]) for imported in reference_imports(fh.read())]
+            found += [(module, *imported[1:]) for imported in imports_of(fh.read(), "reference")]
     assert found == [("linalg.py", "_moved_to_reference.__getattr__", "from . import reference")]
+
+
+def test_check_path_imports_no_fractions_at_module_level():
+    # the table is integral, so only the entry points that return or take a
+    # `Fraction` import `fractions`, and `decimal` only counts the digits of
+    # a rational too long to write out
+    found = []
+    for name in CHECK_PATH:
+        module = name.split(".")[1] + ".py" if "." in name else "__init__.py"
+        with open(os.path.join(ROOT, "src", "formacheck", module), encoding="utf-8") as fh:
+            source = fh.read()
+        found += [(module, *imported[1:]) for stdlib in ("decimal", "fractions")
+                  for imported in imports_of(source, stdlib)]
+    assert sorted(found) == [
+        ("algebra.py", "GradedAlgebra.from_products", "from fractions import Fraction"),
+        ("formats.py", "format_rational", "from decimal import Decimal"),
+        ("formats.py", "parse_rational", "from fractions import Fraction")]
 
 
 def test_checker_finds_public_names_only_the_reference_reads():

@@ -2,18 +2,20 @@
 hashed by value, pickled, rebuilt by `_replace` and read by `_asdict`, with
 their fields in a fixed order, and cheap to define at import time, as no
 field annotation is compiled.  `Monomial`, `DegreeSet` and `MatQ` keep a
-validating `__new__`."""
+validating `__new__`, which `_replace` and `_make` go through too."""
 
 import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import formacheck as fc
 from formacheck.corpus import product, truncated_poly
 from formacheck.formality import DegreeSet
+from formacheck.model import Monomial
 from formacheck.reference import MatQ, rref
 
 from util import algebra, cp2, pipeline
@@ -36,7 +38,7 @@ def sample_records():
 FIELDS = {
     "MatQ": "rows cols entries",
     "RrefResult": "rref pivot_cols rank",
-    "GradedAlgebra": "labels degrees unit_index mult",
+    "GradedAlgebra": "labels degrees unit_index mult scale",
     "ValidationReport": ("single_unit_in_degree_zero graded_multiplicativity unit_law "
                          "associativity graded_commutativity finite_dimensional "
                          "odd_degrees_vanish failures"),
@@ -67,6 +69,24 @@ def test_check_path_does_not_import_dataclasses():
 
 
 RECORDS = sample_records()
+# a valid value of each record's last field, other than the sample's
+LAST = {
+    "MatQ": ((Fraction(2),),),
+    "RrefResult": 0,
+    "GradedAlgebra": 2,
+    "ValidationReport": ("unit law fails on x",),
+    "Generator": ((1, 2),),
+    "Monomial": 8,
+    "EEntry": ((2, 3),),
+    "GoodObject": (),
+    "OddGenerator": Monomial(((0, 2),), (), 4),
+    "Model": (),
+    "DegreeReport": False,
+    "QuasiIsoReport": 5,
+    "DegreeSet": (2, 6),
+    "Verdict": True,
+    "Certificate": RECORDS[-1].verdict._replace(discrepancy=True),
+}
 
 
 def test_every_record_type_is_sampled():
@@ -85,11 +105,25 @@ def test_record_rebuilds_from_its_fields(record):
     assert list(fields) == list(record._fields)
     assert type(record)(**fields) == record
     assert type(record)(*record) == record
-    # an algebra keeps a read-only copy of its table, so it takes a mapping
-    last = {} if type(record) is fc.GradedAlgebra else None
+    last = LAST[type(record).__name__]
     changed = record._replace(**{record._fields[-1]: last})
     assert type(changed) is type(record)
-    assert changed[:-1] == record[:-1] and changed[-1] == last
+    assert changed[:-1] == record[:-1] and changed[-1] == last != record[-1]
+
+
+# a record with a validating `__new__`, a field and a value it rejects
+INVALID = [(DegreeSet((2, 4)), "degrees", (4, 2, -1)),
+           (Monomial(((0, 1),), (), 2), "odd", (3, 1, 1)),
+           (MatQ.identity(1), "entries", ())]
+
+
+@pytest.mark.parametrize("record, field, bad", INVALID, ids=lambda x: type(x).__name__)
+def test_replace_and_make_validate(record, field, bad):
+    with pytest.raises(ValueError):
+        record._replace(**{field: bad})
+    with pytest.raises(ValueError):
+        type(record)._make(bad if name == field else value
+                           for name, value in zip(record._fields, record))
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)

@@ -4,9 +4,9 @@ The degree-by-degree `reference` stays out of every command, though the
 names of it that the tracer looks up still resolve at their old
 addresses.  OpenSSL stays out too: `formats` takes its sha256 from
 `_sha256` where Python has it, and from `hashlib` otherwise, with the same
-digests.  `fractions` (and the `decimal` and `numbers` it brings) loads only
-for an input with a coefficient that is not an integer: a check of an
-integral table, and a corpus run on integral inputs, never loads it.  The
+digests.  No `check` or `corpus` run loads `fractions` (or the `decimal`
+and `numbers` it brings), not even on an input with a coefficient such as
+"1/2": the parser reads it as two `int`s and makes the table integral.  The
 certificate's timestamp comes from `time`, not `datetime`.  No command
 loads argparse (or the gettext it brings): `cli` reads the command line by
 hand.  And how it ends: `cli.entrypoint` flushes and leaves by `os._exit`,
@@ -22,6 +22,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -30,9 +31,11 @@ import formacheck.reference as reference
 from formacheck.cli import main
 from formacheck.corpus import even_sphere, truncated_poly, wedge
 from formacheck.formats import load_algebra_file
+from formacheck.reference import unit_vec
 
+from test_golden import half_square
 from test_tracer import load_tracer
-from util import (cp2_power_3, dependent_family, s2_power_4, serialize_algebra,
+from util import (cp2_power_3, dependent_family, in_basis, s2_power_4, serialize_algebra,
                   sphere_wedge_8)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fc.__file__)))
@@ -84,15 +87,49 @@ def test_check_run_loads_only_the_check_path(tmp_path, workload):
         assert not set(names) & set(OPENSSL)
 
 
-def test_rebased_check_loads_fractions(tmp_path):
-    obj = truncated_poly(2, 3)  # CP^2 in the basis 1, x, 2x^2: x*x = 1/2 (2x^2)
-    assert obj["products"][0]["value"] == [{"label": "x^2", "coeff": "1"}]
-    obj["products"][0]["value"][0]["coeff"] = "1/2"
+def rescaled(h):
+    """The file of h in the basis c_i e_i, where c_i is 1/2, 2 and 3 in turn
+    (1 for the unit)."""
+    factors = [1 if i == h.unit_index else (Fraction(1, 2), 2, 3)[i % 3] for i in range(h.dim)]
+    new = [tuple(c * x for x in unit_vec(h.dim, i)) for i, c in enumerate(factors)]
+    old = [tuple(x / c for x in unit_vec(h.dim, i)) for i, c in enumerate(factors)]
+    return serialize_algebra(in_basis(h, new, old))
+
+
+# inputs with a coefficient that is not an integer, with their caps; the
+# first is CP^2 with x*x = 1/2 x^2
+NON_INTEGRAL = {"half_square": (half_square, None),
+                "sphere-product": (lambda: rescaled(s2_power_4()), 13),
+                "validate-dim27": (lambda: rescaled(cp2_power_3()), 12)}
+
+
+@pytest.mark.parametrize("name", NON_INTEGRAL)
+def test_non_integral_check_loads_no_fractions(tmp_path, name):
+    make, cap = NON_INTEGRAL[name]
+    obj = make()
+    assert any("/" in term["coeff"] for item in obj["products"] for term in item["value"])
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
-    argv = ["check", str(path), "--report", str(tmp_path / "cert.json")]
+    report = tmp_path / "cert.json"
+    argv = ["check", str(path), "--report", str(report)]
+    argv += ["--cap", str(cap)] if cap is not None else []
     names = loaded(f"from formacheck.cli import main; assert main({argv!r}) == 0", FRACTIONS)
-    assert "fractions" in names
+    assert json.loads(report.read_text(encoding="utf-8"))["exit_code"] == 0
+    assert not set(names) & set(FRACTIONS)
+
+
+def test_non_integral_corpus_run_loads_no_fractions(tmp_path):
+    # products and wedges of a file with x*x = 1/2 (2x^2), which write "p/q" coefficients
+    half, s2, out = (str(tmp_path / name) for name in ("half.json", "s2.json", "out.json"))
+    with open(half, "w", encoding="utf-8") as fh:
+        json.dump(half_square(), fh)
+    runs = [["corpus", "even_sphere", "2", "-o", s2], ["corpus", "product", half, half, "-o", out],
+            ["corpus", "product", out, s2, "-o", out], ["corpus", "wedge", half, out, "-o", out]]
+    names = loaded(f"from formacheck.cli import main\nfor argv in {runs!r}: assert main(argv) == 0",
+                   FRACTIONS)
+    assert "formacheck.corpus" in names
+    assert "/" in open(out, encoding="utf-8").read()
+    assert not set(names) & set(FRACTIONS)
 
 
 def test_corpus_run_loads_no_unneeded_stdlib_module(tmp_path):

@@ -22,7 +22,8 @@ def serialize_algebra(h, name=""):
     zero products and the implicit unit rows, through `corpus.algebra_file`."""
     u = h.unit_index
     return algebra_file(name, h.labels, h.degrees, u, {
-        (i, j): dict(entry) for (i, j), entry in h.mult.items() if i <= j and u not in (i, j)})
+        (i, j): dict(entry) for (i, j), entry in h.mult.items() if i <= j and u not in (i, j)},
+        h.scale)
 
 
 def s2():

@@ -8,7 +8,10 @@ structural wherever it can be.
 The table is stored sparse, read-only and integral: `mult[(i, j)]` is a
 `linalg.Row` of `int`s, the nonzero terms (k, c) of D * e_i * e_j in
 increasing k, with D = `scale`, and pairs with a zero product are absent.
-No zero test, rank or pivot changes with D, so no `Fraction` is built.
+`GradedAlgebra.from_ratios` is the one place where rational coefficients
+become D times `int`s; `from_products` is the library's entry point for a
+table of `Fraction`s.  No zero test, rank or pivot changes with D, so no
+`Fraction` is built.
 Every element is a row: `GradedAlgebra.mul` takes rows and returns D times
 their product, and a basis vector or a generator's class is a one-term row.
 The generators are the non-pivots of one integer elimination per degree,
@@ -35,21 +38,15 @@ class AlgebraStructureError(ValueError):
 
 class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult scale")):
     """The basis `labels` and `degrees`, the `unit_index`, and `mult`, the table
-    (i, j) -> Row of `scale` times each product, with both orders present and
-    zero products omitted, held as a read-only copy of the mapping given,
-    also by `_replace`, so the cached `validation` and `generators` always
-    describe it; pickle gets a plain dict.  A table with a `Fraction` is
-    multiplied, as `scale` is, by the lcm of its denominators.  No
+    (i, j) -> Row of `int`s, `scale` times each product, with both orders
+    present and zero products omitted, held as a read-only copy of the
+    mapping given, also by `_replace`, so the cached `validation` and
+    `generators` always describe it; pickle gets a plain dict.  No
     `__slots__ = ()`: the cached properties live in the instance `__dict__`."""
 
     def __new__(cls, labels, degrees, unit_index, mult, scale=1):
-        mult = dict(mult)
-        if any(type(c) is not int for row in mult.values() for _, c in row):
-            d = math.lcm(*{c.denominator for row in mult.values() for _, c in row})
-            mult = {pair: tuple((k, c.numerator * (d // c.denominator)) for k, c in row)
-                    for pair, row in mult.items()}
-            scale *= d
-        return super().__new__(cls, labels, degrees, unit_index, MappingProxyType(mult), scale)
+        return super().__new__(cls, labels, degrees, unit_index,
+                               MappingProxyType(dict(mult)), scale)
 
     def __getnewargs__(self):
         return (*self[:3], dict(self.mult), self.scale)
@@ -100,17 +97,15 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult 
         return tuple(sorted(_combine(terms).items()))
 
     @classmethod
-    def from_products(cls, basis: Sequence[tuple[str, int]], unit: str,
-                      products: Mapping[tuple[str, str], Mapping[str, "int | Fraction"]],
-                      scale: int = 1) -> "GradedAlgebra":
-        """Build from the half multiplication table keyed by labels, each
-        product given times `scale`.
-
-        Pairs must satisfy left <= right in basis order; omitted pairs are
-        zero products, and unit products default to the unit law.  Structural
-        problems raise AlgebraStructureError; algebraic law violations are
-        left for validate() to report.
-        """
+    def from_ratios(cls, basis: Sequence[tuple[str, int]], unit: str,
+                    table: Mapping[tuple[int, int], Mapping[int, tuple[int, int]]]
+                    ) -> "GradedAlgebra":
+        """Build from the half table {(i, j): {k: (n, d)}}, i <= j, or its items,
+        read once the basis passes its checks: each coefficient n/d, in lowest
+        terms, becomes D times an `int`, D = `scale` the lcm of the denominators.
+        Omitted pairs are zero products, and unit products default to the unit
+        law.  Structural problems raise AlgebraStructureError; law violations
+        are left for validate()."""
         labels = tuple(lab for lab, _ in basis)
         degrees = tuple(deg for _, deg in basis)
         if len(set(labels)) != len(labels):
@@ -120,25 +115,43 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult 
         for lab, deg in basis:
             if not isinstance(deg, int) or isinstance(deg, bool) or deg < 0:
                 raise AlgebraStructureError(f"basis element {lab!r} has invalid degree {deg!r}")
-        index = {lab: i for i, lab in enumerate(labels)}
-        if unit not in index:
+        if unit not in labels:
             raise AlgebraStructureError("missing unit")
-        u = index[unit]
+        u = labels.index(unit)
         if degrees[u] != 0:
             raise AlgebraStructureError("unit must have degree 0")
 
-        dim = len(labels)
+        table = dict(table)
+        scale = math.lcm(*{d for value in table.values() for _, d in value.values()})
         mult: dict[tuple[int, int], Row] = {}
-        # unit law holds by default; explicit entries below may override it
-        # (validate() will then flag the violation)
-        for j in range(dim):
+        # the unit law by default; an explicit entry overrides it, for validate() to flag
+        for j in range(len(labels)):
             mult[(u, j)] = mult[(j, u)] = ((j, scale),)
+        for (i, j), value in table.items():
+            entry = tuple((k, n * (scale // d)) for k, (n, d) in sorted(value.items()) if n)
+            odd_pair = degrees[i] % 2 and degrees[j] % 2
+            mirror = tuple((k, -c) for k, c in entry) if odd_pair else entry
+            for pair, row in ((j, i), mirror), ((i, j), entry):  # e_i e_i gets `entry`
+                if row:
+                    mult[pair] = row
+                else:
+                    mult.pop(pair, None)
+        del table  # freed here if the caller kept none (the parser), before `cls` copies `mult`
+        return cls(labels, degrees, u, mult, scale)
 
-        for (left, right), value in products.items():
+    @classmethod
+    def from_products(cls, basis: Sequence[tuple[str, int]], unit: str,
+                      products: Mapping[tuple[str, str], Mapping[str, "int | Fraction"]]
+                      ) -> "GradedAlgebra":
+        """Build from the half table keyed by labels (left <= right in basis
+        order), each coefficient an `int` or a `Fraction`, through `from_ratios`:
+        structural problems raise AlgebraStructureError, the basis's first."""
+        index = {lab: i for i, (lab, _) in enumerate(basis)}
+
+        def entry(left, right, value):
             if left not in index or right not in index:
                 raise AlgebraStructureError(f"unknown label in pair ({left!r}, {right!r})")
-            i, j = index[left], index[right]
-            if i > j:
+            if index[left] > index[right]:
                 raise AlgebraStructureError(
                     f"pair ({left!r}, {right!r}) is not in basis order; give left <= right only")
             terms = {}
@@ -147,22 +160,15 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult 
                     raise AlgebraStructureError(f"unknown label {lab!r} in product value")
                 if isinstance(coeff, float):
                     raise AlgebraStructureError("floating point coefficients are not allowed")
-                if type(coeff) is not int:  # an `int` stays one; a `bool` does not
-                    from fractions import Fraction
-                    coeff = Fraction(coeff)
-                terms[index[lab]] = coeff
-            entry = tuple((k, c) for k, c in sorted(terms.items()) if c != 0)
-            odd_pair = degrees[i] % 2 and degrees[j] % 2
-            mirror = tuple((k, -c) for k, c in entry) if odd_pair else entry
-            if not entry:
-                mult.pop((i, j), None)
-                if i != j:
-                    mult.pop((j, i), None)
-            else:
-                mult[(i, j)] = entry
-                if i != j:
-                    mult[(j, i)] = mirror
-        return cls(labels, degrees, u, mult, scale)
+                # `int`, `bool` and `Fraction` have `int` numerators and denominators
+                if not isinstance(getattr(coeff, "denominator", None), int):
+                    raise AlgebraStructureError(
+                        f"coefficient {coeff!r} of {lab!r} is neither an int nor a Fraction")
+                terms[index[lab]] = coeff.numerator, coeff.denominator
+            return (index[left], index[right]), terms
+
+        # lazy, so `from_ratios` reads the table after its basis checks
+        return cls.from_ratios(basis, unit, (entry(*p, v) for p, v in products.items()))
 
 
 class ValidationReport(namedtuple("ValidationReport", (

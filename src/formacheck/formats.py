@@ -2,9 +2,9 @@
 
 All files are UTF-8 JSON.  Rationals travel as strings "p/q" (or "p") so
 the formats stay exact and language neutral; floats are rejected outright.
-An algebra file's table is read as `int`s, times the lcm D of its
-denominators, and each class is written over its power of D, so no
-`Fraction` is built: `fractions` loads only for `parse_rational`.
+An algebra file's coefficients are read as (p, q) pairs, which
+`GradedAlgebra.from_ratios` turns into D times `int`s, and each class is
+written over its power of D: `fractions` loads only for `parse_rational`.
 """
 
 from __future__ import annotations
@@ -132,6 +132,34 @@ def _optional_list(obj: dict, key, where):
     return value
 
 
+def _half_table(obj, index: dict, source: str) -> dict:
+    """The products of an algebra file as the half table {(i, j): {k: (n, d)}} of
+    `GradedAlgebra.from_ratios`; each error carries its entry's position."""
+    products = {}
+    for k, item in enumerate(_optional_list(obj, "products", source)):
+        where = f"{source}: products[{k}]"
+        left = _require(item, "left", str, where)
+        right = _require(item, "right", str, where)
+        if left not in index or right not in index:
+            raise InputError(f"{where}: unknown label {left!r} or {right!r}")
+        pair = index[left], index[right]
+        if pair[0] > pair[1]:
+            raise InputError(
+                f"{where}: pair ({left!r}, {right!r}) out of basis order; give left <= right only")
+        if pair in products:
+            raise InputError(f"{where}: duplicate pair ({left!r}, {right!r})")
+        value = products[pair] = {}
+        for t, term in enumerate(_require(item, "value", list, where)):
+            term_where = f"{where}.value[{t}]"
+            lab = _require(term, "label", str, term_where)
+            if lab not in index:
+                raise InputError(f"{term_where}: unknown label {lab!r}")
+            if index[lab] in value:
+                raise InputError(f"{term_where}: duplicate target label {lab!r}")
+            value[index[lab]] = _ratio(term.get("coeff"), f"{term_where}.coeff")
+    return products
+
+
 def parse_algebra_json(obj, source: str = "input") -> GradedAlgebra:
     """Build a GradedAlgebra from a parsed algebra file and read its
     `validation`, which the algebra keeps: `certify` reads it again for free.
@@ -150,34 +178,8 @@ def parse_algebra_json(obj, source: str = "input") -> GradedAlgebra:
     unit = _require(obj, "unit", str, source)
     index = {lab: i for i, (lab, _) in enumerate(basis)}
 
-    products = {}
-    for k, item in enumerate(_optional_list(obj, "products", source)):
-        where = f"{source}: products[{k}]"
-        left = _require(item, "left", str, where)
-        right = _require(item, "right", str, where)
-        if left not in index or right not in index:
-            raise InputError(f"{where}: unknown label {left!r} or {right!r}")
-        if index[left] > index[right]:
-            raise InputError(
-                f"{where}: pair ({left!r}, {right!r}) out of basis order; give left <= right only")
-        if (left, right) in products:
-            raise InputError(f"{where}: duplicate pair ({left!r}, {right!r})")
-        value = {}
-        for t, term in enumerate(_require(item, "value", list, where)):
-            term_where = f"{where}.value[{t}]"
-            lab = _require(term, "label", str, term_where)
-            if lab not in index:
-                raise InputError(f"{term_where}: unknown label {lab!r}")
-            if lab in value:
-                raise InputError(f"{term_where}: duplicate target label {lab!r}")
-            value[lab] = _ratio(term.get("coeff"), f"{term_where}.coeff")
-        products[(left, right)] = value
-
-    scale = math.lcm(*{d for value in products.values() for _, d in value.values()})
-    products = {pair: {lab: n * (scale // d) for lab, (n, d) in value.items()}
-                for pair, value in products.items()}
     try:
-        h = GradedAlgebra.from_products(basis, unit, products, scale)
+        h = GradedAlgebra.from_ratios(basis, unit, _half_table(obj, index, source))
     except AlgebraStructureError as exc:
         raise InputError(f"{source}: {exc}") from exc
 

@@ -1,16 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in `int`s.
 
-A vector is a sparse `Row` of exact rationals, each an `int` or a
-`fractions.Fraction`.  They mix exactly under + - * and ==; none is
-divided with `/` (a quotient of `int`s is a float), and no float is
-allowed.  On the check path every row is in `int`s, as the algebra's
-table is (`GradedAlgebra.scale`); a caller's `Fraction` rows are scaled
-to `int`s by `integer_row`.  The check path has one elimination, the
-sparse, fraction-free `pivots`: `rank` counts its pivot columns, and the
+A vector is a sparse `Row` of `int`s: a line over Q is the same line
+times any nonzero integer, so no rank or pivot needs a `Fraction`.  The
+algebra's table is integral (`GradedAlgebra.scale`), and every row of the
+check path is built from it or from +-1; none is divided with `/` (a
+quotient of `int`s is a float).  The one elimination is the sparse,
+fraction-free `pivots`: `rank` counts its pivot columns, and the
 generator choice reads them.
-Dense matrices and the reduced echelon form (`MatQ`, `RowSpace`, `rref`,
-`kernel_basis`) and `as_row`, which only the reference and the tests use,
-live in `reference`.
+Dense matrices over Q and the reduced echelon form (`MatQ`, `RowSpace`,
+`rref`, `kernel_basis`) and `as_row`, which only the reference and the
+tests use, live in `reference`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-Row = tuple[tuple[int, "int | Fraction"], ...]  # sparse vector: nonzero (k, c), k increasing
+Row = tuple[tuple[int, int], ...]  # sparse vector: nonzero (k, c), k increasing
 
 
 def _moved_to_reference(module: str, names: set[str]):
@@ -41,36 +40,28 @@ def _moved_to_reference(module: str, names: set[str]):
 __getattr__ = _moved_to_reference(__name__, {"kernel_basis", "rref"})
 
 
-def integer_row(row: Row) -> Row:
-    """The row times the lcm of its denominators: the same line, in integers."""
-    if all(type(c) is int for _, c in row):
-        return row
-    scale = math.lcm(*(c.denominator for _, c in row))
-    return tuple((k, c.numerator * (scale // c.denominator)) for k, c in row)
-
-
 def rank(rows: Iterable[Row]) -> int:
-    """Rank over Q of sparse rows: the number of their `pivots`."""
+    """Rank over Q of sparse `int` rows: the number of their `pivots`."""
     return len(pivots(rows))
 
 
 def pivots(rows: Iterable[Row]) -> list[int]:
-    """Pivot columns, in increasing order, of sparse rows over Q: the
-    columns where some vector of their row space has its first nonzero entry.
+    """Pivot columns, in increasing order, of sparse `int` rows: the columns
+    where some vector of their row space over Q has its first nonzero entry.
 
-    Each row is scaled by `integer_row` and reduced against the rows kept so
-    far, keyed by leading column: v <- p*v - a*r, where p and a are the
-    leading entries of r and v, then divided by the gcd of its entries, so
-    no `Fraction` is built.  A row that stays nonzero is kept under its new
-    leading column.  The kept rows are an echelon basis of the row space,
-    and the leading columns of any echelon basis are its pivot columns, so
-    the order of the rows does not matter.  A row meets only kept rows of
-    its own block (rows that share a column, directly or through other
-    rows), so the blocks stay apart without being split.
+    Each row is reduced against the rows kept so far, keyed by leading
+    column: v <- p*v - a*r, where p and a are the leading entries of r and
+    v, then divided by the gcd of its entries, so no `Fraction` is built.  A
+    row that stays nonzero is kept under its new leading column.  The kept
+    rows are an echelon basis of the row space, and the leading columns of
+    any echelon basis are its pivot columns, so the order of the rows does
+    not matter.  A row meets only kept rows of its own block (rows that
+    share a column, directly or through other rows), so the blocks stay
+    apart without being split.
     """
     kept: dict[int, dict[int, int]] = {}  # leading column -> reduced row, column -> entry
     for row in rows:
-        v = dict(integer_row(row))
+        v = dict(row)
         while v:
             lead = min(v)
             r = kept.get(lead)

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import GradedAlgebra
 from .cohomology import DegreeReport
-from .linalg import Row, rank
+from .linalg import Row
 from .model import EvenPart, Model, Monomial
 
 
@@ -59,7 +59,8 @@ def vec_is_zero(v: Sequence[Fraction]) -> bool:
 
 
 def as_row(v: Sequence) -> Row:
-    """The dense vector v as a `Row`, for `linalg.rank`."""
+    """The dense vector v as a sparse row of its nonzero entries (a
+    `linalg.Row` when they are `int`s)."""
     return tuple((k, c) for k, c in enumerate(v) if c)
 
 
@@ -409,11 +410,10 @@ def induced_map(model: Model, h: GradedAlgebra, n: int) -> DegreeReport:
     target = h.dim_in_degree(n)
     basis_n = monomials_of_degree(model, n)
     pure_even = [i for i, m in enumerate(basis_n) if not m.odd]
-    columns = []
+    span = RowSpace(h.dim)  # its own elimination: `linalg.pivots` is what this checks
     for rep in reps:
-        combo = {basis_n[i]: rep[i] for i in pure_even if rep[i] != 0}
-        columns.append(as_row(phi_tilde(model, h, combo)))
-    mapped = rank(columns)
+        span.add(phi_tilde(model, h, {basis_n[i]: rep[i] for i in pure_even if rep[i] != 0}))
+    mapped = span.rank
     return DegreeReport(
         degree=n,
         model_cohomology_dim=dim_model,

@@ -20,7 +20,7 @@ from formacheck.model import build_model, good_objects
 from formacheck.reference import as_row, differential_matrix, monomials_of_degree, phi_tilde
 
 import oracles
-from util import (algebra, corpus_objects, pipeline, random_chain_complex,
+from util import (algebra, corpus_objects, integer_rows, pipeline, random_chain_complex,
                   random_even_monomial_algebra)
 
 
@@ -138,8 +138,8 @@ def test_criterion_5_duality_random_complexes():
     ok = True
     for _ in range(20):
         dims, boundaries, expected = random_chain_complex(rng, max_dim=5, max_deg=6)
-        ranks = [rank(map(as_row, d)) for d in boundaries]
-        ok = ok and ranks == [rank(map(as_row, zip(*d))) for d in boundaries]
+        ranks = [rank(integer_rows(map(as_row, d))) for d in boundaries]
+        ok = ok and ranks == [rank(integer_rows(map(as_row, zip(*d)))) for d in boundaries]
         ranks = [0, *ranks, 0]
         ok = ok and [dim - ranks[n] - ranks[n + 1] for n, dim in enumerate(dims)] == expected
     elapsed = time.monotonic() - start

@@ -163,11 +163,13 @@ def broken_table(h, fault, rng):
         h, fault = scaled(h, rng), "coefficient"
     if fault == "one_sided":
         # e_i e_j changed but not e_j e_i: only a GradedAlgebra built
-        # directly, not through from_products, can hold this
+        # directly, not through from_products, can hold this; its table is
+        # h.scale times each product, in `int`s, so e_i e_j changes by
+        # coeff.numerator / h.scale
         i, j = rng.choice(sorted(p for p in h.mult if p[0] != p[1]))
         row = dict(h.mult[(i, j)])
         k = rng.choice(sorted(row))
-        row[k] += coeff * h.scale  # the table holds h.scale times each product
+        row[k] += coeff.numerator
         mult = dict(h.mult)
         mult[(i, j)] = tuple((k, c) for k, c in sorted(row.items()) if c != 0)
         if not mult[(i, j)]:
@@ -411,6 +413,26 @@ def test_structural_rejection():
     with pytest.raises(AlgebraStructureError):
         GradedAlgebra.from_products([("1", 0), ("x", 2)], "1",
                                     {("x", "q"): {"x": 1}})
+
+
+@pytest.mark.parametrize("coeff, message", [
+    ("1/2", "coefficient '1/2' of 'y' is neither an int nor a Fraction"),
+    (0.5, "floating point coefficients are not allowed"),
+    (None, "coefficient None of 'y' is neither an int nor a Fraction")])
+def test_from_products_takes_int_and_fraction_coefficients_only(coeff, message):
+    # a string is read by `parse_rational`, not here, and a float is not exact
+    with pytest.raises(AlgebraStructureError, match=f"^{message}$"):
+        GradedAlgebra.from_products([("1", 0), ("x", 2), ("y", 4)], "1",
+                                    {("x", "x"): {"y": coeff}})
+
+
+def test_from_products_checks_the_basis_before_the_table():
+    # the table is read only once the basis passes, so a bad basis is what
+    # is reported, whatever the table holds
+    for basis, message in (([("a", 2), ("a", 0)], "duplicate basis labels"),
+                           ([], "empty basis"), ([("x", 2)], "missing unit")):
+        with pytest.raises(AlgebraStructureError, match=f"^{message}$"):
+            GradedAlgebra.from_products(basis, "1", {("y", "x"): {"z": 0.5}})
 
 
 def test_table_is_read_only():

@@ -9,7 +9,7 @@ import pytest
 from sympy.utilities.iterables import multiset_permutations
 
 import formacheck as fc
-from formacheck import cohomology
+from formacheck import cohomology, linalg
 from formacheck.cohomology import blocks, boundary_rank, faces, orbits
 from formacheck.corpus import even_sphere, product, wedge
 from formacheck.linalg import rank
@@ -565,6 +565,21 @@ def test_surjective_up_to_top_degree(make):
     reference = block_reference(cert.model, h, cert.cap)
     assert cert.quasi_isomorphism.reports == reference
     assert all(r.surjective and r.induced_map_rank == r.target_dim for r in reference)
+
+
+def test_reference_rows_call_no_pivots(monkeypatch):
+    # the reference ranks its `Fraction` columns with its own `RowSpace`, so
+    # it checks the rows of `verify_quasi_iso` without the `linalg.pivots`
+    # that those rest on
+    def refuse(rows):
+        raise AssertionError("the reference called linalg.pivots")
+
+    for h, cap in ((s2_power_4(), 13), (sphere_wedge_8(), 5)):
+        model = model_of(h)
+        expected = fc.verify_quasi_iso(model, h, cap).reports
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "pivots", refuse)
+            assert block_reference(model, h, cap) == expected
 
 
 def test_induced_map_ranks_no_class(monkeypatch):

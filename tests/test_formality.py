@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -77,7 +76,7 @@ def test_condition_ii_ranks_shared_positions_together():
     # ungraded table can give this) are not split by degree
     def entry(exponent, vector):
         return EEntry(Monomial(((0, exponent),), (), 2 * exponent),
-                      as_row(tuple(map(Fraction, vector))))
+                      as_row(vector))
     assert not fc.check_condition_ii((entry(2, (0, 1, 0)), entry(3, (0, 2, 0))))
     assert fc.check_condition_ii((entry(2, (0, 1, 0)), entry(3, (0, 1, 1))))
 

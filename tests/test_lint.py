@@ -21,9 +21,9 @@ home: `MAX_CAP` and the corpus budget `MAX_PRODUCTS` are each assigned in
 one module of `src/formacheck`, and only `formality.py` writes the
 default cap `2 * h.top_degree + 1`.  No module of the check path
 (`test_startup.CHECK_PATH`) imports `fractions` or `decimal` at module
-level: `fractions` is imported only in `parse_rational` and
-`GradedAlgebra.from_products`, which return or take a `Fraction`, and
-`decimal` only in `format_rational`, for a rational too long to write."""
+level: `fractions` is imported only in `parse_rational`, which returns a
+`Fraction`, and `decimal` only in `format_rational`, for a rational too
+long to write."""
 
 import ast
 import glob
@@ -288,9 +288,9 @@ def test_only_the_tracer_hook_imports_the_reference():
 
 
 def test_check_path_imports_no_fractions_at_module_level():
-    # the table is integral, so only the entry points that return or take a
-    # `Fraction` import `fractions`, and `decimal` only counts the digits of
-    # a rational too long to write out
+    # the table is integral, so only `parse_rational`, which returns a
+    # `Fraction`, imports `fractions`, and `decimal` only counts the digits
+    # of a rational too long to write out
     found = []
     for name in CHECK_PATH:
         module = name.split(".")[1] + ".py" if "." in name else "__init__.py"
@@ -299,7 +299,6 @@ def test_check_path_imports_no_fractions_at_module_level():
         found += [(module, *imported[1:]) for stdlib in ("decimal", "fractions")
                   for imported in imports_of(source, stdlib)]
     assert sorted(found) == [
-        ("algebra.py", "GradedAlgebra.from_products", "from fractions import Fraction"),
         ("formats.py", "format_rational", "from decimal import Decimal"),
         ("formats.py", "parse_rational", "from fractions import Fraction")]
 

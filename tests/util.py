@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import math
 import operator
 from fractions import Fraction
 
@@ -199,6 +200,14 @@ def pipeline(h, cap=None):
     """Run `certify`; returns (gens, e, goods, model, quasi-isomorphism report)."""
     cert = fc.certify(h, cap)
     return h.generators, cert.e_family, cert.good_objects, cert.model, cert.quasi_isomorphism
+
+
+def integer_rows(rows):
+    """Sparse rational rows, each times the lcm of its denominators: the
+    same lines over Q as rows of `int`s, which `linalg.pivots` takes."""
+    for row in rows:
+        scale = math.lcm(*(c.denominator for _, c in row))
+        yield tuple((k, int(c * scale)) for k, c in row)
 
 
 def frac_matrix(rows):

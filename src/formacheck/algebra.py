@@ -1,13 +1,12 @@
 """Finite-dimensional graded commutative algebras over Q.
 
 The input object is a basis with degrees plus a sparse multiplication table.
-Only the half with left index <= right index is supplied; the mirror entry
-is synthesized with the sign (-1)^(pq), which makes graded commutativity
-structural wherever it can be.
+Graded commutativity is structure: the table holds each product once, and only
+`GradedAlgebra.mul` and `both_orders` read e_j * e_i off it, as (-1)^(pq) e_i * e_j.
 
-The table is stored sparse, read-only and integral: `mult[(i, j)]` is a
-`linalg.Row` of `int`s, the nonzero terms (k, c) of D * e_i * e_j in
-increasing k, with D = `scale`, and pairs with a zero product are absent.
+The table is stored sparse, read-only and integral: `mult[(i, j)]`, i <= j in
+basis order, is a `linalg.Row` of `int`s, the nonzero terms (k, c) of
+D * e_i * e_j in increasing k, with D = `scale`; zero products are absent.
 `GradedAlgebra.from_ratios` is the one place where rational coefficients
 become D times `int`s; `from_products` is the library's entry point for a
 table of `Fraction`s.  No zero test, rank or pivot changes with D, so no
@@ -37,12 +36,12 @@ class AlgebraStructureError(ValueError):
 
 
 class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult scale")):
-    """The basis `labels` and `degrees`, the `unit_index`, and `mult`, the table
-    (i, j) -> Row of `int`s, `scale` times each product, with both orders
-    present and zero products omitted, held as a read-only copy of the
-    mapping given, also by `_replace`, so the cached `validation` and
-    `generators` always describe it; pickle gets a plain dict.  No
-    `__slots__ = ()`: the cached properties live in the instance `__dict__`."""
+    """The basis `labels` and `degrees`, the `unit_index`, and `mult`, the half
+    table (i, j) -> Row of `int`s, i <= j, `scale` times each product, unit
+    rows under (min(u, j), max(u, j)), held as a read-only copy of the mapping
+    given, also by `_replace`, so the cached `validation` and `generators`
+    always describe it; pickle gets a plain dict.  No `__slots__ = ()`: the
+    cached properties live in the instance `__dict__`."""
 
     def __new__(cls, labels, degrees, unit_index, mult, scale=1):
         return super().__new__(cls, labels, degrees, unit_index,
@@ -93,8 +92,18 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult 
         return self.basis_vector(self.unit_index)
 
     def mul(self, a: Row, b: Row) -> Row:
-        terms = ((ca * cb, self.mult.get((i, j), ())) for i, ca in a for j, cb in b)
+        deg, mult = self.degrees, self.mult  # e_i e_j, i > j, is e_j e_i, negated if both odd
+        terms = ((-ca * cb if i > j and deg[i] % 2 and deg[j] % 2 else ca * cb,
+                  mult.get((i, j) if i <= j else (j, i), ())) for i, ca in a for j, cb in b)
         return tuple(sorted(_combine(terms).items()))
+
+    def both_orders(self) -> dict:
+        """The table under both orders, as `mul` reads it; a key out of order is no product."""
+        deg = self.degrees
+        out = {(j, i): tuple((k, -c) for k, c in row) if deg[i] % 2 and deg[j] % 2 else row
+               for (i, j), row in self.mult.items() if i <= j}
+        out.update((p, row) for p, row in self.mult.items() if p[0] <= p[1])
+        return out
 
     @classmethod
     def from_ratios(cls, basis: Sequence[tuple[str, int]], unit: str,
@@ -126,16 +135,13 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "labels degrees unit_index mult 
         mult: dict[tuple[int, int], Row] = {}
         # the unit law by default; an explicit entry overrides it, for validate() to flag
         for j in range(len(labels)):
-            mult[(u, j)] = mult[(j, u)] = ((j, scale),)
-        for (i, j), value in table.items():
+            mult[min(u, j), max(u, j)] = ((j, scale),)
+        for pair, value in table.items():
             entry = tuple((k, n * (scale // d)) for k, (n, d) in sorted(value.items()) if n)
-            odd_pair = degrees[i] % 2 and degrees[j] % 2
-            mirror = tuple((k, -c) for k, c in entry) if odd_pair else entry
-            for pair, row in ((j, i), mirror), ((i, j), entry):  # e_i e_i gets `entry`
-                if row:
-                    mult[pair] = row
-                else:
-                    mult.pop(pair, None)
+            if entry:
+                mult[pair] = entry
+            else:
+                mult.pop(pair, None)
         del table  # freed here if the caller kept none (the parser), before `cls` copies `mult`
         return cls(labels, degrees, u, mult, scale)
 
@@ -191,14 +197,16 @@ def validate(h: GradedAlgebra) -> ValidationReport:
 
     Odd-degree classes are reported as a hypothesis flag, not a structural
     failure: such inputs load and validate so the pipeline can diagnose
-    them instead of crashing.  Each law is checked on the sparse table, in
-    the order of the basis, so the first failure found is the first in
-    (i, j) or (i, j, k) order.  When the single unit, the unit law, graded
-    multiplicativity and graded commutativity hold, associativity is first
-    decided by Light's test (Clifford-Preston, *The Algebraic Theory of
-    Semigroups* I, ch. 1): only the triples with one of `h.generators` in
-    the middle are compared.  The full scan runs only when that test or
-    one of the four laws fails, so the witness reported is the same.
+    them instead of crashing.  Each law is checked on the sparse half table,
+    in basis order, so the first failure found is the first in (i, j) or
+    (i, j, k) order; a key with i > j (a table given in both orders) fails
+    graded commutativity, as a nonzero square of an odd class does.  When
+    the single unit, the unit law, graded multiplicativity and graded
+    commutativity hold, associativity is first decided by Light's test
+    (Clifford-Preston, *The Algebraic Theory of Semigroups* I, ch. 1): only
+    the triples with one of `h.generators` in the middle are compared.  The
+    full scan runs only when that test or one of the four laws fails, so
+    the witness reported is the same.
     """
     failures = []
     deg, u, mult = h.degrees, h.unit_index, h.mult
@@ -223,23 +231,16 @@ def validate(h: GradedAlgebra) -> ValidationReport:
 
     unit_ok = True
     for j in range(h.dim):
-        e = ((j, h.scale),)
-        if mult.get((u, j)) != e or mult.get((j, u)) != e:
+        if mult.get((min(u, j), max(u, j))) != ((j, h.scale),):
             unit_ok = False
             failures.append(f"unit law fails on {h.labels[j]}")
             break
 
-    # pairs absent in both orders multiply to 0 both ways
-    commutative = True
-    for i, j in sorted({(min(p), max(p)) for p in mult}):
-        mirror = mult.get((j, i), ())
-        if deg[i] % 2 and deg[j] % 2:
-            mirror = tuple((k, -c) for k, c in mirror)
-        if mult.get((i, j), ()) != mirror:
-            commutative = False
-            failures.append(
-                f"graded commutativity fails on ({h.labels[i]}, {h.labels[j]})")
-            break
+    bad = [(i, j) for (i, j), row in mult.items() if i > j or (i == j and deg[i] % 2 and row)]
+    commutative = not bad
+    if bad:
+        i, j = min(bad)
+        failures.append(f"graded commutativity fails on ({h.labels[i]}, {h.labels[j]})")
 
     # M = {a : (xa)y = x(ay) for all x, y} is a subspace that holds 1 and is
     # closed under products, and the generators generate H: so M = H once
@@ -291,7 +292,7 @@ def _associativity_witness(h: GradedAlgebra, exact_skip: bool, half: bool, middl
     satisfies A(k, j, i) = ±A(i, j, k), so the first failing triple has
     i <= k and only those triples are visited.
     """
-    deg, u, top, dim, mult = h.degrees, h.unit_index, h.top_degree, h.dim, h.mult
+    deg, u, top, dim, mult = h.degrees, h.unit_index, h.top_degree, h.dim, h.both_orders()
     right_of: list[list[int]] = [[] for _ in range(dim)]
     for j, k in sorted(mult):
         right_of[j].append(k)
@@ -333,15 +334,13 @@ def choose_generators(h: GradedAlgebra) -> tuple[Generator, ...]:
     last nonzero coordinate at s.  So, with the columns in reverse basis
     order, the generators are the non-pivot columns of D's rows: one
     `pivots` per degree, of the distinct rows, as pivots depend only on the
-    row space (a product and its even mirror are one row).  They come
-    ordered by (degree, basis index), reproducibly.
+    row space.  They come ordered by (degree, basis index), reproducibly.
     """
     deg = h.degrees
     column = {k: len(idx) - 1 - s for idx in h._by_degree.values() for s, k in enumerate(idx)}
     rows: dict[int, set] = {n: set() for n in sorted(h._by_degree) if n > 0}
     for (i, j), prod in h.mult.items():
-        # a product with the unit is not decomposable, and an even mirror is the same row
-        if not (deg[i] and deg[j]) or (i > j and h.mult.get((j, i)) == prod):
+        if not (deg[i] and deg[j]):  # a product with the unit is not decomposable
             continue
         n = deg[i] + deg[j]
         terms = tuple((k, c) for k, c in prod if deg[k] == n)

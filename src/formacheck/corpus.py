@@ -63,19 +63,20 @@ def truncated_poly(degree: int, height: int) -> dict:
 
 def product(a_obj: dict, b_obj: dict) -> dict:
     """Tensor product of two algebra files (Koszul sign included); the basis
-    pair (i, j) sits at position i * b.dim + j."""
+    pair (i, j) sits at position i * b.dim + j.  It reads each factor's
+    `both_orders()` and keeps the pairs p <= q, the product's half table."""
     a = parse_algebra_json(a_obj, "product left factor")
     b = parse_algebra_json(b_obj, "product right factor")
     name = f"product({a_obj.get('name') or 'algebra'},{b_obj.get('name') or 'algebra'})"
-    # each table holds both orders of a pair and every unit row (the laws hold), so
-    # of the |a.mult|·|b.mult| products, the half table keeps one of each mirror
-    # pair and each diagonal one, less the a.dim·b.dim unit rows
+    a_mult, b_mult = a.both_orders(), b.both_orders()
+    # of the |a_mult|·|b_mult| products of the views (both orders, unit rows too), the half
+    # table keeps each diagonal one and one of each mirror pair, less the a.dim·b.dim unit rows
     diagonal = sum(i == k for i, k in a.mult) * sum(j == l for j, l in b.mult)
-    _within_budget(name, (len(a.mult) * len(b.mult) + diagonal) // 2 - a.dim * b.dim)
+    _within_budget(name, (len(a_mult) * len(b_mult) + diagonal) // 2 - a.dim * b.dim)
     unit = a.unit_index * b.dim + b.unit_index
     table = {}
-    for (i, k), left in a.mult.items():
-        for (j, l), right in b.mult.items():
+    for (i, k), left in a_mult.items():
+        for (j, l), right in b_mult.items():
             p, q = i * b.dim + j, k * b.dim + l
             if p <= q and unit not in (p, q):  # unit rows are implicit
                 sign = -1 if b.degrees[j] % 2 and a.degrees[k] % 2 else 1
@@ -88,7 +89,8 @@ def product(a_obj: dict, b_obj: dict) -> dict:
 
 def wedge(a_obj: dict, b_obj: dict) -> dict:
     """Wedge: direct sum of the positive parts, unit identified, zero cross
-    products.  A label already taken gets primes until it is free."""
+    products; each summand's half table is copied as it is, unit rows aside.
+    A label already taken gets primes until it is free."""
     labels, degrees, taken, table = ["1"], [0], {"1"}, {}
     summands = [parse_algebra_json(obj, f"wedge {side} summand")
                 for side, obj in (("left", a_obj), ("right", b_obj))]
@@ -103,11 +105,10 @@ def wedge(a_obj: dict, b_obj: dict) -> dict:
                 relabel[i] = len(labels)
                 labels.append(lab)
                 degrees.append(deg)
-        # positive-degree products stay in positive degrees, inside `relabel`
+        # positive-degree products stay in positive degrees, inside `relabel`, in order
         table.update(((relabel[i], relabel[j]),
                       {relabel[k]: c * (scale // h.scale) for k, c in entry})
-                     for (i, j), entry in h.mult.items() if i in relabel and j in relabel
-                     and i <= j)
+                     for (i, j), entry in h.mult.items() if i in relabel and j in relabel)
     return algebra_file(
         f"wedge({a_obj.get('name') or 'algebra'},{b_obj.get('name') or 'algebra'})",
         labels, degrees, 0, table, scale)

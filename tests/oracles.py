@@ -5,8 +5,8 @@ rank code: bases come from itertools-style search over raw exponent data,
 and ranks come from sympy.  Only the raw model data (generator degrees and
 the exponent tuples of the differentials) is shared with the code under
 test.  Products come from `dense_mul`, a product of dense vectors read
-straight off the table `h.mult` over `h.scale`, never from
-`GradedAlgebra.mul`: the
+straight off the half table `h.mult` over `h.scale`, with its own mirrors,
+never from `GradedAlgebra.mul` or `GradedAlgebra.both_orders`: the
 reference validator, the greedy generator rule (which grows a
 `reference.RowSpace` of the decomposables) and the E and good-object walks
 all multiply with it, and convert the classes they return to rows with
@@ -40,15 +40,17 @@ from formacheck.reference import (ZERO, MatQ, RowSpace, Vec, _merge_even, as_row
 
 def dense_mul(h, a: Sequence, b: Sequence) -> Vec:
     """a * b in h for dense vectors a and b, read straight off `h.mult`,
-    which holds `h.scale` times each product."""
+    which holds `h.scale` times e_i e_j under (i, j), i <= j: e_j e_i is
+    (-1)^(|e_i||e_j|) e_i e_j, and a key with i > j is not read."""
     out = [ZERO] * h.dim
     b_terms = [(j, cb) for j, cb in enumerate(b) if cb]
     for i, ca in enumerate(a):
         if not ca:
             continue
         for j, cb in b_terms:
-            for k, c in h.mult.get((i, j), ()):
-                out[k] += ca * cb * Fraction(c, h.scale)
+            sign = -1 if i > j and h.degrees[i] % 2 and h.degrees[j] % 2 else 1
+            for k, c in h.mult.get((min(i, j), max(i, j)), ()):
+                out[k] += sign * ca * cb * Fraction(c, h.scale)
     return tuple(out)
 
 
@@ -175,19 +177,15 @@ def brute_validate(h):
             failures.append(f"unit law fails on {h.labels[j]}")
             break
 
+    # the table holds e_i e_j under i <= j only: a key out of that order fails
+    # the law, as does a product that does not commute
     commutative = True
-    for i in range(h.dim):
-        for j in range(i, h.dim):
-            a, b = e(i), e(j)
-            ab = mul(a, b)
-            ba = mul(b, a)
-            sign = -1 if (h.degrees[i] % 2 and h.degrees[j] % 2) else 1
-            if ab != tuple(sign * x for x in ba):
-                commutative = False
-                failures.append(
-                    f"graded commutativity fails on ({h.labels[i]}, {h.labels[j]})")
-                break
-        if not commutative:
+    for i, j in itertools.product(range(h.dim), repeat=2):
+        a, b = e(i), e(j)
+        sign = -1 if (h.degrees[i] % 2 and h.degrees[j] % 2) else 1
+        if (i > j and (i, j) in h.mult) or mul(a, b) != tuple(sign * x for x in mul(b, a)):
+            commutative = False
+            failures.append(f"graded commutativity fails on ({h.labels[i]}, {h.labels[j]})")
             break
 
     associative = True
@@ -361,13 +359,13 @@ def contract_violations(cert: dict) -> list[str]:
 
 # ---- the certificate's claims about its algebra, from its JSON alone ----
 
-_Table = namedtuple("_Table", "dim mult scale")  # what `dense_mul` reads of an algebra
+_Table = namedtuple("_Table", "dim degrees mult scale")  # what `dense_mul` reads of an algebra
 
 
 def file_table(raw: dict) -> tuple[dict, list, _Table]:
     """The algebra file `raw` as (label -> index, degrees, table): the unit
     rows, then each product of the half table and its mirror, with the sign
-    (-1)^(pq) for two odd degrees."""
+    (-1)^(pq) for two odd degrees, so the table holds both orders."""
     index = {b["label"]: i for i, b in enumerate(raw["basis"])}
     degrees = [b["degree"] for b in raw["basis"]]
     u, dim = index[raw["unit"]], len(index)
@@ -379,7 +377,7 @@ def file_table(raw: dict) -> tuple[dict, list, _Table]:
         row = tuple(sorted((index[t["label"]], Fraction(t["coeff"])) for t in item["value"]))
         sign = -1 if degrees[i] % 2 and degrees[j] % 2 else 1
         mult[i, j], mult[j, i] = row, tuple((k, sign * c) for k, c in row)
-    return index, degrees, _Table(dim, mult, 1)
+    return index, degrees, _Table(dim, degrees, mult, 1)
 
 
 def claim_violations(cert: dict, rows_up_to: Optional[int] = None) -> list[str]:

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 import formacheck as fc
 from formacheck.algebra import AlgebraStructureError, GradedAlgebra, _associativity_witness
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
-from formacheck.formats import certificate_json, dump_json, parse_algebra_json
+from formacheck.formats import InputError, certificate_json, dump_json, parse_algebra_json
 from formacheck.reference import as_row, phi_tilde, unit_vec, zero_vec
 
 from oracles import brute_generators, brute_validate, decomposables, dense, dense_mul
-from util import (GROEBNER_RINGS, corpus_objects, cp2, cp3, embed, in_basis, s2,
-                  serialize_algebra, wedge_s2_s2)
+from util import (GROEBNER_RINGS, ODD_PAIR, algebra, corpus_objects, cp2, cp3, embed,
+                  in_basis, s2, serialize_algebra, wedge_s2_s2)
 
 
 def q_basis(h, label):
@@ -113,7 +113,7 @@ BASES = corpus_objects() + [
     product(product(odd_sphere(1), odd_sphere(3)), even_sphere(2)),
     wedge(truncated_poly(2, 3), even_sphere(4)),
 ]
-FAULTS = ("none", "coefficient", "one_sided", "unit_row", "wrong_degree",
+FAULTS = ("none", "coefficient", "out_of_order", "unit_row", "wrong_degree",
           "odd_square", "second_unit", "nonassociative", "scaled_coefficient",
           "graded_unit_row")
 
@@ -156,25 +156,26 @@ def scaled(h, rng):
     return in_basis(h, new, old)
 
 
+def out_of_order(h, pairs, rng, move=False):
+    """h with the product of one of the `pairs` (i, j), i < j, also stored
+    under (j, i), as a table given in both orders holds it, or with `move`
+    only there, where no law but graded commutativity reads it.  Only a
+    GradedAlgebra built directly, not through from_products, can hold this."""
+    i, j = rng.choice(pairs)
+    mult = dict(h.mult)
+    mult[j, i] = h.both_orders()[j, i]
+    if move:
+        del mult[i, j]
+    return GradedAlgebra(h.labels, h.degrees, h.unit_index, mult, h.scale)
+
+
 def broken_table(h, fault, rng):
     """h's table with one seeded fault of the given kind."""
     coeff = Fraction(rng.choice((-2, -1, 3)), rng.choice((1, 2)))  # never 0 or 1
     if fault == "scaled_coefficient":
         h, fault = scaled(h, rng), "coefficient"
-    if fault == "one_sided":
-        # e_i e_j changed but not e_j e_i: only a GradedAlgebra built
-        # directly, not through from_products, can hold this; its table is
-        # h.scale times each product, in `int`s, so e_i e_j changes by
-        # coeff.numerator / h.scale
-        i, j = rng.choice(sorted(p for p in h.mult if p[0] != p[1]))
-        row = dict(h.mult[(i, j)])
-        k = rng.choice(sorted(row))
-        row[k] += coeff.numerator
-        mult = dict(h.mult)
-        mult[(i, j)] = tuple((k, c) for k, c in sorted(row.items()) if c != 0)
-        if not mult[(i, j)]:
-            del mult[(i, j)]
-        return GradedAlgebra(h.labels, h.degrees, h.unit_index, mult, h.scale)
+    if fault == "out_of_order":  # no product changes, so neither do the generators
+        return out_of_order(h, sorted(p for p in h.mult if p[0] < p[1]), rng)
 
     basis = list(zip(h.labels, h.degrees))
     degree = dict(basis)
@@ -321,7 +322,7 @@ def mutated_table(h, rng):
     positive-degree classes, each in the right degree, so that the unit law
     and the grading stay and only associativity and, on an odd square,
     graded commutativity can fail.  One table in eight also gets a second
-    degree-0 class and one in eight a product changed on one side only."""
+    degree-0 class and one in eight a product moved out of basis order."""
     labels, unit = h.labels, h.labels[h.unit_index]
     degree = dict(zip(labels, h.degrees))
     positive = [lab for lab in labels if lab != unit]
@@ -340,10 +341,7 @@ def mutated_table(h, rng):
     out = GradedAlgebra.from_products(basis, unit, table)
     pairs = sorted(p for p in out.mult if p[0] < p[1] and h.unit_index not in p)
     if kind == 1 and pairs:
-        mult = dict(out.mult)
-        mult[pairs[rng.randrange(len(pairs))]] = ()  # the mirror keeps its product
-        out = GradedAlgebra(out.labels, out.degrees, out.unit_index,
-                            {p: row for p, row in mult.items() if row}, out.scale)
+        out = out_of_order(out, pairs, rng, move=True)
     return out
 
 
@@ -355,7 +353,8 @@ def test_light_test_on_a_corpus_of_mutated_tables():
     # monomial in no basis; Fl(4) (dimension 24) would make the test four times slower
     bases += [build() for name, build in GROEBNER_RINGS.items() if name != "flag_4"]
     bases += [rebased(h, random.Random(i)) for i, h in enumerate(bases)]
-    seen = {"light": 0, "not associative": 0, "single unit": 0, "commutativity": 0}
+    seen = {"light": 0, "not associative": 0, "single unit": 0, "commutativity": 0,
+            "out of order": 0}
     for seed in range(3000):
         rng = random.Random(seed)
         h = mutated_table(bases[seed % len(bases)], rng)
@@ -365,8 +364,44 @@ def test_light_test_on_a_corpus_of_mutated_tables():
         seen["not associative"] += not report.associativity
         seen["single unit"] += not report.single_unit_in_degree_zero
         seen["commutativity"] += not report.graded_commutativity
+        seen["out of order"] += any(i > j for i, j in h.mult)
     assert seen["light"] > 2000 and seen["not associative"] > 500
     assert seen["single unit"] > 200 and seen["commutativity"] > 200
+    assert seen["out of order"] > 200
+
+
+def test_odd_classes_anticommute():
+    # a*b is stored once, and b*a is read off it negated, by `mul` and by the
+    # oracle's own mirror
+    h = algebra(ODD_PAIR)
+    a, b = h.basis_vector(1), h.basis_vector(2)
+    assert sorted(h.mult) == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 2)]
+    assert h.mul(b, a) == tuple((k, -c) for k, c in h.mul(a, b)) == ((3, -1),)
+    for x, y in ((a, b), (b, a)):
+        assert dense(h, h.mul(x, y)) == dense_mul(h, dense(h, x), dense(h, y))
+
+
+def test_odd_square_keeps_its_message():
+    square = {"left": "a", "right": "a", "value": [{"label": "ab", "coeff": "2"}]}
+    with pytest.raises(InputError, match=r"^input: validation failure: graded "
+                                         r"commutativity fails on \(a, a\)$"):
+        parse_algebra_json(dict(ODD_PAIR, products=ODD_PAIR["products"] + [square]))
+    h = GradedAlgebra.from_products([("1", 0), ("a", 3), ("b", 3), ("ab", 6)], "1",
+                                    {("a", "b"): {"ab": 1}, ("a", "a"): {"ab": 2}})
+    assert h.validation == brute_validate(h)
+    assert h.validation.failures == ("graded commutativity fails on (a, a)",)
+
+
+def test_a_table_in_both_orders_is_refused():
+    # the old two-order form: every law but graded commutativity reads the
+    # half table and holds; the first key out of order is reported
+    h = algebra(ODD_PAIR)
+    twin = GradedAlgebra(h.labels, h.degrees, h.unit_index, h.both_orders(), h.scale)
+    assert twin.validation == brute_validate(twin)
+    assert twin.validation.failures == ("graded commutativity fails on (a, 1)",)
+    with pytest.raises(ValueError, match=r"^validation failure: graded commutativity "
+                                         r"fails on \(a, 1\)$"):
+        fc.certify(twin)
 
 
 def test_validate_work_does_not_grow_with_the_top_degree():

@@ -4,7 +4,11 @@ Each digest is the sha256 of `json.dumps(certificate_json(cert, raw, digest),
 sort_keys=True)` for one input, where `raw` is the input object and `digest`
 the sha256 of its sorted JSON.  `GOLDEN` is taken at the default cap, and
 `GOLDEN_AT_CAP` at the caps the benchmark's workloads run, and the 8-fold
-S^2 wedge also at caps 15 and 17, where its boundary ranks are large.  The
+S^2 wedge also at caps 15 and 17, where its boundary ranks are large.
+`WORKLOAD_GOLDEN` pins the inputs the benchmark's `check` ops read: the
+last file of each workload's corpus chain put through `rebase` of
+`perfbench/harness.py` (read from its source, not imported) with
+`random.Random(f"{workload}:{seed}")`, at the workload's cap.  The
 rings of `GROEBNER_RINGS` are monomial in no basis.  A change that
 moves any field of any certificate (a value, an order, a key) moves its
 digest.
@@ -34,9 +38,11 @@ discrepancy flag, exit code and summary follow from its flags and rows, and
 against the algebra file it echoes.
 """
 
+import ast
 import functools
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -47,10 +53,10 @@ from formacheck.cli import main
 from formacheck.corpus import even_sphere, product, truncated_poly, wedge
 from formacheck.formats import certificate_json, dump_json, parse_rational
 
-from oracles import claim_violations, contract_violations
-from util import (GROEBNER_RINGS, algebra, change_basis, corpus_objects, cp2_power_3,
-                  cp2_power_4, dependent_family, dependent_pair, s2_power_4, serialize_algebra,
-                  sphere_wedge_8)
+from oracles import claim_violations, contract_violations, file_table
+from util import (GROEBNER_RINGS, ODD_PAIR, algebra, change_basis, corpus_objects,
+                  cp2_power_3, cp2_power_4, dependent_family, dependent_pair, s2_power_4,
+                  serialize_algebra, sphere_wedge_8)
 
 GOLDEN = {
     "even_sphere(2)": "032c5ae0e0c5dd831f118772135c6675ec3acceb793e4737018afdf5bd4243b1",
@@ -130,6 +136,24 @@ GOLDEN_AT_CAP = {
     ("sphere_wedge_8", 17): "9f7ea22d78b034cd18b2a26fbe02a9f38370963d4b88a327782ec005b3dc861e",
 }
 
+# (workload, seed) -> digest; the workload's chain file and cap are in WORKLOADS
+WORKLOAD_GOLDEN = {
+    ("sphere-product", 1): "c01406136797f88ffab2873896460fe61bc1a6470107aa6d843bf42202230225",
+    ("sphere-product", 2): "9ba12208f8c8093d4371842a230e2760f0cf9841462369116cf722c5fc5281ef",
+    ("sphere-product", 3): "877999ff93bb8a4a348f3b4b3f3f9e6da0ad57964c2ae51adbc454acfb9b2ed5",
+    ("validate-dim27", 1): "a8cb3a5c65a8c294120f2f7ae625927b97b5bda6d453d47d98d8873657f27bad",
+    ("validate-dim27", 2): "1c29f7820f698b6a68402e4a618939d9882e7b9592e1895b276ac15a9158930d",
+    ("validate-dim27", 3): "ccfed5c852684979269e8e0d0738afb3e03f18df86e12e8c8864c1f78f4fcd85",
+    ("sphere-wedge", 1): "6b3e933f35c3ba9fa1b255f3c7b438d14b59769748d900185bac974fab517526",
+    ("sphere-wedge", 2): "263c2ede8170dcf520fdef9da7555f64bd1d3ad317f96e679cfca8bda136b840",
+    ("sphere-wedge", 3): "d36b745d7092a5f559b0ac8b8017e6c17de6eb064dec75ce6eeb89b433188745",
+}
+# workload -> (its last corpus file, its cap), as `perfbench/harness.py` runs it
+WORKLOADS = {"sphere-product": ("s2x4", 13), "validate-dim27": ("cp2x3", 12),
+             "sphere-wedge": ("w8", None)}
+HARNESS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "harness.py")
+
 
 @functools.cache
 def inputs() -> dict:
@@ -165,15 +189,6 @@ def third_cube() -> dict:
         item["value"][0]["coeff"] = coeff
     return obj
 
-
-# two degree-3 classes a, b with a*b = ab (so b*a = -ab)
-ODD_PAIR = {
-    "name": "odd_pair",
-    "basis": [{"label": "1", "degree": 0}, {"label": "a", "degree": 3},
-              {"label": "b", "degree": 3}, {"label": "ab", "degree": 6}],
-    "unit": "1",
-    "products": [{"left": "a", "right": "b", "value": [{"label": "ab", "coeff": "1"}]}],
-}
 
 # corpus output -> sha256 of the file `formacheck corpus` writes for it
 CORPUS_GOLDEN = {
@@ -404,6 +419,41 @@ def test_int_and_fraction_coefficients_give_one_certificate(name):
     certificates = [dump_json(certificate_json(fc.certify(a), raw, "0" * 64))
                     for a in (h, h_fraction)]
     assert certificates[0] == certificates[1]
+
+
+@functools.cache
+def harness_rebase():
+    """`rebase` of `perfbench/harness.py` and the `SCALES` it draws from,
+    compiled from the file's source alone: its module is never run."""
+    with open(HARNESS, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    nodes = [node for node in tree.body if getattr(node, "name", None) == "rebase"
+             or isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SCALES"]
+    namespace = {"Fraction": Fraction, "random": random}
+    exec(compile(ast.Module(nodes, []), HARNESS, "exec"), namespace)
+    return namespace["rebase"]
+
+
+@pytest.mark.parametrize("workload, seed", sorted(WORKLOAD_GOLDEN))
+def test_workload_input_certificate_digest(workload, seed):
+    chain, cap = WORKLOADS[workload]
+    raw = harness_rebase()(corpus_files()[chain], random.Random(f"{workload}:{seed}"))
+    assert certificate_digest(raw, cap) == WORKLOAD_GOLDEN[workload, seed]
+
+
+@pytest.mark.parametrize("rebase", [False, True])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_table_holds_each_product_once(name, rebase):
+    # the algebra keeps the file's half table; both orders are the file's,
+    # mirrored by the oracle, times the scale
+    raw = inputs()[name]
+    if rebase:
+        raw = serialize_algebra(change_basis(algebra(raw), random.Random(name)), name=name)
+    h = algebra(raw)
+    assert all(i <= j for i, j in h.mult)
+    table = file_table(raw)[2].mult
+    assert h.both_orders() == {p: tuple((k, c * h.scale) for k, c in row)
+                               for p, row in table.items()}
 
 
 def test_every_corpus_file_has_a_digest():

@@ -14,17 +14,26 @@ from formacheck.reference import MatQ, unit_vec
 from oracles import dense_mul
 
 
+# two degree-3 classes a, b with a*b = ab (so b*a = -ab)
+ODD_PAIR = {
+    "name": "odd_pair",
+    "basis": [{"label": "1", "degree": 0}, {"label": "a", "degree": 3},
+              {"label": "b", "degree": 3}, {"label": "ab", "degree": 6}],
+    "unit": "1",
+    "products": [{"left": "a", "right": "b", "value": [{"label": "ab", "coeff": "1"}]}],
+}
+
+
 def algebra(obj):
     return parse_algebra_json(obj)
 
 
 def serialize_algebra(h, name=""):
-    """The input JSON object of h: the half table (left <= right), without
-    zero products and the implicit unit rows, through `corpus.algebra_file`."""
+    """The input JSON object of h: its half table, without the implicit unit
+    rows, through `corpus.algebra_file`."""
     u = h.unit_index
     return algebra_file(name, h.labels, h.degrees, u, {
-        (i, j): dict(entry) for (i, j), entry in h.mult.items() if i <= j and u not in (i, j)},
-        h.scale)
+        (i, j): dict(entry) for (i, j), entry in h.mult.items() if u not in (i, j)}, h.scale)
 
 
 def s2():
